@@ -37,11 +37,16 @@ type (
 	// HostOverride customizes one host of an otherwise uniform fleet
 	// (heterogeneous machines, memory or permit budgets).
 	HostOverride = cluster.HostOverride
-	// TraceSweepConfig parameterizes a three-placer trace sweep.
-	TraceSweepConfig = experiments.TraceSweepConfig
-	// TraceSweepResult compares the placers over one trace; its Table
-	// renders the rejection-rate / p99 report.
-	TraceSweepResult = experiments.TraceSweepResult
+	// FleetSweepConfig parameterizes a fleet sweep (SweepTrace,
+	// SweepMigrations, SweepDetection); each sweep takes a subset of its
+	// fields and refuses the rest.
+	FleetSweepConfig = experiments.FleetSweepConfig
+	// FleetSweepResult compares the arms of a sweep over one trace; its
+	// Table renders the sweep's report.
+	FleetSweepResult = experiments.FleetSweepResult
+	// FleetSweepRow is one arm's outcome: placement, normalized-performance
+	// and queue-wait percentiles, migrations and detection scores.
+	FleetSweepRow = experiments.FleetSweepRow
 	// Rebalancer plans live migrations from per-epoch pollution views;
 	// use NewReactiveRebalancer / NewTopologyRebalancer or implement your
 	// own against the cluster view types.
@@ -57,11 +62,6 @@ type (
 	// PendingPolicy selects what a replay does with arrivals no host can
 	// take (reject, queue FIFO, queue with deadline).
 	PendingPolicy = arrivals.PendingPolicy
-	// MigrationSweepConfig parameterizes a rebalancer x placer sweep.
-	MigrationSweepConfig = experiments.MigrationSweepConfig
-	// MigrationSweepResult compares the combinations over one trace; its
-	// Table renders the migration-vs-admission report.
-	MigrationSweepResult = experiments.MigrationSweepResult
 	// DetectorConfig tunes the streaming change-point detector behind
 	// the signature rebalancer (EWMA smoothing, CUSUM drift/threshold,
 	// warm-up); the zero value selects the detect package defaults.
@@ -73,12 +73,6 @@ type (
 	// its age; the signature rebalancer uses it to skip migrations that
 	// would not amortize their cache-rewarm cost.
 	LifetimeEstimator = cluster.LifetimeEstimator
-	// DetectionSweepConfig parameterizes the three-arm detection sweep.
-	DetectionSweepConfig = experiments.DetectionSweepConfig
-	// DetectionSweepResult scores threshold-reactive, signature-reactive
-	// and admission-only arms against the trace's aggressive-app ground
-	// truth; its Table reports false-trigger rates and time-to-detect.
-	DetectionSweepResult = experiments.DetectionSweepResult
 	// TwoTierTraceResult pairs a broad analytic trace sweep with the
 	// exact re-runs of its leading arms (SweepTraceTwoTier).
 	TwoTierTraceResult = experiments.TwoTierTraceResult
@@ -181,7 +175,7 @@ func ReplayTrace(cfg ClusterConfig, tr Trace, opts ReplayOptions) (ReplayResult,
 // identically seeded fleets and reports per-policy rejection rate,
 // utilization and fleet-wide p50/p95/p99 normalized performance — the
 // paper's contrast under churn.
-func SweepTrace(tr Trace, cfg TraceSweepConfig) (*TraceSweepResult, error) {
+func SweepTrace(tr Trace, cfg FleetSweepConfig) (*FleetSweepResult, error) {
 	return experiments.TraceSweep(tr, cfg)
 }
 
@@ -189,7 +183,7 @@ func SweepTrace(tr Trace, cfg TraceSweepConfig) (*TraceSweepResult, error) {
 // the analytic fast tier, then the topK arms with the best analytic p99
 // floor re-run on the exact tier (with exact solo baselines). topK <= 0
 // confirms one arm. The broad pass ranks, the exact pass decides.
-func SweepTraceTwoTier(tr Trace, cfg TraceSweepConfig, topK int) (*TwoTierTraceResult, error) {
+func SweepTraceTwoTier(tr Trace, cfg FleetSweepConfig, topK int) (*TwoTierTraceResult, error) {
 	return experiments.TwoTierTraceSweep(tr, cfg, topK)
 }
 
@@ -199,7 +193,7 @@ func SweepTraceTwoTier(tr Trace, cfg TraceSweepConfig, topK int) (*TwoTierTraceR
 // admission. The result's Table reports rejection rate, queue-wait
 // percentiles, migration counts and the p99 normalized-performance floor
 // per combination.
-func SweepMigrations(tr Trace, cfg MigrationSweepConfig) (*MigrationSweepResult, error) {
+func SweepMigrations(tr Trace, cfg FleetSweepConfig) (*FleetSweepResult, error) {
 	return experiments.MigrationSweep(tr, cfg)
 }
 
@@ -209,6 +203,6 @@ func SweepMigrations(tr Trace, cfg MigrationSweepConfig) (*MigrationSweepResult,
 // and scores each arm's triggers against the trace's aggressive-app
 // arrivals: false-trigger rate, detection coverage and mean
 // time-to-detect, alongside the usual p99 normalized-performance floor.
-func SweepDetection(tr Trace, cfg DetectionSweepConfig) (*DetectionSweepResult, error) {
+func SweepDetection(tr Trace, cfg FleetSweepConfig) (*FleetSweepResult, error) {
 	return experiments.DetectionSweep(tr, cfg)
 }

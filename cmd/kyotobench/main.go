@@ -94,10 +94,8 @@ var fidelityCapable = map[string]bool{"fig4": true, "warmstart": true, "detectio
 var twoTierCapable = map[string]bool{"fig4": true}
 
 // registry maps experiment ids to runners. Keep ids in sync with
-// DESIGN.md's per-experiment index. lockstep forces the eager fleet
-// engine in the replay-driven experiments (detection) — schedule-only,
-// results are bit-identical; it exists for baseline timing.
-func registry(fid cache.Fidelity, lockstep bool) map[string]experimentFunc {
+// DESIGN.md's per-experiment index.
+func registry(fid cache.Fidelity) map[string]experimentFunc {
 	return map[string]experimentFunc{
 		"table1": func(seed uint64) ([]experiments.Table, error) {
 			return []experiments.Table{experiments.Table1()}, nil
@@ -218,7 +216,7 @@ func registry(fid cache.Fidelity, lockstep bool) map[string]experimentFunc {
 			return []experiments.Table{r.Table()}, nil
 		},
 		"detection": func(seed uint64) ([]experiments.Table, error) {
-			s := experiments.NewDetectionBenchSweeper(seed, fid, lockstep)
+			s := experiments.NewDetectionBenchSweeper(seed, fid)
 			if err := (sweep.Engine{}).Run(s); err != nil {
 				return nil, err
 			}
@@ -287,11 +285,11 @@ type shardableSweep struct {
 // shardableSweeps builds the sweep-shaped experiments by id — the ones
 // -shard/-merge can distribute. Each call returns fresh sweeps, so shard
 // and merge processes plan identical job lists from flags alone.
-func shardableSweeps(seed uint64, fid cache.Fidelity, lockstep bool) map[string]shardableSweep {
+func shardableSweeps(seed uint64, fid cache.Fidelity) map[string]shardableSweep {
 	fig4 := experiments.NewFig4SweeperFidelity(seed, fid)
 	matrix := experiments.NewFig4MatrixSweeper(seed)
 	abl := experiments.NewAblationSweeper(seed)
-	det := experiments.NewDetectionBenchSweeper(seed, fid, lockstep)
+	det := experiments.NewDetectionBenchSweeper(seed, fid)
 	return map[string]shardableSweep{
 		"fig4": {fig4, func() ([]experiments.Table, error) {
 			return []experiments.Table{fig4.Result().Table()}, nil
@@ -311,7 +309,7 @@ func shardableSweeps(seed uint64, fid cache.Fidelity, lockstep bool) map[string]
 // shardableIDs lists the -shard/-merge capable experiment ids, sorted.
 func shardableIDs() []string {
 	ids := make([]string, 0, 4)
-	for id := range shardableSweeps(1, cache.FidelityExact, false) {
+	for id := range shardableSweeps(1, cache.FidelityExact) {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
@@ -320,18 +318,18 @@ func shardableIDs() []string {
 
 // seedableSweeps builds the experiments -seeds can replicate across
 // consecutive seeds — the sweeps with sweep.Seedable adapters.
-func seedableSweeps(seed uint64, fid cache.Fidelity, lockstep bool) map[string]sweep.Seedable {
+func seedableSweeps(seed uint64, fid cache.Fidelity) map[string]sweep.Seedable {
 	return map[string]sweep.Seedable{
 		"fig4":      experiments.NewFig4SweeperFidelity(seed, fid),
 		"ablations": experiments.NewAblationSweeper(seed),
-		"detection": experiments.NewDetectionBenchSweeper(seed, fid, lockstep),
+		"detection": experiments.NewDetectionBenchSweeper(seed, fid),
 	}
 }
 
 // seedableIDs lists the -seeds capable experiment ids, sorted.
 func seedableIDs() []string {
 	ids := make([]string, 0, 2)
-	for id := range seedableSweeps(1, cache.FidelityExact, false) {
+	for id := range seedableSweeps(1, cache.FidelityExact) {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
@@ -341,8 +339,8 @@ func seedableIDs() []string {
 // seedSweepEntry wraps a seedable experiment in a seed sweep paired
 // with the statistics-table renderer, so seed sweeps flow through the
 // same run/shard/merge paths as any other sweep.
-func seedSweepEntry(id string, seed uint64, seeds int, fid cache.Fidelity, lockstep bool) (shardableSweep, error) {
-	proto, ok := seedableSweeps(seed, fid, lockstep)[id]
+func seedSweepEntry(id string, seed uint64, seeds int, fid cache.Fidelity) (shardableSweep, error) {
+	proto, ok := seedableSweeps(seed, fid)[id]
 	if !ok {
 		return shardableSweep{}, fmt.Errorf("experiment %q does not support -seeds (seedable: %s)", id, strings.Join(seedableIDs(), ", "))
 	}
@@ -374,7 +372,6 @@ func run(args []string) (err error) {
 		fidelity   = fs.String("fidelity", "exact", "cache-model tier for fidelity-capable experiments (fig4, warmstart, detection): exact, analytic, or two-tier (fig4 only: broad analytic pass, top attackers confirmed exact)")
 		confirmTop = fs.Int("confirm-top", 1, "attackers the two-tier mode re-runs on the exact tier")
 		wsJSON     = fs.String("warmstart-json", "", "run the warm-start forking sweep and write its fork accounting as JSON to this file ('-' = stdout) instead of tables")
-		lockstep   = fs.Bool("lockstep", false, "run replay-driven experiments (detection) on the eager lockstep fleet engine instead of the lazy event-horizon default (bit-identical results; for baseline timing)")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = fs.String("memprofile", "", "write a heap profile to this file on exit")
 	)
@@ -426,9 +423,9 @@ func run(args []string) (err error) {
 			// front; shard each tier separately instead.
 			return fmt.Errorf("-fidelity two-tier does not shard (-shard/-merge); shard each tier separately with -fidelity analytic/exact")
 		}
-		return runSharded(*runList, *seed, *seeds, *workers, fid, *lockstep, *shardSpec, *shardOut, *mergeGlobs, os.Stdout)
+		return runSharded(*runList, *seed, *seeds, *workers, fid, *shardSpec, *shardOut, *mergeGlobs, os.Stdout)
 	}
-	reg := registry(fid, *lockstep)
+	reg := registry(fid)
 	ids := make([]string, 0, len(reg))
 	for id := range reg {
 		ids = append(ids, id)
@@ -466,7 +463,7 @@ func run(args []string) (err error) {
 		return runTwoTier(selected, *seed, *confirmTop, os.Stdout)
 	}
 	if *seeds > 0 {
-		return runSeedSweeps(selected, *seed, *seeds, *workers, fid, *lockstep, os.Stdout)
+		return runSeedSweeps(selected, *seed, *seeds, *workers, fid, os.Stdout)
 	}
 
 	// Experiments are independent: fan them out across workers (each one
@@ -500,9 +497,9 @@ func run(args []string) (err error) {
 // runSeedSweeps handles plain -seeds mode: each selected experiment must
 // be seedable; its seed sweep runs in-process and prints the statistics
 // table.
-func runSeedSweeps(ids []string, seed uint64, seeds, workers int, fid cache.Fidelity, lockstep bool, out io.Writer) error {
+func runSeedSweeps(ids []string, seed uint64, seeds, workers int, fid cache.Fidelity, out io.Writer) error {
 	for _, id := range ids {
-		entry, err := seedSweepEntry(id, seed, seeds, fid, lockstep)
+		entry, err := seedSweepEntry(id, seed, seeds, fid)
 		if err != nil {
 			return err
 		}
@@ -545,7 +542,7 @@ func runTwoTier(ids []string, seed uint64, topK int, out io.Writer) error {
 // shard envelopes into its tables. With seeds > 0 the experiment is
 // wrapped in a seed sweep first, so the shards partition the
 // seed-replicated job plan.
-func runSharded(runList string, seed uint64, seeds, workers int, fid cache.Fidelity, lockstep bool, shardSpec, shardOut, mergeGlobs string, out io.Writer) error {
+func runSharded(runList string, seed uint64, seeds, workers int, fid cache.Fidelity, shardSpec, shardOut, mergeGlobs string, out io.Writer) error {
 	if shardSpec != "" && mergeGlobs != "" {
 		return fmt.Errorf("-shard and -merge are mutually exclusive (run shards first, merge after)")
 	}
@@ -560,12 +557,12 @@ func runSharded(runList string, seed uint64, seeds, workers int, fid cache.Fidel
 	}
 	if seeds > 0 {
 		var err error
-		if entry, err = seedSweepEntry(id, seed, seeds, fid, lockstep); err != nil {
+		if entry, err = seedSweepEntry(id, seed, seeds, fid); err != nil {
 			return err
 		}
 	} else {
 		var ok bool
-		if entry, ok = shardableSweeps(seed, fid, lockstep)[id]; !ok {
+		if entry, ok = shardableSweeps(seed, fid)[id]; !ok {
 			return fmt.Errorf("experiment %q is not shardable (shardable: %s)", id, strings.Join(shardableIDs(), ", "))
 		}
 	}

@@ -12,7 +12,7 @@ import (
 )
 
 func TestRegistryCoversPaperArtefacts(t *testing.T) {
-	reg := registry(cache.FidelityExact, false)
+	reg := registry(cache.FidelityExact)
 	wanted := []string{
 		"table1", "table2",
 		"fig1", "fig2", "fig3", "fig4", "fig5", "fig6",
@@ -47,7 +47,7 @@ func TestQuickExperimentsExecute(t *testing.T) {
 }
 
 func TestShardableIDsAreRegistryMembers(t *testing.T) {
-	reg := registry(cache.FidelityExact, false)
+	reg := registry(cache.FidelityExact)
 	ids := shardableIDs()
 	if len(ids) < 3 {
 		t.Fatalf("shardable set shrank: %v", ids)
@@ -119,7 +119,7 @@ func TestSeedsFlagValidation(t *testing.T) {
 }
 
 func TestSeedableIDsAreShardable(t *testing.T) {
-	shardable := shardableSweeps(1, cache.FidelityExact, false)
+	shardable := shardableSweeps(1, cache.FidelityExact)
 	ids := seedableIDs()
 	if len(ids) < 2 {
 		t.Fatalf("seedable set shrank: %v", ids)
@@ -198,7 +198,7 @@ func captureRun(args []string) (string, error) {
 }
 
 func TestRegistryIdsSorted(t *testing.T) {
-	reg := registry(cache.FidelityExact, false)
+	reg := registry(cache.FidelityExact)
 	ids := make([]string, 0, len(reg))
 	for id := range reg {
 		ids = append(ids, id)

@@ -197,7 +197,6 @@ func run(args []string, out io.Writer) (err error) {
 		horizon   = fs.Uint64("churn-horizon", 0, "ticks the synthetic arrivals spread over (default 120)")
 		meanLife  = fs.Float64("churn-life", 0, "mean synthetic VM lifetime in ticks (default 45)")
 		traceOut  = fs.String("trace-out", "", "write the synthesized -churn trace to this JSON file")
-		lockstep  = fs.Bool("lockstep", false, "replay on the eager lockstep fleet engine instead of the lazy event-horizon default (bit-identical results; for baseline timing)")
 
 		migrate      = fs.String("migrate", "", "live-migration sweep: compare no-migration against this rebalancer (reactive, topo, signature, or all for every one) across all three placers")
 		pending      = fs.String("pending", "", "pending-queue policy for the migration sweep: none, fifo, deadline or sjf (default fifo once -migrate/-pending engage the sweep)")
@@ -279,7 +278,7 @@ func run(args []string, out io.Writer) (err error) {
 		}
 	}
 	if *tracePath == "" && *churn == 0 {
-		for _, name := range []string{"seed", "churn-horizon", "churn-life", "trace-out", "lockstep",
+		for _, name := range []string{"seed", "churn-horizon", "churn-life", "trace-out",
 			"migrate", "pending", "migrate-every", "migrate-downtime", "pending-deadline", "big-llc",
 			"detect-alpha", "detect-drift", "detect-threshold", "detect-warmup",
 			"seeds", "shard", "shard-out", "merge"} {
@@ -414,13 +413,15 @@ func run(args []string, out io.Writer) (err error) {
 			if migrateMode {
 				return fmt.Errorf("-fidelity two-tier applies to the plain trace sweep; run the migration sweep with -fidelity analytic or exact")
 			}
-			return executeTwoTierTrace(tr, *hosts, *seed, *confirmTop, *lockstep, out)
+			return executeTwoTierTrace(tr, *hosts, *seed, *confirmTop, out)
 		}
+		cfg := kyoto.FleetSweepConfig{Hosts: *hosts, Seed: *seed, Fidelity: fid}
 		if migrateMode {
-			return executeMigrationSweep(tr, *hosts, *seed, *seeds, fid, *migrate, *pending,
-				*migrateEvery, *downtime, *maxWait, *bigLLC, detector, *lockstep, dispatch, out)
+			if err := migrationConfig(&cfg, *migrate, *pending, *migrateEvery, *downtime, *maxWait, *bigLLC, detector); err != nil {
+				return err
+			}
 		}
-		return executeTrace(tr, *hosts, *seed, *seeds, fid, *lockstep, dispatch, out)
+		return executeSweep(tr, cfg, migrateMode, *seeds, dispatch, out)
 	}
 	if twoTier {
 		return fmt.Errorf("-fidelity two-tier only applies in -trace/-churn mode")
@@ -544,8 +545,8 @@ func executeSeedSweep(proto kyoto.SeedableSweep, seeds int, baseSeed uint64, dis
 
 // executeTwoTierTrace runs the trace sweep two-tier: broad analytic
 // pass, top-k arms confirmed exact.
-func executeTwoTierTrace(tr kyoto.Trace, hosts int, seed uint64, topK int, lockstep bool, out io.Writer) error {
-	res, err := kyoto.SweepTraceTwoTier(tr, kyoto.TraceSweepConfig{Hosts: hosts, Seed: seed, Lockstep: lockstep}, topK)
+func executeTwoTierTrace(tr kyoto.Trace, hosts int, seed uint64, topK int, out io.Writer) error {
+	res, err := kyoto.SweepTraceTwoTier(tr, kyoto.FleetSweepConfig{Hosts: hosts, Seed: seed}, topK)
 	if err != nil {
 		return err
 	}
@@ -555,61 +556,28 @@ func executeTwoTierTrace(tr kyoto.Trace, hosts int, seed uint64, topK int, locks
 	return nil
 }
 
-// executeTrace replays the trace through all three placement policies and
-// prints the comparison table plus a short per-policy rejection digest.
-func executeTrace(tr kyoto.Trace, hosts int, seed uint64, seeds int, fid kyoto.Fidelity, lockstep bool, dispatch sweepDispatch, out io.Writer) error {
-	s, err := kyoto.NewTraceSweeper(tr, kyoto.TraceSweepConfig{Hosts: hosts, Seed: seed, Fidelity: fid, Lockstep: lockstep})
-	if err != nil {
-		return err
-	}
-	if seeds > 0 {
-		return executeSeedSweep(s, seeds, seed, dispatch, out)
-	}
-	print, err := dispatch.apply(s, out)
-	if err != nil {
-		return err
-	}
-	if !print {
-		return nil
-	}
-	res := s.Result()
-	fmt.Fprintln(out, res.Table().String())
-	for _, row := range res.Rows {
-		if row.Rejected == 0 {
-			continue
-		}
-		fmt.Fprintf(out, "%s rejections:\n", row.Placer)
-		for _, rec := range row.Replay.Records {
-			if rec.Rejected {
-				fmt.Fprintf(out, "  t=%d %s (%s): %s\n", rec.Submit, rec.Name, rec.App, rec.Reason)
-			}
-		}
-	}
-	return nil
-}
-
-// executeMigrationSweep runs the rebalancer x placer grid over the trace
-// and prints the comparison table plus a per-combination migration digest.
-func executeMigrationSweep(tr kyoto.Trace, hosts int, seed uint64, seeds int, fid kyoto.Fidelity, migrate, pending string,
-	every uint64, downtime int, maxWait uint64, bigLLC int, detector kyoto.DetectorConfig, lockstep bool, dispatch sweepDispatch, out io.Writer) error {
-	var rebalancers []string
+// migrationConfig resolves the -migrate/-pending flags into cfg: the
+// rebalancing arms (no-migration plus the requested policy), the queue
+// policy and the fleet shape the topology-aware arm needs.
+func migrationConfig(cfg *kyoto.FleetSweepConfig, migrate, pending string,
+	every uint64, downtime int, maxWait uint64, bigLLC int, detector kyoto.DetectorConfig) error {
 	switch migrate {
 	case "", "none":
-		rebalancers = []string{"none"}
+		cfg.Rebalancers = []string{"none"}
 	case "all":
-		rebalancers = kyoto.RebalancerNames()
+		cfg.Rebalancers = kyoto.RebalancerNames()
 	default:
 		if _, err := kyoto.RebalancerByName(migrate); err != nil {
 			return err
 		}
-		rebalancers = []string{"none", migrate}
+		cfg.Rebalancers = []string{"none", migrate}
 	}
 	if bigLLC < 0 {
 		// Auto default: the topology-aware arm needs a bigger-LLC host to
 		// steer polluters to; every other sweep stays homogeneous so its
 		// no-migration baseline rows stay comparable to plain -trace runs.
 		bigLLC = 0
-		for _, name := range rebalancers {
+		for _, name := range cfg.Rebalancers {
 			if name == "topo" {
 				bigLLC = 2
 			}
@@ -624,24 +592,26 @@ func executeMigrationSweep(tr kyoto.Trace, hosts int, seed uint64, seeds int, fi
 	if err != nil {
 		return err
 	}
-	s, err := kyoto.NewMigrationSweeper(tr, kyoto.MigrationSweepConfig{
-		Hosts:          hosts,
-		Seed:           seed,
-		Lockstep:       lockstep,
-		Rebalancers:    rebalancers,
-		RebalanceEvery: every,
-		Downtime:       downtime,
-		Pending:        pp,
-		MaxWait:        maxWait,
-		BigLLCFactor:   bigLLC,
-		Detector:       detector,
-		Fidelity:       fid,
-	})
+	cfg.RebalanceEvery, cfg.Downtime, cfg.Pending, cfg.MaxWait = every, downtime, pp, maxWait
+	cfg.BigLLCFactor, cfg.Detector = bigLLC, detector
+	return nil
+}
+
+// executeSweep runs the trace sweep (or, with migrate, the rebalancer x
+// placer migration sweep) over the trace and prints the comparison table
+// plus a per-arm digest: rejections for the trace sweep, applied
+// migrations for the migration sweep.
+func executeSweep(tr kyoto.Trace, cfg kyoto.FleetSweepConfig, migrate bool, seeds int, dispatch sweepDispatch, out io.Writer) error {
+	build := kyoto.NewTraceSweeper
+	if migrate {
+		build = kyoto.NewMigrationSweeper
+	}
+	s, err := build(tr, cfg)
 	if err != nil {
 		return err
 	}
 	if seeds > 0 {
-		return executeSeedSweep(s, seeds, seed, dispatch, out)
+		return executeSeedSweep(s, seeds, cfg.Seed, dispatch, out)
 	}
 	print, err := dispatch.apply(s, out)
 	if err != nil {
@@ -653,12 +623,19 @@ func executeMigrationSweep(tr kyoto.Trace, hosts int, seed uint64, seeds int, fi
 	res := s.Result()
 	fmt.Fprintln(out, res.Table().String())
 	for _, row := range res.Rows {
-		if len(row.Replay.Migrations) == 0 {
-			continue
-		}
-		fmt.Fprintf(out, "%s/%s migrations:\n", row.Placer, row.Rebalancer)
-		for _, m := range row.Replay.Migrations {
-			fmt.Fprintf(out, "  t=%d %s: host%d -> host%d (%s)\n", m.Tick, m.Name, m.SrcHost, m.DstHost, m.Reason)
+		switch {
+		case migrate && len(row.Replay.Migrations) > 0:
+			fmt.Fprintf(out, "%s/%s migrations:\n", row.Placer, row.Rebalancer)
+			for _, m := range row.Replay.Migrations {
+				fmt.Fprintf(out, "  t=%d %s: host%d -> host%d (%s)\n", m.Tick, m.Name, m.SrcHost, m.DstHost, m.Reason)
+			}
+		case !migrate && row.Rejected > 0:
+			fmt.Fprintf(out, "%s rejections:\n", row.Placer)
+			for _, rec := range row.Replay.Records {
+				if rec.Rejected {
+					fmt.Fprintf(out, "  t=%d %s (%s): %s\n", rec.Submit, rec.Name, rec.App, rec.Reason)
+				}
+			}
 		}
 	}
 	return nil

@@ -54,7 +54,7 @@ func ExampleReplayTrace() {
 // the capacity-only policies place everything (and let pollution land
 // where it may), Kyoto admission rejects the VM that books no permit.
 func ExampleSweepTrace() {
-	res, err := kyoto.SweepTrace(lifecycleTrace(), kyoto.TraceSweepConfig{
+	res, err := kyoto.SweepTrace(lifecycleTrace(), kyoto.FleetSweepConfig{
 		Hosts: 2, Seed: 1, DrainTicks: 6,
 	})
 	if err != nil {
@@ -148,7 +148,7 @@ func ExampleNewReactiveRebalancer() {
 // under every seed, so the rejection rate is exactly 1/4 with a
 // zero-width confidence interval.
 func ExampleNewSeedSweeper() {
-	proto, err := kyoto.NewTraceSweeper(lifecycleTrace(), kyoto.TraceSweepConfig{
+	proto, err := kyoto.NewTraceSweeper(lifecycleTrace(), kyoto.FleetSweepConfig{
 		Hosts: 2, Seed: 1, DrainTicks: 6,
 	})
 	if err != nil {
@@ -188,8 +188,8 @@ func ExampleNewSeedSweeper() {
 // shard envelopes into the same result an unsharded run produces, bit
 // for bit.
 func ExampleMergeShards() {
-	build := func() *kyoto.TraceSweeper {
-		s, err := kyoto.NewTraceSweeper(lifecycleTrace(), kyoto.TraceSweepConfig{Hosts: 2, Seed: 1})
+	build := func() *kyoto.FleetSweeper {
+		s, err := kyoto.NewTraceSweeper(lifecycleTrace(), kyoto.FleetSweepConfig{Hosts: 2, Seed: 1})
 		if err != nil {
 			panic(err)
 		}

@@ -4,9 +4,9 @@ package arrivals
 // that force several lazy-clock interactions to land on the same tick
 // (departure + rebalance epoch + pending retry), queue-side events that
 // fire while every host world is hundreds of ticks behind the fleet
-// clock, and the blanket contract that Options.Lockstep changes
-// scheduling only — every fingerprint must match the lazy default
-// bit for bit.
+// clock, and the blanket contract that the fleet's worker count changes
+// scheduling only — a replay whose lagging hosts are closed by
+// background drainers must match the serial replay bit for bit.
 
 import (
 	"strings"
@@ -31,39 +31,33 @@ func kyotoFleet(t *testing.T, hosts, workers int) *cluster.Fleet {
 	return f
 }
 
-// TestLockstepMatchesLazyFingerprint is the blanket equivalence
-// contract behind the -lockstep flag: on a sparse synthetic trace with
-// the pending queue and reactive rebalancing active, the eager
-// lockstep engine and the lazy event-horizon default must produce the
-// same result fingerprint, serial and parallel alike.
-func TestLockstepMatchesLazyFingerprint(t *testing.T) {
+// TestParallelDrainMatchesSerialFingerprint is the blanket equivalence
+// contract of the event-horizon engine: on a sparse synthetic trace with
+// the pending queue and reactive rebalancing active, a fleet whose
+// lagging hosts are closed by background drainers must produce the same
+// result fingerprint as one that advances every host on the calling
+// goroutine.
+func TestParallelDrainMatchesSerialFingerprint(t *testing.T) {
 	tr := Synthesize(SynthConfig{Seed: 9, VMs: 60, Horizon: 3600, MeanLifetime: 5})
-	run := func(lockstep bool, workers int) string {
+	run := func(workers int) string {
 		t.Helper()
 		res, err := Replay(kyotoFleet(t, 6, workers), tr, Options{
 			DrainTicks:     6,
 			Pending:        PendingFIFO,
 			Rebalancer:     &cluster.Reactive{},
 			RebalanceEvery: 9,
-			Lockstep:       lockstep,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res.Fingerprint()
 	}
-	lazy := run(false, 1)
-	for _, tc := range []struct {
-		name     string
-		lockstep bool
-		workers  int
-	}{
-		{"lazy-parallel", false, 0},
-		{"lockstep-serial", true, 1},
-		{"lockstep-parallel", true, 0},
-	} {
-		if got := run(tc.lockstep, tc.workers); got != lazy {
-			t.Fatalf("%s fingerprint %s != lazy serial %s", tc.name, got, lazy)
+	serial := run(1)
+	// Workers 0 resolves to GOMAXPROCS; 4 forces drainers even on a
+	// single-CPU runner.
+	for _, workers := range []int{0, 4} {
+		if got := run(workers); got != serial {
+			t.Fatalf("workers %d fingerprint %s != serial %s", workers, got, serial)
 		}
 	}
 }
@@ -72,7 +66,7 @@ func TestLockstepMatchesLazyFingerprint(t *testing.T) {
 // when three lazy-clock triggers coincide: at tick 18 a VM departs
 // (freeing the only open slot), the rebalance epoch observes the fleet,
 // and the pending retry places the queued VM — all in one step. The
-// queued VM must land on exactly that tick under both engines.
+// queued VM must land on exactly that tick, serial or parallel.
 func TestEpochDepartureRetrySameTick(t *testing.T) {
 	// Two 4-slot hosts, saturated at tick 0 by eight fillers. One filler
 	// departs at tick 18 — the same tick as the second rebalance epoch
@@ -89,16 +83,15 @@ func TestEpochDepartureRetrySameTick(t *testing.T) {
 		{Submit: 0, Lifetime: 18, Name: "f7", App: "lbm", LLCCap: 100},
 		{Submit: 2, Lifetime: 8, Name: "late", App: "omnetpp", LLCCap: 100},
 	}}
-	opt := func(lockstep bool) Options {
+	opt := func() Options {
 		return Options{
 			DrainTicks:     4,
 			Pending:        PendingFIFO,
 			Rebalancer:     &cluster.Reactive{},
 			RebalanceEvery: 9,
-			Lockstep:       lockstep,
 		}
 	}
-	res, err := Replay(kyotoFleet(t, 2, 1), tr, opt(false))
+	res, err := Replay(kyotoFleet(t, 2, 1), tr, opt())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,15 +105,12 @@ func TestEpochDepartureRetrySameTick(t *testing.T) {
 	if !late.Queued || late.PlacedTick != 18 || late.WaitTicks != 16 {
 		t.Fatalf("late: %+v, want placed on the epoch/departure tick 18 after waiting 16", late)
 	}
-	want := res.Fingerprint()
-	for _, workers := range []int{1, 0} {
-		lock, err := Replay(kyotoFleet(t, 2, workers), tr, opt(true))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := lock.Fingerprint(); got != want {
-			t.Fatalf("lockstep (workers %d) fingerprint %s != lazy %s", workers, got, want)
-		}
+	par, err := Replay(kyotoFleet(t, 2, 0), tr, opt())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := par.Fingerprint(), res.Fingerprint(); got != want {
+		t.Fatalf("parallel fingerprint %s != serial %s", got, want)
 	}
 }
 
@@ -178,7 +168,9 @@ func TestReplayerStepMatchesReplay(t *testing.T) {
 // host's world is far behind the fleet clock: after the tick-0
 // saturation nothing seeks the host for 560 ticks, so the deadline drop
 // at tick 505 is decided purely from the booking ledger and the
-// eventual placements cross a multi-hundred-tick fast-forward gap.
+// eventual placements cross a multi-hundred-tick fast-forward gap. A
+// one-host fleet runs no background drainers, so there is no parallel
+// schedule to compare against; the assertions are on the outcome alone.
 func TestDeadlineFiresAcrossHostGap(t *testing.T) {
 	tr := Trace{Events: []Event{
 		{Submit: 0, Lifetime: 560, Name: "a", App: "gcc", LLCCap: 100},
@@ -191,10 +183,7 @@ func TestDeadlineFiresAcrossHostGap(t *testing.T) {
 		// Arrives after the 560-tick gap and takes a's freed slot.
 		{Submit: 600, Lifetime: 20, Name: "patient", App: "omnetpp", LLCCap: 100},
 	}}
-	opt := func(lockstep bool) Options {
-		return Options{Pending: PendingDeadline, MaxWait: 500, DrainTicks: 4, Lockstep: lockstep}
-	}
-	res, err := Replay(oneHostFleet(t), tr, opt(false))
+	res, err := Replay(oneHostFleet(t), tr, Options{Pending: PendingDeadline, MaxWait: 500, DrainTicks: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,13 +200,5 @@ func TestDeadlineFiresAcrossHostGap(t *testing.T) {
 	pat := recordByName(t, res, "patient")
 	if pat.Rejected || pat.Queued || pat.PlacedTick != 600 || pat.HostID != 0 {
 		t.Fatalf("patient: %+v, want placed immediately at tick 600", pat)
-	}
-	want := res.Fingerprint()
-	lock, err := Replay(oneHostFleet(t), tr, opt(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := lock.Fingerprint(); got != want {
-		t.Fatalf("lockstep fingerprint %s != lazy %s", got, want)
 	}
 }

@@ -45,15 +45,6 @@ type Options struct {
 	// its destination — the stop-and-copy blackout (default 0: the only
 	// migration cost is the lost cache footprint).
 	MigrationDowntime int
-
-	// Lockstep disables lazy per-host advancement: every inter-event gap
-	// synchronizes the whole fleet, exactly as the replay engine worked
-	// before event-horizon execution. Results are bit-identical either
-	// way (the fleet's seeks and barriers guarantee it); the knob exists
-	// as the measured baseline for the lazy engine's speedup and as a
-	// bisection aid. It changes scheduling only, never results, so it is
-	// excluded from sweep config digests (like Workers).
-	Lockstep bool
 }
 
 // Record is one event's outcome: where the VM landed (or why it was
@@ -270,8 +261,8 @@ const noTick = ^uint64(0)
 // are simulated up to it (the fleet's lazy per-host clocks; see the
 // arrivals README), while rebalance epochs, checkpoints and the end of
 // the run are global barriers. Because per-host simulation is
-// chunk-invariant, the results are bit-identical to the lockstep
-// engine's (Options.Lockstep replays the old schedule for comparison).
+// chunk-invariant, the results are bit-identical to ticking every host
+// every tick, and independent of the fleet's worker count.
 //
 // The fleet should be freshly built; Replay assumes its clock starts at
 // the trace's epoch. Event order, the fixed same-tick ordering above, and
@@ -321,20 +312,13 @@ type replayRun struct {
 // when the moment being processed actually touches it (a placement, a
 // departure, a migration endpoint, a monitor observation or a
 // checkpoint/end-of-run barrier). BookedCPUFraction reads only booking
-// ledgers, so the utilization integral never forces a catch-up. Under
-// Options.Lockstep the whole fleet is instead ticked eagerly across the
-// gap (Fleet.RunTicksLockstep) — the pre-event-horizon execution, kept
-// as the measured baseline.
+// ledgers, so the utilization integral never forces a catch-up.
 func (r *replayRun) runTo(t uint64) {
 	if t <= r.now {
 		return
 	}
 	r.utilTicks += r.f.BookedCPUFraction() * float64(t-r.now)
-	if r.opt.Lockstep {
-		r.f.RunTicksLockstep(int(t - r.now))
-	} else {
-		r.f.SkipTicks(t - r.now)
-	}
+	r.f.SkipTicks(t - r.now)
 	r.now = t
 }
 

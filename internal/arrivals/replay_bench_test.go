@@ -2,15 +2,13 @@ package arrivals
 
 // Replay throughput benchmarks: the event-horizon engine's headline
 // numbers. BenchmarkReplayChurn replays seeded synthetic churn traces —
-// exact and analytic tiers, lazy (the default) and lockstep (the
-// pre-event-horizon baseline), with and without a rebalancer forcing
-// epoch barriers — and reports events/sec alongside ns/op, so
+// exact and analytic tiers, with and without a rebalancer forcing epoch
+// barriers — and reports events/sec alongside ns/op, so
 // scripts/bench_json.sh can fold the replay trajectory into
 // BENCH_kyoto.json. Two fleet regimes are pinned deliberately: "fleet"
 // is sparse (a 12-host fleet whose hosts idle most of the time, where
 // the lazy engine's O(1) idle elision wins outright) and "saturated" is
-// dense (every host busy every tick, where lazy and lockstep must be
-// within noise of each other because there is nothing to elide). The
+// dense (every host busy every tick, where there is nothing to elide). The
 // steady-state advancement path (SkipTicks + seek/Barrier over analytic
 // worlds) is asserted allocation-free in
 // TestReplayAdvanceAnalyticZeroAlloc — the fleet analogue of the
@@ -65,24 +63,19 @@ func BenchmarkReplayChurn(b *testing.B) {
 		hosts    int
 		vms      int
 		horizon  uint64
-		lockstep bool
 		migrate  bool
 	}{
 		// Sparse 12-host fleet, ~4 concurrent VMs: the event-horizon
-		// regime. Lazy elides every idle host-tick; lockstep simulates
-		// hosts x horizon of them.
-		{"fleet", cache.FidelityAnalytic, 12, 2000, 20000, false, false},
-		{"fleet-lockstep", cache.FidelityAnalytic, 12, 2000, 20000, true, false},
+		// regime. Every idle host-tick is elided.
+		{"fleet", cache.FidelityAnalytic, 12, 2000, 20000, false},
 		// Same sparse fleet with a reactive rebalancer: every epoch is a
 		// global barrier, bounding how much laziness can elide.
-		{"fleet-migrate", cache.FidelityAnalytic, 12, 2000, 20000, false, true},
+		{"fleet-migrate", cache.FidelityAnalytic, 12, 2000, 20000, true},
 		// Saturated 4-host fleet, ~40 concurrent VMs against 16 slots:
-		// every host busy every tick, lazy ~= lockstep by construction.
-		{"saturated", cache.FidelityAnalytic, 4, 2000, 2000, false, false},
-		{"saturated-lockstep", cache.FidelityAnalytic, 4, 2000, 2000, true, false},
+		// every host busy every tick, nothing to elide.
+		{"saturated", cache.FidelityAnalytic, 4, 2000, 2000, false},
 		// Exact tier, scaled down: per-tick cost is 100-1000x analytic.
-		{"exact-fleet", cache.FidelityExact, 8, 200, 2000, false, false},
-		{"exact-fleet-lockstep", cache.FidelityExact, 8, 200, 2000, true, false},
+		{"exact-fleet", cache.FidelityExact, 8, 200, 2000, false},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
@@ -92,7 +85,7 @@ func BenchmarkReplayChurn(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				f := benchFleet(b, c.hosts, 0, c.fidelity)
-				opt := Options{Lockstep: c.lockstep}
+				var opt Options
 				if c.migrate {
 					opt.Rebalancer = &cluster.Reactive{}
 				}

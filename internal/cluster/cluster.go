@@ -26,7 +26,7 @@
 // endpoints, and whole-fleet reads (FleetMonitor.Observe, CaptureState,
 // SnapshotVMs) call Barrier first. Because hv.World.RunTicks(n) is
 // exactly n repetitions of one tick — chunk-invariant — advancing a
-// host in one large seek is bit-identical to the many small lockstep
+// host in one large seek is bit-identical to the many small per-tick
 // advances it replaces; the churn goldens pin this. RunTicks keeps its
 // historical all-hosts semantics (SkipTicks then Barrier), so callers
 // that want whole-fleet advancement still get it.
@@ -41,9 +41,8 @@
 // calling goroutine processes events, synchronizing per host through
 // Host.mu. Both mechanisms are schedule-only — every World still
 // receives exactly the tick sequence the clock deltas dictate — so a
-// drained, elided, concurrent run is bit-identical to
-// RunTicksLockstep's eager serial schedule (the pre-event-horizon
-// engine, kept as the measured baseline).
+// drained, elided, concurrent run is bit-identical to RunTicksSerial's
+// eager serial schedule.
 package cluster
 
 import (
@@ -530,48 +529,6 @@ func (f *Fleet) RunTicksSerial(n int) {
 	}
 }
 
-// RunTicksLockstep advances every host n ticks through the
-// pre-event-horizon schedule: the whole fleet synchronizes inside this
-// one call, hosts distributed across a freshly spawned worker pool of
-// min(Workers, hosts, GOMAXPROCS) goroutines, with no idle elision and
-// no background draining. It exists as the measured baseline the lazy
-// engine's speedup is quoted against (arrivals.Options.Lockstep) and is
-// bit-identical to RunTicks — only the schedule and the cost differ.
-func (f *Fleet) RunTicksLockstep(n int) {
-	s := f.sched
-	s.clock.Add(uint64(n)) // deliberately no nudge: drainers stay parked
-	workers := f.resolveWorkers()
-	if workers > len(f.hosts) {
-		workers = len(f.hosts)
-	}
-	if workers <= 1 {
-		for _, h := range f.hosts {
-			h.mu.Lock()
-			s.tickLocked(h)
-			h.mu.Unlock()
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	ch := make(chan *Host)
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for h := range ch {
-				h.mu.Lock()
-				s.tickLocked(h)
-				h.mu.Unlock()
-			}
-		}()
-	}
-	for _, h := range f.hosts {
-		ch <- h
-	}
-	close(ch)
-	wg.Wait()
-}
-
 // SkipTicks advances the fleet's virtual clock by n ticks without
 // simulating anything on the calling goroutine. Hosts catch up lazily:
 // each one is fast-forwarded the moment an operation needs its
@@ -705,23 +662,6 @@ func (s *dueScheduler) seekLocked(h *Host) {
 			step = math.MaxInt32
 		}
 		h.World.FastForward(int(step))
-		h.ran += step
-	}
-}
-
-// tickLocked closes h's lag tick by tick (h.mu held) — the lockstep
-// baseline's cost model, with no idle elision.
-func (s *dueScheduler) tickLocked(h *Host) {
-	for {
-		c := s.clock.Load()
-		if h.ran >= c {
-			return
-		}
-		step := c - h.ran
-		if step > math.MaxInt32 {
-			step = math.MaxInt32
-		}
-		h.World.RunTicks(int(step))
 		h.ran += step
 	}
 }

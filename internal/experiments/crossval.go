@@ -93,14 +93,14 @@ func GoldenSweepTrace() arrivals.Trace {
 }
 
 // GoldenTraceSweepConfig is the trace-sweep-2h golden configuration.
-func GoldenTraceSweepConfig() TraceSweepConfig {
-	return TraceSweepConfig{Hosts: 2, Seed: 5, DrainTicks: 6}
+func GoldenTraceSweepConfig() FleetSweepConfig {
+	return FleetSweepConfig{Hosts: 2, Seed: 5, DrainTicks: 6}
 }
 
 // GoldenMigrationSweepConfig is the migration-sweep-2h golden
 // configuration.
-func GoldenMigrationSweepConfig() MigrationSweepConfig {
-	return MigrationSweepConfig{
+func GoldenMigrationSweepConfig() FleetSweepConfig {
+	return FleetSweepConfig{
 		Hosts: 2, Seed: 5, DrainTicks: 6, BigLLCFactor: 2,
 		Pending: arrivals.PendingFIFO, Downtime: 2,
 	}
@@ -192,9 +192,11 @@ func CrossValidate(seed uint64, figures ...string) (*CrossValResult, error) {
 		case "fig4":
 			err = crossValFig4(res, seed)
 		case "trace":
-			err = crossValTrace(res)
+			err = crossValSweep(res, "trace-sweep-2h", TraceSweep, GoldenTraceSweepConfig(),
+				BudgetTraceP99, BudgetTraceRejectionPts)
 		case "migration":
-			err = crossValMigration(res)
+			err = crossValSweep(res, "migration-sweep-2h", MigrationSweep, GoldenMigrationSweepConfig(),
+				BudgetMigrationP99, BudgetMigrationRejectionPts)
 		case "occupancy":
 			err = crossValOccupancy(res, seed)
 		default:
@@ -291,14 +293,15 @@ func crossValFig4(res *CrossValResult, seed uint64) error {
 	return nil
 }
 
-// crossValTrace compares the three placer arms of the committed
-// trace-sweep golden: worst per-placer p99 normalized-performance error
-// and worst rejection-rate error.
-func crossValTrace(res *CrossValResult) error {
-	run := func(fid cache.Fidelity) (*TraceSweepResult, error) {
-		cfg := GoldenTraceSweepConfig()
-		cfg.Fidelity = fid
-		return TraceSweep(GoldenSweepTrace(), cfg)
+// crossValSweep compares the arms of a committed fleet-sweep golden
+// (run on GoldenSweepTrace at cfg): worst per-arm p99
+// normalized-performance error and worst rejection-rate error.
+func crossValSweep(res *CrossValResult, figure string, sweepFn func(arrivals.Trace, FleetSweepConfig) (*FleetSweepResult, error),
+	cfg FleetSweepConfig, p99Budget, rejBudget float64) error {
+	run := func(fid cache.Fidelity) (*FleetSweepResult, error) {
+		c := cfg
+		c.Fidelity = fid
+		return sweepFn(GoldenSweepTrace(), c)
 	}
 	exact, err := run(cache.FidelityExact)
 	if err != nil {
@@ -308,13 +311,14 @@ func crossValTrace(res *CrossValResult) error {
 	if err != nil {
 		return err
 	}
-	byPlacer := make(map[string]TraceSweepRow, len(analytic.Rows))
+	type armID struct{ placer, rebalancer string }
+	byArm := make(map[armID]FleetSweepRow, len(analytic.Rows))
 	for _, row := range analytic.Rows {
-		byPlacer[row.Placer] = row
+		byArm[armID{row.Placer, row.Rebalancer}] = row
 	}
 	var worstP99, p99E, p99A, worstRej, rejE, rejA float64
 	for _, e := range exact.Rows {
-		a := byPlacer[e.Placer]
+		a := byArm[armID{e.Placer, e.Rebalancer}]
 		if d := math.Abs(a.P99 - e.P99); d > worstP99 {
 			worstP99, p99E, p99A = d, e.P99, a.P99
 		}
@@ -324,55 +328,12 @@ func crossValTrace(res *CrossValResult) error {
 	}
 	res.Checks = append(res.Checks,
 		CrossValCheck{
-			Figure: "trace-sweep-2h", Metric: "p99 normalized perf max |err|",
-			Exact: p99E, Analytic: p99A, Err: worstP99, Budget: BudgetTraceP99,
+			Figure: figure, Metric: "p99 normalized perf max |err|",
+			Exact: p99E, Analytic: p99A, Err: worstP99, Budget: p99Budget,
 		},
 		CrossValCheck{
-			Figure: "trace-sweep-2h", Metric: "rejection rate max |err| (pts)",
-			Exact: rejE, Analytic: rejA, Err: worstRej, Budget: BudgetTraceRejectionPts,
-		})
-	return nil
-}
-
-// crossValMigration is crossValTrace for the nine rebalancer x placer
-// combinations of the committed migration-sweep golden.
-func crossValMigration(res *CrossValResult) error {
-	run := func(fid cache.Fidelity) (*MigrationSweepResult, error) {
-		cfg := GoldenMigrationSweepConfig()
-		cfg.Fidelity = fid
-		return MigrationSweep(GoldenSweepTrace(), cfg)
-	}
-	exact, err := run(cache.FidelityExact)
-	if err != nil {
-		return err
-	}
-	analytic, err := run(cache.FidelityAnalytic)
-	if err != nil {
-		return err
-	}
-	type comb struct{ placer, rebalancer string }
-	byComb := make(map[comb]MigrationSweepRow, len(analytic.Rows))
-	for _, row := range analytic.Rows {
-		byComb[comb{row.Placer, row.Rebalancer}] = row
-	}
-	var worstP99, p99E, p99A, worstRej, rejE, rejA float64
-	for _, e := range exact.Rows {
-		a := byComb[comb{e.Placer, e.Rebalancer}]
-		if d := math.Abs(a.P99 - e.P99); d > worstP99 {
-			worstP99, p99E, p99A = d, e.P99, a.P99
-		}
-		if d := 100 * math.Abs(a.RejectionRate-e.RejectionRate); d > worstRej {
-			worstRej, rejE, rejA = d, 100*e.RejectionRate, 100*a.RejectionRate
-		}
-	}
-	res.Checks = append(res.Checks,
-		CrossValCheck{
-			Figure: "migration-sweep-2h", Metric: "p99 normalized perf max |err|",
-			Exact: p99E, Analytic: p99A, Err: worstP99, Budget: BudgetMigrationP99,
-		},
-		CrossValCheck{
-			Figure: "migration-sweep-2h", Metric: "rejection rate max |err| (pts)",
-			Exact: rejE, Analytic: rejA, Err: worstRej, Budget: BudgetMigrationRejectionPts,
+			Figure: figure, Metric: "rejection rate max |err| (pts)",
+			Exact: rejE, Analytic: rejA, Err: worstRej, Budget: rejBudget,
 		})
 	return nil
 }

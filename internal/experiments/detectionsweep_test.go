@@ -34,7 +34,7 @@ func exampleTrace(t *testing.T) arrivals.Trace {
 	return tr
 }
 
-func detectionRowByArm(t *testing.T, res *DetectionSweepResult, arm string) DetectionSweepRow {
+func detectionRowByArm(t *testing.T, res *FleetSweepResult, arm string) FleetSweepRow {
 	t.Helper()
 	for _, row := range res.Rows {
 		if row.Arm == arm {
@@ -42,7 +42,7 @@ func detectionRowByArm(t *testing.T, res *DetectionSweepResult, arm string) Dete
 		}
 	}
 	t.Fatalf("no %q row in %+v", arm, res.Rows)
-	return DetectionSweepRow{}
+	return FleetSweepRow{}
 }
 
 func TestDetectionSweepOnCommittedExample(t *testing.T) {
@@ -50,7 +50,7 @@ func TestDetectionSweepOnCommittedExample(t *testing.T) {
 		t.Skip("replays the committed 22-VM example trace on three exact-model fleets; the short-mode coverage is the analytic-tier golden")
 	}
 	tr := exampleTrace(t)
-	res, err := DetectionSweep(tr, DetectionSweepConfig{Hosts: 4, Seed: 1})
+	res, err := DetectionSweep(tr, FleetSweepConfig{Hosts: 4, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestDetectionSweepOnCommittedAzure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := DetectionSweep(tr, DetectionSweepConfig{Hosts: 8, Seed: 1, Fidelity: cache.FidelityAnalytic})
+	res, err := DetectionSweep(tr, FleetSweepConfig{Hosts: 8, Seed: 1, Fidelity: cache.FidelityAnalytic})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,8 +125,8 @@ func TestDetectionSweepOnCommittedAzure(t *testing.T) {
 // the confirmed shifts land late enough that no surviving VM in this
 // bounded-lifetime trace amortizes a move, which would pin a vacuous
 // plan).
-func goldenDetectionConfig(workers int) DetectionSweepConfig {
-	return DetectionSweepConfig{Hosts: 4, Seed: 1, Workers: workers}
+func goldenDetectionConfig(workers int) FleetSweepConfig {
+	return FleetSweepConfig{Hosts: 4, Seed: 1, Workers: workers}
 }
 
 // detectionGolden is the committed signature-arm outcome on the 22-VM
@@ -140,7 +140,7 @@ type detectionGolden struct {
 
 func TestGoldenDetectionSerialVsParallel(t *testing.T) {
 	tr := exampleTrace(t)
-	run := func(workers int) (*DetectionSweepResult, string) {
+	run := func(workers int) (*FleetSweepResult, string) {
 		s, err := NewDetectionSweeper(tr, goldenDetectionConfig(workers))
 		if err != nil {
 			t.Fatal(err)
@@ -217,23 +217,23 @@ func TestDetectionSweepShardMergeBitIdentity(t *testing.T) {
 	// The analytic tier keeps five full sweeps cheap enough for the
 	// short -race pass; merge determinism is fidelity-independent.
 	shardGoldenCase(t, func() sweep.Sweep {
-		s, err := NewDetectionSweeper(tr, DetectionSweepConfig{Hosts: 4, Seed: 1, Fidelity: cache.FidelityAnalytic})
+		s, err := NewDetectionSweeper(tr, FleetSweepConfig{Hosts: 4, Seed: 1, Fidelity: cache.FidelityAnalytic})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return s
 	}, func(s sweep.Sweep) string {
-		return s.(*DetectionSweeper).Result().Table().String()
+		return s.(*FleetSweeper).Result().Table().String()
 	}, []int{1, 4})
 }
 
 func TestDetectionSweepValidatesConfig(t *testing.T) {
 	tr := exampleTrace(t)
-	if _, err := NewDetectionSweeper(tr, DetectionSweepConfig{Detector: detect.Config{Alpha: 2}}); err == nil {
+	if _, err := NewDetectionSweeper(tr, FleetSweepConfig{Detector: detect.Config{Alpha: 2}}); err == nil {
 		t.Fatal("alpha 2 must fail sweeper validation")
 	}
 	bogus := arrivals.Trace{Events: []arrivals.Event{{App: "no-such-workload"}}}
-	if _, err := NewDetectionSweeper(bogus, DetectionSweepConfig{}); err == nil {
+	if _, err := NewDetectionSweeper(bogus, FleetSweepConfig{}); err == nil {
 		t.Fatal("unknown app class must fail trace validation")
 	}
 }
@@ -243,7 +243,7 @@ func TestDetectionSweepValidatesConfig(t *testing.T) {
 // sweeper runs end to end, its Seedable hooks agree on metric shape,
 // and the single-process DetectionSweep path reproduces the engine run.
 func TestDetectionBenchSweeper(t *testing.T) {
-	s := NewDetectionBenchSweeper(3, cache.FidelityAnalytic, false)
+	s := NewDetectionBenchSweeper(3, cache.FidelityAnalytic)
 	if err := (sweep.Engine{}).Run(s); err != nil {
 		t.Fatal(err)
 	}
@@ -265,13 +265,13 @@ func TestDetectionBenchSweeper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if re.(*DetectionSweeper).cfg.Seed != 4 {
+	if re.(*FleetSweeper).cfg.Seed != 4 {
 		t.Fatal("Reseed did not take")
 	}
 
 	// The one-call path must match the engine run on the same trace.
 	tr := arrivals.Synthesize(arrivals.SynthConfig{Seed: 3, VMs: 48})
-	direct, err := DetectionSweep(tr, DetectionSweepConfig{Seed: 3, Fidelity: cache.FidelityAnalytic})
+	direct, err := DetectionSweep(tr, FleetSweepConfig{Seed: 3, Fidelity: cache.FidelityAnalytic})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@ func TestMigrationSweepComparesCombinations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("migration sweep replays nine fleets")
 	}
-	res, err := MigrationSweep(sweepTrace(), MigrationSweepConfig{
+	res, err := MigrationSweep(sweepTrace(), FleetSweepConfig{
 		Hosts:        2,
 		Seed:         5,
 		DrainTicks:   12,
@@ -51,7 +51,7 @@ func TestMigrationSweepComparesCombinations(t *testing.T) {
 
 	// Identical configs reproduce identical outcomes (the sweep fans out
 	// across goroutines; fingerprints must not care).
-	again, err := MigrationSweep(sweepTrace(), MigrationSweepConfig{
+	again, err := MigrationSweep(sweepTrace(), FleetSweepConfig{
 		Hosts:        2,
 		Seed:         5,
 		DrainTicks:   12,
@@ -80,7 +80,7 @@ func TestMigrationSweepReportsSJFWaits(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replays three fleets")
 	}
-	res, err := MigrationSweep(sweepTrace(), MigrationSweepConfig{
+	res, err := MigrationSweep(sweepTrace(), FleetSweepConfig{
 		Hosts:       2,
 		Seed:        5,
 		DrainTicks:  6,
@@ -104,14 +104,14 @@ func TestMigrationSweepReportsSJFWaits(t *testing.T) {
 }
 
 func TestMigrationSweepValidatesConfig(t *testing.T) {
-	if _, err := MigrationSweep(sweepTrace(), MigrationSweepConfig{BigLLCFactor: 3}); err == nil || !strings.Contains(err.Error(), "power of two") {
+	if _, err := MigrationSweep(sweepTrace(), FleetSweepConfig{BigLLCFactor: 3}); err == nil || !strings.Contains(err.Error(), "power of two") {
 		t.Fatalf("BigLLCFactor 3: %v", err)
 	}
-	if _, err := MigrationSweep(sweepTrace(), MigrationSweepConfig{Rebalancers: []string{"bogus"}}); err == nil {
+	if _, err := MigrationSweep(sweepTrace(), FleetSweepConfig{Rebalancers: []string{"bogus"}}); err == nil {
 		t.Fatal("bogus rebalancer name must fail")
 	}
 	bad := arrivals.Trace{Events: []arrivals.Event{{App: "no-such-app"}}}
-	if _, err := MigrationSweep(bad, MigrationSweepConfig{}); err == nil {
+	if _, err := MigrationSweep(bad, FleetSweepConfig{}); err == nil {
 		t.Fatal("invalid trace must fail")
 	}
 }
@@ -120,7 +120,7 @@ func TestMigrationSweepSubsetOfRebalancers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replays three fleets")
 	}
-	res, err := MigrationSweep(sweepTrace(), MigrationSweepConfig{
+	res, err := MigrationSweep(sweepTrace(), FleetSweepConfig{
 		Hosts:       2,
 		Seed:        5,
 		DrainTicks:  6,

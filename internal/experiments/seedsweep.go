@@ -5,7 +5,8 @@ package experiments
 // numbers into distributions with confidence intervals. Each adapter
 // supplies the three hooks the seed sweep needs — an independent
 // reseeded copy, the fixed metric list, and per-arm metric rows read
-// off the merged result — plus SeedSweepTable, the one renderer behind
+// off the merged result (FleetSweeper carries its own, driven by its
+// preset's metric list) — plus SeedSweepTable, the one renderer behind
 // `kyotosim -seeds` and `kyotobench -seeds`.
 
 import (
@@ -14,131 +15,6 @@ import (
 	"kyoto/internal/stats"
 	"kyoto/internal/sweep"
 )
-
-// Reseed implements sweep.Seedable: an independent trace sweep over the
-// same trace and fleet shape, seeded differently.
-func (s *TraceSweeper) Reseed(seed uint64) (sweep.Seedable, error) {
-	cfg := s.cfg
-	cfg.Seed = seed
-	return NewTraceSweeper(s.tr, cfg)
-}
-
-// traceSweepMetrics is the fixed metric order of a trace seed sweep.
-var traceSweepMetrics = []string{"rej_rate", "cpu_util", "p50_norm", "p95_norm", "p99_norm"}
-
-// MetricNames implements sweep.Seedable.
-func (s *TraceSweeper) MetricNames() []string {
-	return append([]string(nil), traceSweepMetrics...)
-}
-
-// MetricRows implements sweep.Seedable: one row per placement arm.
-func (s *TraceSweeper) MetricRows() []sweep.MetricRow {
-	if s.res == nil {
-		return nil
-	}
-	rows := make([]sweep.MetricRow, len(s.res.Rows))
-	for i, row := range s.res.Rows {
-		rows[i] = sweep.MetricRow{
-			Arm:    row.Placer,
-			Values: []float64{row.RejectionRate, row.CPUUtilization, row.P50, row.P95, row.P99},
-		}
-	}
-	return rows
-}
-
-// Reseed implements sweep.Seedable for the migration sweep.
-func (s *MigrationSweeper) Reseed(seed uint64) (sweep.Seedable, error) {
-	cfg := s.cfg
-	cfg.Seed = seed
-	return NewMigrationSweeper(s.tr, cfg)
-}
-
-// migrationSweepMetrics is the fixed metric order of a migration seed
-// sweep. wait_p99_small / wait_p99_large split the tail wait by VM size
-// class (arrivals.SmallVMMaxCPUs), making SJF starvation of large VMs
-// visible; both are 0 for traces whose VMs all share one class.
-var migrationSweepMetrics = []string{
-	"rej_rate", "cpu_util",
-	"wait_p50", "wait_p95", "wait_p99", "wait_p99_small", "wait_p99_large",
-	"migrations", "p50_norm", "p99_norm",
-}
-
-// MetricNames implements sweep.Seedable.
-func (s *MigrationSweeper) MetricNames() []string {
-	return append([]string(nil), migrationSweepMetrics...)
-}
-
-// MetricRows implements sweep.Seedable: one row per {placer, rebalancer}
-// combination, named "placer/rebalancer".
-func (s *MigrationSweeper) MetricRows() []sweep.MetricRow {
-	if s.res == nil {
-		return nil
-	}
-	rows := make([]sweep.MetricRow, len(s.res.Rows))
-	for i, row := range s.res.Rows {
-		smallWaits, largeWaits := row.Replay.PlacedWaitsByClass()
-		rows[i] = sweep.MetricRow{
-			Arm: row.Placer + "/" + row.Rebalancer,
-			Values: []float64{
-				row.RejectionRate, row.CPUUtilization,
-				row.WaitP50, row.WaitP95, row.WaitP99,
-				percentileOrZero(smallWaits, 99), percentileOrZero(largeWaits, 99),
-				float64(row.MigrationCount), row.P50, row.P99,
-			},
-		}
-	}
-	return rows
-}
-
-// Reseed implements sweep.Seedable for the detection sweep.
-func (s *DetectionSweeper) Reseed(seed uint64) (sweep.Seedable, error) {
-	cfg := s.cfg
-	cfg.Seed = seed
-	return NewDetectionSweeper(s.tr, cfg)
-}
-
-// detectionSweepMetrics is the fixed metric order of a detection seed
-// sweep: trigger volume and quality (false-trigger rate, coverage,
-// time-to-detect) alongside the usual performance floor.
-var detectionSweepMetrics = []string{
-	"placed", "triggers", "chgpts", "false_rate", "detected", "mean_ttd", "p99_norm",
-}
-
-// MetricNames implements sweep.Seedable.
-func (s *DetectionSweeper) MetricNames() []string {
-	return append([]string(nil), detectionSweepMetrics...)
-}
-
-// MetricRows implements sweep.Seedable: one row per detection arm.
-func (s *DetectionSweeper) MetricRows() []sweep.MetricRow {
-	if s.res == nil {
-		return nil
-	}
-	rows := make([]sweep.MetricRow, len(s.res.Rows))
-	for i, row := range s.res.Rows {
-		rows[i] = sweep.MetricRow{
-			Arm: row.Arm,
-			Values: []float64{
-				float64(row.Placed), float64(row.Triggers), float64(row.ChangePointCount),
-				row.FalseTriggerRate, float64(row.Detected), row.MeanTimeToDetect, row.P99,
-			},
-		}
-	}
-	return rows
-}
-
-// percentileOrZero is stats.Percentile with empty samples reading as 0
-// — "no VMs of this class waited" rather than an error.
-func percentileOrZero(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	v, err := stats.Percentile(xs, p)
-	if err != nil {
-		return 0
-	}
-	return v
-}
 
 // Reseed implements sweep.Seedable for the Figure 4 indicator study.
 func (s *Fig4Sweeper) Reseed(seed uint64) (sweep.Seedable, error) {

@@ -22,7 +22,7 @@ import (
 var updateSeedSweepGolden = flag.Bool("update-seedsweep", false, "rewrite testdata/golden_seedsweep.json with the observed merged fingerprint")
 
 func TestTraceSweeperSeedableMetrics(t *testing.T) {
-	s, err := NewTraceSweeper(sweepTrace(), TraceSweepConfig{Hosts: 2, Seed: 5, DrainTicks: 6})
+	s, err := NewTraceSweeper(sweepTrace(), FleetSweepConfig{Hosts: 2, Seed: 5, DrainTicks: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestTraceSweeperSeedableMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs := re.(*TraceSweeper)
+	rs := re.(*FleetSweeper)
 	if rs.cfg.Seed != 9 || rs.cfg.Hosts != 2 || rs.cfg.DrainTicks != 6 {
 		t.Fatalf("reseeded config %+v", rs.cfg)
 	}
@@ -60,7 +60,7 @@ func TestTraceSweeperSeedableMetrics(t *testing.T) {
 }
 
 func TestMigrationSweeperSeedableMetrics(t *testing.T) {
-	s, err := NewMigrationSweeper(sweepTrace(), MigrationSweepConfig{
+	s, err := NewMigrationSweeper(sweepTrace(), FleetSweepConfig{
 		Hosts: 2, Seed: 5, DrainTicks: 6, Pending: arrivals.PendingSJF,
 	})
 	if err != nil {
@@ -104,7 +104,7 @@ func TestMigrationSweeperSeedableMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if re.(*MigrationSweeper).cfg.Seed != 9 {
+	if re.(*FleetSweeper).cfg.Seed != 9 {
 		t.Fatal("reseed did not take")
 	}
 }
@@ -131,7 +131,7 @@ func TestPlacedWaitsByClassSplitsSizes(t *testing.T) {
 }
 
 func TestSeedSweepTableRendering(t *testing.T) {
-	proto, err := NewTraceSweeper(sweepTrace(), TraceSweepConfig{Hosts: 2, Seed: 1, DrainTicks: 6})
+	proto, err := NewTraceSweeper(sweepTrace(), FleetSweepConfig{Hosts: 2, Seed: 1, DrainTicks: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestSeedSweepShardDeterminismGolden(t *testing.T) {
 		shardCounts = append(shardCounts, w)
 	}
 	build := func() sweep.Sweep {
-		proto, err := NewTraceSweeper(tr, TraceSweepConfig{Hosts: 2, Seed: 1, DrainTicks: 6})
+		proto, err := NewTraceSweeper(tr, FleetSweepConfig{Hosts: 2, Seed: 1, DrainTicks: 6})
 		if err != nil {
 			t.Fatal(err)
 		}

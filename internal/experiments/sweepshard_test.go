@@ -77,7 +77,7 @@ func TestSweepShardDeterminismGolden(t *testing.T) {
 		}
 		return s
 	}, func(s sweep.Sweep) string {
-		return s.(*TraceSweeper).Result().Table().String()
+		return s.(*FleetSweeper).Result().Table().String()
 	}, shardCounts)
 
 	// The 9-combination migration sweep exercises stateful rebalancers
@@ -91,7 +91,7 @@ func TestSweepShardDeterminismGolden(t *testing.T) {
 			}
 			return s
 		}, func(s sweep.Sweep) string {
-			return s.(*MigrationSweeper).Result().Table().String()
+			return s.(*FleetSweeper).Result().Table().String()
 		}, shardCounts)
 	}
 

@@ -18,14 +18,14 @@ func TestTraceSweepComparesPlacers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trace sweep replays three fleets")
 	}
-	res, err := TraceSweep(sweepTrace(), TraceSweepConfig{Hosts: 2, Seed: 5, DrainTicks: 12})
+	res, err := TraceSweep(sweepTrace(), FleetSweepConfig{Hosts: 2, Seed: 5, DrainTicks: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Rows) != 3 {
 		t.Fatalf("got %d rows, want 3", len(res.Rows))
 	}
-	byName := map[string]TraceSweepRow{}
+	byName := map[string]FleetSweepRow{}
 	for _, r := range res.Rows {
 		if r.Submitted != 9 {
 			t.Fatalf("placer %s saw %d submissions", r.Placer, r.Submitted)
@@ -59,7 +59,7 @@ func TestTraceSweepComparesPlacers(t *testing.T) {
 		}
 	}
 	// Determinism: the same sweep again is identical record for record.
-	again, err := TraceSweep(sweepTrace(), TraceSweepConfig{Hosts: 2, Seed: 5, DrainTicks: 12})
+	again, err := TraceSweep(sweepTrace(), FleetSweepConfig{Hosts: 2, Seed: 5, DrainTicks: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestTraceSweepOnCommittedExample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := TraceSweep(tr, TraceSweepConfig{Hosts: 4, Seed: 1})
+	res, err := TraceSweep(tr, FleetSweepConfig{Hosts: 4, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,12 +31,12 @@ const DefaultConfirmTopK = 1
 // re-runs of its leading arms.
 type TwoTierTraceResult struct {
 	// Analytic is the full broad-pass sweep result.
-	Analytic *TraceSweepResult
+	Analytic *FleetSweepResult
 	// TopK is the number of arms confirmed exact.
 	TopK int
 	// Confirmed holds the exact-tier rows of the top-k arms, in the
 	// analytic pass's p99 ranking order (best floor first).
-	Confirmed []TraceSweepRow
+	Confirmed []FleetSweepRow
 }
 
 // TwoTierTraceSweep runs the three-placer trace sweep two-tier: the
@@ -44,7 +44,7 @@ type TwoTierTraceResult struct {
 // analytic p99 normalized-performance floor again on the exact tier
 // (with exact solo baselines, so the confirmation rows normalize against
 // the same tier they ran on). topK <= 0 selects DefaultConfirmTopK.
-func TwoTierTraceSweep(tr arrivals.Trace, cfg TraceSweepConfig, topK int) (*TwoTierTraceResult, error) {
+func TwoTierTraceSweep(tr arrivals.Trace, cfg FleetSweepConfig, topK int) (*TwoTierTraceResult, error) {
 	if topK <= 0 {
 		topK = DefaultConfirmTopK
 	}
@@ -54,7 +54,7 @@ func TwoTierTraceSweep(tr arrivals.Trace, cfg TraceSweepConfig, topK int) (*TwoT
 	if err != nil {
 		return nil, err
 	}
-	ranked := append([]TraceSweepRow(nil), ares.Rows...)
+	ranked := append([]FleetSweepRow(nil), ares.Rows...)
 	sort.SliceStable(ranked, func(i, j int) bool { return ranked[i].P99 > ranked[j].P99 })
 	if topK > len(ranked) {
 		topK = len(ranked)
@@ -83,21 +83,17 @@ func TwoTierTraceSweep(tr arrivals.Trace, cfg TraceSweepConfig, topK int) (*TwoT
 	}); err != nil {
 		return nil, err
 	}
-	solo := make(map[string]float64, len(es.apps))
-	for i := range es.apps {
-		var p soloPayload
-		if err := json.Unmarshal(raws[i], &p); err != nil {
-			return nil, fmt.Errorf("%s payload: %w", keys[i], err)
-		}
-		solo[p.App] = p.IPC
+	solo, err := es.soloBaselines(raws)
+	if err != nil {
+		return nil, err
 	}
 	res := &TwoTierTraceResult{Analytic: ares, TopK: topK}
 	for i := len(es.apps); i < len(keys); i++ {
-		var p traceArmPayload
+		var p fleetArmPayload
 		if err := json.Unmarshal(raws[i], &p); err != nil {
 			return nil, fmt.Errorf("%s payload: %w", keys[i], err)
 		}
-		res.Confirmed = append(res.Confirmed, traceRow(p, solo))
+		res.Confirmed = append(res.Confirmed, es.row(p, solo))
 	}
 	return res, nil
 }
@@ -113,7 +109,7 @@ func (r TwoTierTraceResult) Tables() []Table {
 			"|err| = |analytic - exact| of the p99 floor",
 		Columns: []string{"placer", "p99 analytic", "p99 exact", "p99 |err|", "rej rate analytic", "rej rate exact"},
 	}
-	byPlacer := make(map[string]TraceSweepRow, len(r.Analytic.Rows))
+	byPlacer := make(map[string]FleetSweepRow, len(r.Analytic.Rows))
 	for _, row := range r.Analytic.Rows {
 		byPlacer[row.Placer] = row
 	}

@@ -21,7 +21,7 @@ func TestTwoTierTraceSweep(t *testing.T) {
 		t.Fatalf("broad pass rows = %d, want all 3 placers", len(res.Analytic.Rows))
 	}
 	// Confirmation order follows the analytic p99 ranking (best first).
-	byPlacer := map[string]TraceSweepRow{}
+	byPlacer := map[string]FleetSweepRow{}
 	for _, row := range res.Analytic.Rows {
 		byPlacer[row.Placer] = row
 	}

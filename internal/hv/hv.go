@@ -563,8 +563,8 @@ func (w *World) RunTicks(n int) {
 // FastForward is always safe to substitute for RunTicks. The fleet's
 // lazy per-host clocks use it to close an untouched host's idle stretch
 // in constant time — the elision that makes event-horizon replay faster
-// than lockstep, not merely deferred (TestFastForwardIdentity pins the
-// equivalence).
+// than ticking every host every tick, not merely deferred
+// (TestFastForwardIdentity pins the equivalence).
 func (w *World) FastForward(n int) {
 	if n <= 0 {
 		return

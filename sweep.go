@@ -1,8 +1,8 @@
 package kyoto
 
 // The shardable sweep facade: every multi-configuration experiment in
-// the harness (trace sweep, migration sweep, the Figure 4 matrix, the
-// ablations) is planned as a list of deterministic jobs that external
+// the harness (the trace and migration fleet sweeps, the Figure 4
+// matrix, the ablations) is planned as a list of deterministic jobs that external
 // drivers — cron jobs, CI matrices, a handful of machines pointed at the
 // same repository — can execute shard by shard and merge bit-identically
 // to an unsharded run. See internal/sweep/README.md for the job model
@@ -34,13 +34,11 @@ type (
 	// ShardEnvelope is the canonical JSON result of one shard of a
 	// sweep — the unit that crosses process and machine boundaries.
 	ShardEnvelope = sweep.Envelope
-	// TraceSweeper is the shardable form of SweepTrace.
-	TraceSweeper = experiments.TraceSweeper
-	// MigrationSweeper is the shardable form of SweepMigrations.
-	MigrationSweeper = experiments.MigrationSweeper
+	// FleetSweeper is the shardable form of SweepTrace and
+	// SweepMigrations (NewTraceSweeper, NewMigrationSweeper).
+	FleetSweeper = experiments.FleetSweeper
 	// SeedableSweep is a sweep that can be replicated under different RNG
-	// seeds and report scalar metrics; TraceSweeper and MigrationSweeper
-	// implement it.
+	// seeds and report scalar metrics; FleetSweeper implements it.
 	SeedableSweep = sweep.Seedable
 	// SeedSweeper replicates a SeedableSweep across consecutive seeds and
 	// aggregates its metrics into distributions with confidence
@@ -62,16 +60,16 @@ type (
 )
 
 // NewTraceSweeper returns the three-placer trace sweep as a shardable
-// Sweep; after merging, its Result method returns the TraceSweepResult
+// Sweep; after merging, its Result method returns the FleetSweepResult
 // that SweepTrace would have produced.
-func NewTraceSweeper(tr Trace, cfg TraceSweepConfig) (*TraceSweeper, error) {
+func NewTraceSweeper(tr Trace, cfg FleetSweepConfig) (*FleetSweeper, error) {
 	return experiments.NewTraceSweeper(tr, cfg)
 }
 
 // NewMigrationSweeper returns the rebalancer x placer migration sweep as
 // a shardable Sweep; after merging, its Result method returns the
-// MigrationSweepResult that SweepMigrations would have produced.
-func NewMigrationSweeper(tr Trace, cfg MigrationSweepConfig) (*MigrationSweeper, error) {
+// FleetSweepResult that SweepMigrations would have produced.
+func NewMigrationSweeper(tr Trace, cfg FleetSweepConfig) (*FleetSweeper, error) {
 	return experiments.NewMigrationSweeper(tr, cfg)
 }
 
