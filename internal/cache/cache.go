@@ -608,6 +608,11 @@ func (c *Cache) Flush() {
 // FlushOwner invalidates every line belonging to owner, modelling the cache
 // footprint loss a vCPU suffers when migrated to another socket.
 func (c *Cache) FlushOwner(owner Owner) {
+	if c.Occupancy(owner) == 0 {
+		// Nothing to scan for: always the case on the analytic tier,
+		// whose exact caches stay empty.
+		return
+	}
 	removed := 0
 	for set := range c.valid {
 		vmask := c.valid[set]

@@ -610,9 +610,12 @@ func (s *dueScheduler) nudge() {
 
 // drain is one background drainer: sweep every host, close up to
 // DueChunkTicks of lag per lock hold, park when a whole sweep finds no
-// work. Which goroutine runs a host's ticks can never matter — each
-// World's tick sequence is fixed by the clock deltas alone — so the
-// drainers accelerate the replay without touching its results.
+// work. A host whose lock is held is skipped rather than waited on: the
+// holder is another drainer or the calling goroutine, which closes that
+// lag itself when it needs the host. Which goroutine runs a host's
+// ticks can never matter — each World's tick sequence is fixed by the
+// clock deltas alone — so the drainers accelerate the replay without
+// touching its results.
 func (s *dueScheduler) drain(start int) {
 	n := len(s.hosts)
 	for {
@@ -624,7 +627,9 @@ func (s *dueScheduler) drain(start int) {
 			default:
 			}
 			h := s.hosts[(start+i)%n]
-			h.mu.Lock()
+			if !h.mu.TryLock() {
+				continue
+			}
 			if c := s.clock.Load(); h.ran < c {
 				step := c - h.ran
 				if step > DueChunkTicks {

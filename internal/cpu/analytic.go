@@ -290,16 +290,26 @@ func (a *AnalyticContext) refreshMix(ph *analyticPhase) {
 
 // frac adds a fractional increment to an accumulator and returns the
 // whole part to credit, leaving the remainder for the next call.
+//
+// The float conversions in this file go through int64: amd64 converts
+// signed integers to and from float64 in one instruction, but unsigned
+// ones in a compare-and-branch sequence. Every converted value lies in
+// [0, 2^63), where the two agree bit for bit. Here, accumulators start
+// at 0 (RestoreState refuses anything outside [0,1)) and only ever add
+// non-negative terms, and a bulk step's whole part is far below 2^63.
+// In RunAnalytic, used < budget on every iteration and n is at most
+// (budget-used)/wallInstr or 1, with budget bounded by the hv tick.
 func frac(acc *float64, add float64) uint64 {
-	*acc += add
-	k := uint64(*acc)
-	*acc -= float64(k)
-	return k
+	v := *acc + add
+	k := int64(v)
+	*acc = v - float64(k)
+	return uint64(k)
 }
 
 // RunAnalytic executes ctx's workload for at most budget wall cycles on
 // the analytic tier and returns the wall cycles actually consumed —
 // the same contract as Run, at O(phases crossed) instead of O(steps).
+// budget must be below 2^63 (hv passes at most one tick's cycles).
 // It allocates nothing.
 func RunAnalytic(a *AnalyticContext, budget uint64) uint64 {
 	if budget == 0 {
@@ -309,7 +319,7 @@ func RunAnalytic(a *AnalyticContext, budget uint64) uint64 {
 	for {
 		ph := &a.phases[a.phaseIdx]
 		a.refreshMix(ph)
-		n := uint64(float64(budget-used) / a.wallInstr)
+		n := uint64(int64(float64(int64(budget-used)) / a.wallInstr))
 		if n == 0 {
 			n = 1
 		}
@@ -337,7 +347,7 @@ func RunAnalytic(a *AnalyticContext, budget uint64) uint64 {
 // cycles consumed.
 func (a *AnalyticContext) exec(ph *analyticPhase, n uint64) uint64 {
 	c := a.Counters
-	fn := float64(n)
+	fn := float64(int64(n))
 	c.Instructions += n
 	if !ph.compute {
 		acc := fn * ph.memRatio

@@ -8,6 +8,7 @@ package cpu
 // internal/hv/analytic_test.go.
 
 import (
+	"math"
 	"testing"
 
 	"kyoto/internal/cache"
@@ -248,5 +249,34 @@ func TestAnalyticStreamGoesResident(t *testing.T) {
 	RunAnalytic(a, 100_000)
 	if got := c.LLCMisses - before; got != 0 {
 		t.Fatalf("resident stream still missed %d times", got)
+	}
+}
+
+// TestAnalyticRestoreRejectsBadAccumulators: every accumulator must be a
+// fractional remainder in [0,1), the range the executor's signed
+// conversions rely on; anything else is a corrupt checkpoint.
+func TestAnalyticRestoreRejectsBadAccumulators(t *testing.T) {
+	a := newCtx(t, chaseProfile(1<<20, 0.3), testAnalyticLLC(t), &pmc.Counters{})
+	RunAnalytic(a, 50_000)
+	good := a.CaptureState()
+	if err := a.RestoreState(good); err != nil {
+		t.Fatalf("captured state refused: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		v    float64
+	}{
+		{"negative", -1},
+		{"one", 1},
+		{"nan", math.NaN()},
+		{"+inf", math.Inf(1)},
+	} {
+		for _, slot := range []int{0, 8} {
+			st := good
+			st.Acc[slot] = tc.v
+			if err := a.RestoreState(st); err == nil {
+				t.Errorf("%s in accumulator %d restored without error", tc.name, slot)
+			}
+		}
 	}
 }

@@ -47,7 +47,8 @@ func (ctx *Context) RestoreState(st ContextState) error {
 
 // AnalyticContextState is the serializable cursor of an AnalyticContext.
 // All floats are finite fractional remainders in [0,1), so their JSON
-// round-trip is exact.
+// round-trip is exact; RestoreState refuses any other value, since the
+// executor's signed conversions rely on the range.
 type AnalyticContextState struct {
 	PhaseIdx int    `json:"phase_idx"`
 	PhaseRem uint64 `json:"phase_rem"`
@@ -78,6 +79,12 @@ func (a *AnalyticContext) RestoreState(st AnalyticContextState) error {
 	if st.PhaseRem > a.phases[st.PhaseIdx].instrs {
 		return fmt.Errorf("cpu: analytic state has %d instructions left in a %d-instruction phase",
 			st.PhaseRem, a.phases[st.PhaseIdx].instrs)
+	}
+	for i, v := range st.Acc {
+		// The negated test also catches NaN.
+		if !(v >= 0 && v < 1) {
+			return fmt.Errorf("cpu: analytic state accumulator %d is %v, outside [0,1)", i, v)
+		}
 	}
 	a.phaseIdx = st.PhaseIdx
 	a.phaseRem = st.PhaseRem

@@ -30,6 +30,14 @@
 //     is pre-allocated in New and reused, so steady-state ticks report
 //     0 allocs/op (BenchmarkWorldTick enforces this).
 //
+// The analytic tier must not pay for exact-tier work. AddVM still builds
+// each vCPU's generator there, because its cursor is part of a
+// checkpoint, but a Chase phase's permutation is built on the phase's
+// first access, so analytic VMs never build one. RemoveVM's flush skips
+// any cache the owner holds no lines in, which is every exact cache of
+// an analytic host. The bulk executor converts floats through int64,
+// a single instruction each way on amd64 (see cpu.RunAnalytic).
+//
 // Determinism is the contract that lets the hot path be rewritten at all:
 // the golden fingerprints in testdata/golden.json (and the fleet golden
 // in internal/cluster) pin runs bit-for-bit, so any optimization must

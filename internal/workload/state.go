@@ -1,8 +1,9 @@
 package workload
 
 // Generator checkpoint support. A generator built by New is a pure
-// function of (profile, seed, cursor): the phase chains are derived from
-// the seed at construction, so a checkpoint only needs the cursor — the
+// function of (profile, seed, cursor): each Chase phase's chain is
+// derived from an RNG position New fixes (the chain itself is built on
+// the phase's first access), so a checkpoint only needs the cursor — the
 // RNG position, the phase position, the per-phase walk positions, and
 // the two fractional accumulators. Restoring the cursor into a freshly
 // built generator for the same (profile, seed) reproduces the remaining
@@ -52,8 +53,8 @@ func CaptureGenState(gr Generator) (GenState, error) {
 }
 
 // RestoreGenState overlays a captured cursor onto a generator freshly
-// built by New for the same (profile, seed). The phase chains are already
-// in place from construction; only the cursor moves.
+// built by New for the same (profile, seed). The chain seeds are already
+// fixed by construction; only the cursor moves.
 func RestoreGenState(gr Generator, st GenState) error {
 	g, ok := gr.(*gen)
 	if !ok {
@@ -66,6 +67,12 @@ func RestoreGenState(gr Generator, st GenState) error {
 	if st.PhaseIdx < 0 || st.PhaseIdx >= len(g.profile.Phases) {
 		return fmt.Errorf("workload: generator state phase %d outside profile's %d phases",
 			st.PhaseIdx, len(g.profile.Phases))
+	}
+	for i := range g.patterns {
+		if p := &g.patterns[i]; p.lines > 0 && int(st.Pos[i]) >= p.lines {
+			return fmt.Errorf("workload: generator state chase position %d outside phase %d's %d lines",
+				st.Pos[i], i, p.lines)
+		}
 	}
 	g.rng.SetState(st.RNG)
 	g.phaseIdx = st.PhaseIdx

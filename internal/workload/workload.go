@@ -373,24 +373,31 @@ func (g *gen) advance(instrs uint64) {
 
 // patternState holds per-phase address-generation state.
 type patternState struct {
-	// Chase: chain[i] is the next line index after i (single cycle).
-	chain []uint32
-	pos   uint32
+	// Chase: chain[i] is the next line index after i (single cycle),
+	// built on the phase's first access from the RNG position chainSeed
+	// over lines lines. Until then chain is nil: a generator that never
+	// emits a Chase address (the analytic tier builds generators but
+	// never draws from them) never pays for the permutation.
+	chain     []uint32
+	chainSeed uint64
+	lines     int
+	pos       uint32
 	// Stream/Strided: current byte offset.
 	offset uint64
 }
 
-// init prepares state for phase ph.
+// init prepares state for phase ph. A Chase phase records where its
+// permutation's draws start and jumps rng past them, leaving rng exactly
+// where building the chain here would have left it.
 func (s *patternState) init(ph Phase, rng *xrand.Rand) {
-	s.offset = 0
-	s.pos = 0
-	s.chain = nil
+	*s = patternState{}
 	if ph.Kind == Chase {
-		lines := ph.WSSBytes / lineBytes
-		if lines < 2 {
-			lines = 2
+		s.lines = ph.WSSBytes / lineBytes
+		if s.lines < 2 {
+			s.lines = 2
 		}
-		s.chain = sattolo(lines, rng)
+		s.chainSeed = rng.State()
+		rng.Advance(uint64(s.lines - 1)) // sattolo's draws
 	}
 }
 
@@ -398,6 +405,9 @@ func (s *patternState) init(ph Phase, rng *xrand.Rand) {
 func (s *patternState) next(ph Phase, rng *xrand.Rand) uint64 {
 	switch ph.Kind {
 	case Chase:
+		if s.chain == nil {
+			s.chain = sattolo(s.lines, xrand.New(s.chainSeed))
+		}
 		s.pos = s.chain[s.pos]
 		return uint64(s.pos) * lineBytes
 	case Stream, Strided:
@@ -425,6 +435,7 @@ func (s *patternState) next(ph Phase, rng *xrand.Rand) uint64 {
 // sattolo builds a single-cycle random permutation: chain[i] = successor of
 // line i, with all n lines on one cycle (so a chase visits the whole
 // working set before repeating, like the paper's linked-list walker).
+// It takes exactly n-1 draws from rng, which patternState.init relies on.
 func sattolo(n int, rng *xrand.Rand) []uint32 {
 	perm := make([]uint32, n)
 	for i := range perm {

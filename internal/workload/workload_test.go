@@ -2,8 +2,11 @@ package workload
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
+
+	"kyoto/internal/xrand"
 )
 
 func chasePhase(wss int, ratio float64) Phase {
@@ -296,7 +299,25 @@ func TestQuickSattoloSingleCycle(t *testing.T) {
 // BenchmarkWorkloadGen measures step-stream generation for the profiles
 // the evaluation leans on hardest: a memory-heavy phase mix (gcc), a pure
 // streamer (lbm), and a compute-dominated app (povray).
+//
+// The new/<app> cases time construction alone. Chase chains are built on
+// a phase's first access, not in New, so construction stays a handful of
+// allocations whatever the working set (CI gates their allocs/op):
+// gcc and povray have Chase phases, mcf has none.
 func BenchmarkWorkloadGen(b *testing.B) {
+	for _, app := range []string{"gcc", "mcf", "povray"} {
+		b.Run("new/"+app, func(b *testing.B) {
+			p, err := Lookup(app)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				MustNew(p, uint64(i))
+			}
+		})
+	}
 	for _, app := range []string{"gcc", "lbm", "povray"} {
 		b.Run(app, func(b *testing.B) {
 			p, err := Lookup(app)
@@ -354,5 +375,107 @@ func TestNextBatchMatchesNext(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// newEager is the reference construction chase laziness must reproduce:
+// every Chase chain built inside the constructor, drawing from the
+// generator's own RNG in phase order.
+func newEager(p Profile, seed uint64) *gen {
+	g := &gen{
+		profile:  p,
+		rng:      xrand.New(seed ^ 0x9e3779b9),
+		patterns: make([]patternState, len(p.Phases)),
+	}
+	for i, ph := range p.Phases {
+		if ph.Kind == Chase {
+			lines := ph.WSSBytes / lineBytes
+			if lines < 2 {
+				lines = 2
+			}
+			g.patterns[i].chain = sattolo(lines, g.rng)
+		}
+	}
+	return g
+}
+
+// TestLazyChainsMatchEager pins chase laziness to the eager reference:
+// the same cursor straight after construction (so checkpoints are
+// unchanged) and the same step stream, for every built-in profile.
+func TestLazyChainsMatchEager(t *testing.T) {
+	for _, name := range Names() {
+		p := MustLookup(name)
+		for _, seed := range []uint64{1, 99, 1<<63 + 5} {
+			lazy, eager := MustNew(p, seed), newEager(p, seed)
+			ls, err := CaptureGenState(lazy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			es, err := CaptureGenState(eager)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(ls, es) {
+				t.Fatalf("%s seed %d: state after New\nlazy  %+v\neager %+v", name, seed, ls, es)
+			}
+			for i := 0; i < 50_000; i++ {
+				if a, b := lazy.Next(), eager.Next(); a != b {
+					t.Fatalf("%s seed %d: step %d diverged\nlazy  %+v\neager %+v", name, seed, i, a, b)
+				}
+			}
+		}
+	}
+}
+
+// TestNewBuildsNoChain: construction only fixes where each chain's
+// draws start; the permutation waits for the phase's first access.
+func TestNewBuildsNoChain(t *testing.T) {
+	chased := 0
+	for _, name := range Names() {
+		g := MustNew(MustLookup(name), 7).(*gen)
+		for i, ps := range g.patterns {
+			if ps.chain != nil {
+				t.Fatalf("%s: New built phase %d's chain", name, i)
+			}
+			if ps.lines > 0 {
+				chased++
+			}
+		}
+	}
+	if chased == 0 {
+		t.Fatal("no built-in profile has a Chase phase; the test is vacuous")
+	}
+	g := MustNew(testProfile(chasePhase(4096, 1)), 7).(*gen)
+	g.Next()
+	if len(g.patterns[0].chain) != 4096/lineBytes {
+		t.Fatalf("first chase access built a %d-line chain, want %d", len(g.patterns[0].chain), 4096/lineBytes)
+	}
+}
+
+// TestRestoreBuildsChainFromSeed: a cursor restored onto a fresh
+// generator (whose chains are not built yet) continues the original
+// stream, and an out-of-range chase position is refused.
+func TestRestoreBuildsChainFromSeed(t *testing.T) {
+	p := MustLookup("gcc")
+	orig := MustNew(p, 11)
+	for i := 0; i < 20_000; i++ {
+		orig.Next()
+	}
+	st, err := CaptureGenState(orig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := MustNew(p, 11)
+	if err := RestoreGenState(fresh, st); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20_000; i++ {
+		if a, b := orig.Next(), fresh.Next(); a != b {
+			t.Fatalf("restored stream diverged at step %d: %+v vs %+v", i, b, a)
+		}
+	}
+	st.Pos[0] = 224 * 1024 / lineBytes
+	if err := RestoreGenState(MustNew(p, 11), st); err == nil {
+		t.Fatal("chase position past the working set restored without error")
 	}
 }

@@ -40,9 +40,19 @@ func (r *Rand) State() uint64 { return r.state }
 // SetState rewinds or advances r to a previously captured State.
 func (r *Rand) SetState(s uint64) { r.state = s }
 
+// golden is splitmix64's per-draw state increment.
+const golden = 0x9e3779b97f4a7c15
+
+// Advance skips n draws in O(1): afterwards r emits exactly what it
+// would have after n Uint64 calls. splitmix64's state moves by a
+// constant per draw, and Float64, Bool, and Uint64n/Intn with a
+// positive bound each take exactly one draw, so Advance(n) also skips n
+// calls of those.
+func (r *Rand) Advance(n uint64) { r.state += n * golden }
+
 // Uint64 returns the next pseudo-random 64-bit value.
 func (r *Rand) Uint64() uint64 {
-	r.state += 0x9e3779b97f4a7c15
+	r.state += golden
 	z := r.state
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb

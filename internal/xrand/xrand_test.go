@@ -128,3 +128,19 @@ func TestZeroValueUsable(t *testing.T) {
 		t.Fatal("zero-value generator repeated itself")
 	}
 }
+
+func TestAdvanceMatchesDraws(t *testing.T) {
+	for _, n := range []uint64{0, 1, 7, 1 << 20} {
+		drawn, jumped := New(0xdecafbad), New(0xdecafbad)
+		for i := uint64(0); i < n; i++ {
+			drawn.Uint64()
+		}
+		jumped.Advance(n)
+		if drawn.State() != jumped.State() {
+			t.Fatalf("Advance(%d) state %#x, %d draws reach %#x", n, jumped.State(), n, drawn.State())
+		}
+		if a, b := drawn.Uint64(), jumped.Uint64(); a != b {
+			t.Fatalf("after Advance(%d): next draw %#x, want %#x", n, b, a)
+		}
+	}
+}

@@ -11,8 +11,10 @@
 # Environment variables (all optional; this is the whole interface, so
 # the script is callable from CI without arguments):
 #   OUT        output path for the JSON report (default: BENCH_kyoto.json
-#              in the repo root). CI writes BENCH_ci.json and diffs the
-#              allocs_per_op fields against zero.
+#              in the repo root). CI writes BENCH_ci.json and gates the
+#              allocs_per_op fields: zero on the tick path, and the
+#              lazy-chain count on generator construction
+#              (BenchmarkWorkloadGen/new/<app>).
 #   BENCHTIME  passed to `go test -benchtime`. Durations ("1s") give
 #              stable ns/op; iteration counts ("100x", "10x") are the CI
 #              smoke mode — fast and noisy, but allocs/op stays exact,
