@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"kyoto/internal/cache"
 	"kyoto/internal/cluster"
 )
 
@@ -170,7 +171,8 @@ func TestReplayerStepMatchesReplay(t *testing.T) {
 // at tick 505 is decided purely from the booking ledger and the
 // eventual placements cross a multi-hundred-tick fast-forward gap. A
 // one-host fleet runs no background drainers, so there is no parallel
-// schedule to compare against; the assertions are on the outcome alone.
+// schedule to compare against; the assertions are on the outcome alone
+// (TestDeadlineFiresAcrossTwoHostGap compares schedules).
 func TestDeadlineFiresAcrossHostGap(t *testing.T) {
 	tr := Trace{Events: []Event{
 		{Submit: 0, Lifetime: 560, Name: "a", App: "gcc", LLCCap: 100},
@@ -200,5 +202,64 @@ func TestDeadlineFiresAcrossHostGap(t *testing.T) {
 	pat := recordByName(t, res, "patient")
 	if pat.Rejected || pat.Queued || pat.PlacedTick != 600 || pat.HostID != 0 {
 		t.Fatalf("patient: %+v, want placed immediately at tick 600", pat)
+	}
+}
+
+// TestDeadlineFiresAcrossTwoHostGap is the two-host form of the gap
+// scenario, which does run a background drainer: both saturated hosts
+// lag the fleet clock for 560 ticks while the deadline drop at tick 505
+// is decided from the ledgers, and the drainer closes those lags in
+// chunks alongside the calling goroutine. The outcome must match the
+// one-host assertions, and the fingerprint must be the same serially
+// (Workers 1) and with drainers (Workers 0 and 4). It runs on the
+// analytic tier, which keeps three 600-tick two-host replays cheap
+// under -race.
+func TestDeadlineFiresAcrossTwoHostGap(t *testing.T) {
+	tr := Trace{Events: []Event{
+		{Submit: 0, Lifetime: 560, Name: "a", App: "gcc", LLCCap: 100},
+		{Submit: 0, Name: "b", App: "gcc", LLCCap: 100},
+		{Submit: 0, Name: "c", App: "gcc", LLCCap: 100},
+		{Submit: 0, Name: "d", App: "gcc", LLCCap: 100},
+		{Submit: 0, Name: "e", App: "lbm", LLCCap: 100},
+		{Submit: 0, Name: "f", App: "lbm", LLCCap: 100},
+		{Submit: 0, Name: "g", App: "omnetpp", LLCCap: 100},
+		{Submit: 0, Name: "h", App: "omnetpp", LLCCap: 100},
+		{Submit: 5, Lifetime: 8, Name: "impatient", App: "lbm", LLCCap: 100},
+		{Submit: 600, Lifetime: 20, Name: "patient", App: "omnetpp", LLCCap: 100},
+	}}
+	run := func(workers int) Result {
+		t.Helper()
+		f, err := cluster.New(cluster.Config{
+			Hosts:    2,
+			Template: cluster.HostTemplate{Seed: 21, EnableKyoto: true, Fidelity: cache.FidelityAnalytic},
+			Placer:   cluster.Admission{},
+			Workers:  workers,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Replay(f, tr, Options{Pending: PendingDeadline, MaxWait: 500, DrainTicks: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	res := run(1)
+	if res.Placed != 9 || res.Rejected != 1 {
+		t.Fatalf("placed %d rejected %d, want 9/1", res.Placed, res.Rejected)
+	}
+	imp := recordByName(t, res, "impatient")
+	if !imp.Rejected || !imp.Queued || imp.WaitTicks != 500 || imp.PlacedTick != 505 {
+		t.Fatalf("impatient: %+v, want dropped at tick 505 after waiting 500", imp)
+	}
+	a, pat := recordByName(t, res, "a"), recordByName(t, res, "patient")
+	if pat.Rejected || pat.Queued || pat.PlacedTick != 600 || pat.HostID != a.HostID {
+		t.Fatalf("patient: %+v, want placed at tick 600 on a's host %d", pat, a.HostID)
+	}
+	serial := res.Fingerprint()
+	for _, workers := range []int{0, 4} {
+		if got := run(workers).Fingerprint(); got != serial {
+			t.Fatalf("workers %d fingerprint %s != serial %s", workers, got, serial)
+		}
 	}
 }

@@ -43,6 +43,11 @@
 // receives exactly the tick sequence the clock deltas dictate — so a
 // drained, elided, concurrent run is bit-identical to RunTicksSerial's
 // eager serial schedule.
+//
+// A whole-fleet stop costs only its own work. Barrier helps before it
+// waits: it first closes the lag of every host no drainer holds, then
+// blocks only on the hosts still held, each of which a drainer is
+// already advancing.
 package cluster
 
 import (
@@ -238,6 +243,9 @@ type Fleet struct {
 	// discarded fleet alive — the finalizer set in New stops them once
 	// the Fleet itself is collected.
 	sched *dueScheduler
+	// held is Barrier's scratch list of hosts its first sweep found
+	// locked, kept so the barrier path stays allocation-free.
+	held []*Host
 }
 
 // dueScheduler is the shared state between a fleet's calling goroutine
@@ -297,6 +305,7 @@ func New(cfg Config) (*Fleet, error) {
 		f.hosts = append(f.hosts, h)
 	}
 	f.sched = &dueScheduler{hosts: f.hosts}
+	f.held = make([]*Host, 0, len(f.hosts))
 	if n := f.drainers(); n > 0 {
 		f.sched.start(n)
 		// The drainers hold only f.sched, so the Fleet itself can be
@@ -561,14 +570,32 @@ func (f *Fleet) HostLag(i int) uint64 {
 // is at the same virtual time — the prerequisite for whole-fleet reads
 // (monitor observations, checkpoints, counter snapshots) — and no
 // drainer touches any World until the clock moves again.
+//
+// Barrier helps before it waits. A first sweep TryLocks each host and
+// closes the lag of every host no drainer holds; only then does it
+// block, and only on the hosts that were held, each of which a drainer
+// is already advancing. Locking in ID order instead would trail the
+// drainers (they sweep from host 0 too) and wait out their chunks
+// while free hosts sat behind them. Which goroutine closes a lag never
+// matters: each World's tick sequence is fixed by the clock deltas.
 func (f *Fleet) Barrier() {
 	s := f.sched
 	s.nudge()
+	held := f.held[:0]
 	for _, h := range f.hosts {
+		if !h.mu.TryLock() {
+			held = append(held, h)
+			continue
+		}
+		s.seekLocked(h)
+		h.mu.Unlock()
+	}
+	for _, h := range held {
 		h.mu.Lock()
 		s.seekLocked(h)
 		h.mu.Unlock()
 	}
+	f.held = held[:0]
 }
 
 // seek fast-forwards one host to the fleet clock because an event needs

@@ -3,7 +3,9 @@ package cluster
 import (
 	"fmt"
 	"testing"
+	"time"
 
+	"kyoto/internal/cache"
 	"kyoto/internal/vm"
 )
 
@@ -72,9 +74,15 @@ func TestKyotoTemplateEnforcesPermits(t *testing.T) {
 // one disruptive VM per host, and returns it.
 func fleetScenario(t testing.TB, hosts, workers int) *Fleet {
 	t.Helper()
+	return fleetScenarioTier(t, hosts, workers, cache.FidelityExact)
+}
+
+// fleetScenarioTier is fleetScenario on the given cache-model tier.
+func fleetScenarioTier(t testing.TB, hosts, workers int, fid cache.Fidelity) *Fleet {
+	t.Helper()
 	f, err := New(Config{
 		Hosts:    hosts,
-		Template: HostTemplate{Seed: 42, EnableKyoto: true},
+		Template: HostTemplate{Seed: 42, EnableKyoto: true, Fidelity: fid},
 		Placer:   FirstFit{},
 		Workers:  workers,
 	})
@@ -132,6 +140,71 @@ func TestFleetParallelMatchesSerial(t *testing.T) {
 				t.Errorf("host %d VM %s: punishments diverged", i, p.VM.Name)
 			}
 		}
+	}
+}
+
+// TestBarrierWithDrainersMatchesSerial advances a fleet by clock skips
+// of various lengths — some under one drainer chunk, some several
+// chunks long — with background drainers racing Barrier for the lags
+// (run it under -race). After every Barrier no host may lag the clock,
+// and the final state must be bit-identical to RunTicksSerial's.
+func TestBarrierWithDrainersMatchesSerial(t *testing.T) {
+	const hosts = 6
+	serial := fleetScenarioTier(t, hosts, 1, cache.FidelityAnalytic)
+	parallel := fleetScenarioTier(t, hosts, 4, cache.FidelityAnalytic)
+	for _, n := range []int{1, 3 * DueChunkTicks / 2, 7, 2*DueChunkTicks + 13, DueChunkTicks} {
+		serial.RunTicksSerial(n)
+		parallel.SkipTicks(uint64(n))
+		parallel.Barrier()
+		for i := 0; i < hosts; i++ {
+			if lag := parallel.HostLag(i); lag != 0 {
+				t.Fatalf("after Barrier at clock %d: host %d still lags %d ticks", parallel.Clock(), i, lag)
+			}
+			if now := parallel.Host(i).World.Now(); now != parallel.Clock() {
+				t.Fatalf("host %d world at tick %d, fleet clock %d", i, now, parallel.Clock())
+			}
+		}
+	}
+	if got, want := fleetFingerprint(parallel), fleetFingerprint(serial); got != want {
+		t.Fatalf("Barrier with drainers fingerprint %s != RunTicksSerial %s", got, want)
+	}
+}
+
+// TestBarrierHelpsBeforeWaiting holds one host's lock, as a drainer
+// mid-chunk would, and requires Barrier to close every other host's lag
+// before it blocks on the held one. The fleet runs no drainers, so only
+// Barrier itself can close those lags.
+func TestBarrierHelpsBeforeWaiting(t *testing.T) {
+	const hosts = 4
+	f := fleetScenarioTier(t, hosts, 1, cache.FidelityAnalytic)
+	f.SkipTicks(50)
+	held := f.Host(0)
+	held.mu.Lock()
+	done := make(chan struct{})
+	go func() {
+		f.Barrier()
+		close(done)
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for i := 1; i < hosts; i++ {
+		for f.HostLag(i) != 0 {
+			if time.Now().After(deadline) {
+				held.mu.Unlock()
+				<-done
+				t.Fatalf("host %d still lags while host 0 is held: Barrier waited before helping", i)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	select {
+	case <-done:
+		t.Fatal("Barrier returned while host 0 was still held")
+	default:
+	}
+	held.mu.Unlock()
+	<-done
+	if lag := f.HostLag(0); lag != 0 {
+		t.Fatalf("held host lags %d ticks after Barrier returned", lag)
 	}
 }
 

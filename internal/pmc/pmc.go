@@ -80,6 +80,10 @@ const FoldSeed uint64 = 14695981039346656037
 // foldPrime is the FNV-1a 64-bit prime.
 const foldPrime uint64 = 1099511628211
 
+// foldPrime8 is foldPrime⁸ mod 2⁶⁴: FoldUint64's eight byte rounds for a
+// value whose high seven bytes are zero, collapsed into one multiply.
+const foldPrime8 uint64 = 0x1efac7090aef4a21
+
 // Fold mixes every field of c into a running FNV-style hash and returns
 // the new hash. Folding the counters of all vCPUs of a run (in vCPU-id
 // order, starting from FoldSeed) yields a stable fingerprint of the whole
@@ -112,6 +116,17 @@ func FoldUint64(h, v uint64) uint64 {
 		h = (h ^ (v >> i & 0xff)) * foldPrime
 	}
 	return h
+}
+
+// FoldByte mixes one byte into a Fold chain. It equals
+// FoldUint64(h, uint64(b)) exactly: the first round XORs b in and
+// multiplies by the prime, and each of the seven zero high bytes after
+// it XORs in nothing and only multiplies by the prime again, so the
+// eight multiplies compose into one by foldPrime⁸ (mod 2⁶⁴, where the
+// arithmetic wraps). Byte-stream fingerprints (payloads, fingerprint
+// strings) fold through it at one multiply per byte instead of eight.
+func FoldByte(h uint64, b byte) uint64 {
+	return (h ^ uint64(b)) * foldPrime8
 }
 
 // IPC returns instructions per unhalted cycle — the paper's §2.2.3

@@ -112,3 +112,32 @@ func TestFoldFingerprint(t *testing.T) {
 		t.Fatal("fold chains must be order-sensitive")
 	}
 }
+
+// FoldByte is FoldUint64 specialised to a single byte: the identity must
+// hold for every byte value from any chain state, or every payload
+// fingerprint and golden that switched to it would shift.
+func TestFoldByteMatchesFoldUint64(t *testing.T) {
+	p8 := uint64(1)
+	for i := 0; i < 8; i++ {
+		p8 *= foldPrime
+	}
+	if p8 != foldPrime8 {
+		t.Fatalf("foldPrime8 = %#x, want foldPrime^8 = %#x", foldPrime8, p8)
+	}
+	// The chain states are FoldSeed, then 299 splitmix64 outputs from
+	// a fixed seed, so they cover arbitrary bit patterns rather than
+	// only states a fold can reach.
+	h, state := FoldSeed, uint64(7)
+	for i := 0; i < 300; i++ {
+		for b := 0; b < 256; b++ {
+			if got, want := FoldByte(h, byte(b)), FoldUint64(h, uint64(b)); got != want {
+				t.Fatalf("h=%#x b=%#x: FoldByte %#x, FoldUint64 %#x", h, b, got, want)
+			}
+		}
+		state += 0x9e3779b97f4a7c15
+		z := state
+		z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+		z = (z ^ z>>27) * 0x94d049bb133111eb
+		h = z ^ z>>31
+	}
+}

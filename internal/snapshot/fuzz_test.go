@@ -5,7 +5,8 @@ package snapshot_test
 // fails cleanly on anything that is not an intact envelope; and the
 // encode→decode→encode composition is a fixpoint — one Encode
 // canonicalizes (compacts, escapes), after which re-encoding the decoded
-// payload reproduces the bytes exactly. A committed seed corpus under
+// payload reproduces the bytes exactly — and byte-equal to the
+// reference encoder in snapshot_test.go. A committed seed corpus under
 // testdata/fuzz pins the interesting failure shapes.
 
 import (
@@ -35,6 +36,9 @@ func addSeeds(f *testing.F) {
 	f.Add(bytes.Replace(valid, []byte(snapshot.Schema), []byte("kyoto-snapshot-v999"), 1))
 	f.Add([]byte(`{"schema":"kyoto-snapshot-v1","kind":"world","config":"cfg","fingerprint":"0","payload":null}`))
 	f.Add([]byte(`{"schema":"kyoto-snapshot-v1","kind":"fleet","config":"cfg","fingerprint":"0","payload":{}}`))
+	if odd, err := snapshot.Encode("<k&ind>\u2028", "c>fg\u2029", map[string]string{"a<": "&\u2028"}); err == nil {
+		f.Add(odd)
+	}
 }
 
 func FuzzSnapshotDecode(f *testing.F) {
@@ -70,10 +74,15 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 			return
 		}
 		// First Encode canonicalizes; from there the composition must be
-		// byte-stable.
+		// byte-stable. Every Encode must also match the reference
+		// encoder, here on whatever kind and config strings the input
+		// carried.
 		enc1, err := snapshot.Encode(env.Kind, env.Config, payload)
 		if err != nil {
 			t.Fatalf("encode of decoded payload: %v", err)
+		}
+		if want := referenceEncode(t, env.Kind, env.Config, payload); !bytes.Equal(enc1, want) {
+			t.Fatalf("Encode differs from the reference encoder:\n%s\nvs\n%s", enc1, want)
 		}
 		p2, err := snapshot.Decode(enc1, env.Kind, env.Config)
 		if err != nil {

@@ -83,20 +83,32 @@ func ConfigDigest(cfg any) (string, error) {
 	return sweep.FingerprintPayload(raw), nil
 }
 
-// Encode wraps a payload value in a fingerprinted envelope.
+// Encode wraps a payload value in a fingerprinted envelope. The bytes
+// are exactly json.Marshal(Envelope{...}) of the same fields, but the
+// payload is marshalled once and the envelope is written around it.
+// Marshalling the full Envelope would re-scan, re-compact and re-copy
+// the payload through json.RawMessage, and json.Marshal output is
+// already compact and HTML-escaped, so that pass cannot change a byte.
+// The header is the Envelope itself marshalled with a nil payload, so
+// its field order and string escaping are the encoder's own; it ends in
+// `null}`, which the payload bytes replace in an exactly sized buffer.
 func Encode(kind, configDigest string, payload any) ([]byte, error) {
 	raw, err := json.Marshal(payload)
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: encoding %s payload: %w", kind, err)
 	}
-	env := Envelope{
+	head, err := json.Marshal(Envelope{
 		Schema:      Schema,
 		Kind:        kind,
 		Config:      configDigest,
 		Fingerprint: sweep.FingerprintPayload(raw),
-		Payload:     raw,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("snapshot: encoding %s envelope: %w", kind, err)
 	}
-	return json.Marshal(env)
+	head = head[:len(head)-len("null}")]
+	out := make([]byte, 0, len(head)+len(raw)+len("}"))
+	return append(append(append(out, head...), raw...), '}'), nil
 }
 
 // Decode validates an envelope — schema, kind, configuration digest,

@@ -10,10 +10,13 @@ package snapshot_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"testing"
 
+	"kyoto/internal/arrivals"
 	"kyoto/internal/cache"
+	"kyoto/internal/cluster"
 	"kyoto/internal/core"
 	"kyoto/internal/hv"
 	"kyoto/internal/machine"
@@ -21,6 +24,7 @@ import (
 	"kyoto/internal/pmc"
 	"kyoto/internal/sched"
 	"kyoto/internal/snapshot"
+	"kyoto/internal/sweep"
 	"kyoto/internal/vm"
 )
 
@@ -238,4 +242,188 @@ func flipByte(data []byte) []byte {
 	out := append([]byte(nil), data...)
 	out[len(out)/2] ^= 0x40
 	return out
+}
+
+// referenceEncode is the envelope encoder Encode replaced: marshal the
+// payload, then marshal the whole Envelope around it. Encode writes the
+// envelope around the payload bytes instead, and must stay byte-equal
+// to this for every input, or every committed checkpoint would change.
+func referenceEncode(tb testing.TB, kind, configDigest string, payload any) []byte {
+	tb.Helper()
+	raw, err := json.Marshal(payload)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	out, err := json.Marshal(snapshot.Envelope{
+		Schema:      snapshot.Schema,
+		Kind:        kind,
+		Config:      configDigest,
+		Fingerprint: sweep.FingerprintPayload(raw),
+		Payload:     raw,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return out
+}
+
+// requireReferenceEncoding fails unless Encode reproduces referenceEncode.
+func requireReferenceEncoding(t *testing.T, kind, configDigest string, payload any) []byte {
+	t.Helper()
+	got, err := snapshot.Encode(kind, configDigest, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := referenceEncode(t, kind, configDigest, payload); !bytes.Equal(got, want) {
+		t.Fatalf("Encode(%q, %q) differs from the reference encoder:\n%.300s\nvs\n%.300s", kind, configDigest, got, want)
+	}
+	return got
+}
+
+// testFleet builds a two-host Kyoto fleet on the given tier with four
+// VMs placed and 20 ticks run.
+func testFleet(t testing.TB, fid cache.Fidelity) *cluster.Fleet {
+	t.Helper()
+	f, err := cluster.New(cluster.Config{
+		Hosts:    2,
+		Template: cluster.HostTemplate{Seed: testSeed, EnableKyoto: true, Fidelity: fid},
+		Placer:   cluster.Spread{},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, app := range []string{"gcc", "lbm", "omnetpp", "blockie"} {
+		req := cluster.Request{Spec: vm.Spec{Name: fmt.Sprintf("vm%d", i), App: app, LLCCap: 250}}
+		if _, err := f.Place(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f.RunTicks(20)
+	return f
+}
+
+// TestEncodeMatchesReference holds Encode to the reference encoder's
+// bytes on real captures — every golden world and a fleet, on both
+// tiers — and on header strings that json.Marshal escapes: HTML
+// characters, U+2028/U+2029, quotes, backslashes, control bytes and
+// invalid UTF-8.
+func TestEncodeMatchesReference(t *testing.T) {
+	for _, fid := range []cache.Fidelity{cache.FidelityExact, cache.FidelityAnalytic} {
+		for scIdx := range scenarios {
+			t.Run(fmt.Sprintf("world/%s/%v", scenarios[scIdx].name, fid), func(t *testing.T) {
+				w := build(t, scIdx, fid)
+				w.w.RunTicks(17)
+				st, err := w.w.CaptureState()
+				if err != nil {
+					t.Fatal(err)
+				}
+				p := snapshot.WorldPayload{World: st}
+				if w.oracle != nil {
+					p.Oracle = w.oracle.CaptureState(w.w.VCPUs())
+				}
+				enc := requireReferenceEncoding(t, snapshot.KindWorld, "cfg", p)
+				captured, err := snapshot.CaptureWorld(w.w, w.oracle, "cfg")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(captured, enc) {
+					t.Fatal("CaptureWorld differs from Encode of the same state")
+				}
+			})
+		}
+		t.Run(fmt.Sprintf("fleet/%v", fid), func(t *testing.T) {
+			f := testFleet(t, fid)
+			st, err := f.CaptureState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			enc := requireReferenceEncoding(t, snapshot.KindFleet, "cfg", st)
+			captured, err := snapshot.CaptureFleet(f, "cfg")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(captured, enc) {
+				t.Fatal("CaptureFleet differs from Encode of the same state")
+			}
+		})
+	}
+	t.Run("escaped-headers", func(t *testing.T) {
+		payload := map[string]string{"note": "<b>&</b> \u2028 \u2029 \"q\" \\"}
+		for _, s := range []string{
+			"", "<script>", "a&b", "x>y", "line\u2028sep", "para\u2029sep",
+			`quote"back\slash`, "tab\tnl\n\x01", "bad\xffutf8", "é☕",
+		} {
+			requireReferenceEncoding(t, s, "cfg", payload)
+			requireReferenceEncoding(t, snapshot.KindFleet, s, payload)
+		}
+	})
+}
+
+// encodeFixture is a fleet snapshot taken halfway through an analytic
+// churn replay: 12 hosts, with the VMs resident at that moment.
+func encodeFixture(b *testing.B) *cluster.FleetState {
+	b.Helper()
+	f, err := cluster.New(cluster.Config{
+		Hosts:    12,
+		Template: cluster.HostTemplate{Seed: testSeed, EnableKyoto: true, Fidelity: cache.FidelityAnalytic},
+		Placer:   cluster.Admission{},
+		Workers:  1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	tr := arrivals.Synthesize(arrivals.SynthConfig{Seed: testSeed, VMs: 2400, Horizon: 2000, MeanLifetime: 40})
+	p, err := arrivals.NewReplayer(f, tr, arrivals.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := p.StepUntil(1000); err != nil {
+		b.Fatal(err)
+	}
+	st, err := f.CaptureState()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return st
+}
+
+func BenchmarkSnapshotEncode(b *testing.B) {
+	st := encodeFixture(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		data, err := snapshot.Encode(snapshot.KindFleet, "cfg", st)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(len(data)))
+	}
+}
+
+func BenchmarkSnapshotDecode(b *testing.B) {
+	data, err := snapshot.Encode(snapshot.KindFleet, "cfg", encodeFixture(b))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := snapshot.Decode(data, snapshot.KindFleet, "cfg"); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkFingerprintPayload(b *testing.B) {
+	raw, err := json.Marshal(encodeFixture(b))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(raw)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sweep.FingerprintPayload(raw)
+	}
 }

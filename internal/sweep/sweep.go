@@ -146,13 +146,15 @@ type Envelope struct {
 // validation pass, and the buffer regrowth), and this path is what every
 // job result funnels through. Bytes inside strings are folded verbatim
 // (tracking escape state so a quote ending the string is distinguished
-// from an escaped one), exactly as json.Compact preserves them.
+// from an escaped one), exactly as json.Compact preserves them. Each
+// byte folds through pmc.FoldByte, one multiply where FoldUint64 takes
+// eight, with the identical result.
 func FingerprintPayload(payload []byte) string {
 	h := pmc.FoldSeed
 	inString, escaped := false, false
 	for _, b := range payload {
 		if inString {
-			h = pmc.FoldUint64(h, uint64(b))
+			h = pmc.FoldByte(h, b)
 			switch {
 			case escaped:
 				escaped = false
@@ -169,7 +171,7 @@ func FingerprintPayload(payload []byte) string {
 		case '"':
 			inString = true
 		}
-		h = pmc.FoldUint64(h, uint64(b))
+		h = pmc.FoldByte(h, b)
 	}
 	return fmt.Sprintf("%016x", h)
 }
@@ -181,7 +183,7 @@ func foldFingerprints(fps []string) string {
 	h = pmc.FoldUint64(h, uint64(len(fps)))
 	for _, fp := range fps {
 		for _, b := range []byte(fp) {
-			h = pmc.FoldUint64(h, uint64(b))
+			h = pmc.FoldByte(h, b)
 		}
 	}
 	return fmt.Sprintf("%016x", h)

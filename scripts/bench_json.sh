@@ -14,7 +14,12 @@
 #              in the repo root). CI writes BENCH_ci.json and gates the
 #              allocs_per_op fields: zero on the tick path, and the
 #              lazy-chain count on generator construction
-#              (BenchmarkWorkloadGen/new/<app>).
+#              (BenchmarkWorkloadGen/new/<app>). The benchmarks section
+#              also carries the snapshot layer: envelope encode and
+#              decode of a fleet checkpoint taken mid-way through an
+#              analytic churn replay, and the payload fingerprint fold
+#              over the same bytes (BenchmarkSnapshotEncode,
+#              BenchmarkSnapshotDecode, BenchmarkFingerprintPayload).
 #   BENCHTIME  passed to `go test -benchtime`. Durations ("1s") give
 #              stable ns/op; iteration counts ("100x", "10x") are the CI
 #              smoke mode — fast and noisy, but allocs/op stays exact,
@@ -87,8 +92,8 @@ REPLAY_LIFE="${REPLAY_LIFE:-5}"
 REPLAY_BENCHTIME="${REPLAY_BENCHTIME:-2x}"
 
 run_bench() {
-	go test -run '^$' -bench 'BenchmarkWorldTick|BenchmarkCacheAccess|BenchmarkWorkloadGen|BenchmarkAccessLRU' \
-		-benchtime "$BENCHTIME" -benchmem ./internal/hv ./internal/cache ./internal/workload
+	go test -run '^$' -bench 'BenchmarkWorldTick|BenchmarkCacheAccess|BenchmarkWorkloadGen|BenchmarkAccessLRU|BenchmarkSnapshotEncode|BenchmarkSnapshotDecode|BenchmarkFingerprintPayload' \
+		-benchtime "$BENCHTIME" -benchmem ./internal/hv ./internal/cache ./internal/workload ./internal/snapshot
 }
 
 PREV="$(mktemp)"
