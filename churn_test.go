@@ -63,3 +63,21 @@ func TestClusterRemove(t *testing.T) {
 		t.Fatal("removed VM still findable")
 	}
 }
+
+// TestHandBuiltFleetSweepResultTable: a FleetSweepResult assembled by
+// hand (no sweeper stamped a preset on it) renders as the trace preset's
+// table, identical to the sweep result it was copied from.
+func TestHandBuiltFleetSweepResultTable(t *testing.T) {
+	tr := kyoto.SynthesizeTrace(kyoto.ChurnConfig{Seed: 4, VMs: 4, Horizon: 30, MeanLifetime: 10})
+	res, err := kyoto.SweepTrace(tr, kyoto.FleetSweepConfig{Hosts: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hand := kyoto.FleetSweepResult{Hosts: 2, Rows: res.Rows}
+	if got, want := hand.Table().String(), res.Table().String(); got != want {
+		t.Fatalf("hand-built table:\n%s\nwant the trace sweep's:\n%s", got, want)
+	}
+	if empty := (kyoto.FleetSweepResult{Hosts: 2}).Table(); len(empty.Rows) != 0 || len(empty.Columns) == 0 {
+		t.Fatalf("empty hand-built result rendered %+v", empty)
+	}
+}

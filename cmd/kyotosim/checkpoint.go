@@ -19,10 +19,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"text/tabwriter"
 
 	"kyoto"
+	"kyoto/internal/sweep"
 )
 
 // cliCheckpointSchema versions the wrapper; bump on incompatible change.
@@ -31,8 +31,8 @@ const cliCheckpointSchema = "kyotosim-checkpoint-v1"
 // cliCheckpoint is the scenario-mode checkpoint file.
 type cliCheckpoint struct {
 	Schema string `json:"schema"`
-	// Scenario is the compacted scenario JSON the run was started with;
-	// a resume must present the same scenario.
+	// Scenario is the canonical (canonicalJSON) scenario the run was
+	// started with; a resume must present the same scenario.
 	Scenario json.RawMessage `json:"scenario"`
 	// Tick is the world clock at capture time.
 	Tick uint64 `json:"tick"`
@@ -51,33 +51,17 @@ type checkpointOpts struct {
 	every  int    // ticks between checkpoints when path is set
 }
 
-// compactJSON returns data with insignificant whitespace removed, so
-// stored and presented scenario bytes compare format-independently.
-func compactJSON(data []byte) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := json.Compact(&buf, data); err != nil {
+// canonicalJSON compacts data and HTML-escapes it: the form json.Marshal
+// gives the scenario it embeds as a json.RawMessage. Stored and presented
+// scenario bytes then compare independently of formatting and of how a
+// string spells <, >, &, U+2028 or U+2029.
+func canonicalJSON(data []byte) ([]byte, error) {
+	var compact, escaped bytes.Buffer
+	if err := json.Compact(&compact, data); err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
-}
-
-// writeFileAtomic writes data via a temp file in the same directory and
-// a rename, so the destination always holds a complete checkpoint.
-func writeFileAtomic(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	json.HTMLEscape(&escaped, compact.Bytes())
+	return escaped.Bytes(), nil
 }
 
 // resumeScenario loads a checkpoint written by a run of the same
@@ -103,11 +87,11 @@ func resumeScenario(cfg kyoto.WorldConfig, raw []byte, path string, warmup, tota
 	if err != nil {
 		return nil, nil, fmt.Errorf("resuming %s: %w", path, err)
 	}
-	want, err := compactJSON(raw)
+	want, err := canonicalJSON(raw)
 	if err != nil {
 		return nil, nil, err
 	}
-	got, err := compactJSON(c.Scenario)
+	got, err := canonicalJSON(c.Scenario)
 	if err != nil {
 		return nil, nil, fmt.Errorf("checkpoint %s carries an invalid scenario: %w", path, err)
 	}
@@ -171,18 +155,18 @@ func executeScenario(sc scenario, raw []byte, fid kyoto.Fidelity, ck checkpointO
 		if err != nil {
 			return err
 		}
-		compact, err := compactJSON(raw)
+		scn, err := canonicalJSON(raw)
 		if err != nil {
 			return err
 		}
 		data, err := json.Marshal(cliCheckpoint{
-			Schema: cliCheckpointSchema, Scenario: compact,
+			Schema: cliCheckpointSchema, Scenario: scn,
 			Tick: tick, Before: before, Snapshot: snap,
 		})
 		if err != nil {
 			return err
 		}
-		return writeFileAtomic(ck.path, append(data, '\n'))
+		return sweep.WriteFileAtomic(ck.path, append(data, '\n'))
 	}
 
 	// Chunked run loop: boundaries at the warmup end (to capture the

@@ -106,7 +106,7 @@ func TestScenarioCheckpointResumeByteIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	compact, err := compactJSON([]byte(exampleScenario))
+	compact, err := canonicalJSON([]byte(exampleScenario))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,6 +181,46 @@ func TestScenarioCheckpointMismatchErrors(t *testing.T) {
 	}
 	if err := run([]string{"-scenario", scn, "-resume", bad}, &strings.Builder{}); err == nil {
 		t.Fatal("garbage checkpoint accepted")
+	}
+}
+
+// TestScenarioCheckpointResumeSpecialCharacters: json.Marshal stores the
+// scenario inside the checkpoint with <, >, &, U+2028 and U+2029
+// escaped, and a resume must still recognise the scenario file it was
+// taken under.
+func TestScenarioCheckpointResumeSpecialCharacters(t *testing.T) {
+	dir := t.TempDir()
+	scn := filepath.Join(dir, "s.json")
+	ck := filepath.Join(dir, "ck.json")
+	special := strings.NewReplacer(`"name": "web"`, `"name": "<web&db>"`,
+		`"name": "batch"`, "\"name\": \"batch\u2028line\u2029end\"").Replace(exampleScenario)
+	if err := os.WriteFile(scn, []byte(special), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	var plain, ckRun, resumed strings.Builder
+	if err := run([]string{"-scenario", scn}, &plain); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(plain.String(), "<web&db>") {
+		t.Fatalf("report lacks the special VM name:\n%s", plain.String())
+	}
+	if err := run([]string{"-scenario", scn, "-checkpoint-every", "25", "-checkpoint-out", ck}, &ckRun); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-scenario", scn, "-resume", ck}, &resumed); err != nil {
+		t.Fatal(err)
+	}
+	if plain.String() != ckRun.String() || plain.String() != resumed.String() {
+		t.Fatalf("special-character scenario diverged:\n--- plain\n%s\n--- checkpointed\n%s\n--- resumed\n%s",
+			plain.String(), ckRun.String(), resumed.String())
+	}
+	// The scenario comparison still refuses a genuinely different name.
+	other := filepath.Join(dir, "other.json")
+	if err := os.WriteFile(other, []byte(strings.Replace(special, "<web&db>", "<web&dc>", 1)), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-scenario", other, "-resume", ck}, &strings.Builder{}); err == nil || !strings.Contains(err.Error(), "different scenario") {
+		t.Fatalf("renamed VM: %v", err)
 	}
 }
 

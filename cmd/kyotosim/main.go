@@ -476,46 +476,35 @@ type sweepDispatch struct {
 	ckEvery int
 }
 
-// apply runs the sweep the way the flags ask: one shard written as an
-// envelope, a merge of existing envelopes, or the whole sweep in-process
-// (the default). It reports whether the caller should print the merged
-// result (false after a shard run, whose only output is the envelope).
+// apply runs the sweep the way the flags ask: a merge of existing
+// envelopes, one shard written as an envelope, or the whole sweep
+// in-process (the default) — shard 0 of 1, merged. Both runs take the
+// optional job-level checkpoint. It reports whether the caller should
+// print the merged result (false after a shard run, whose only output is
+// the envelope).
 func (d sweepDispatch) apply(s kyoto.Sweep, out io.Writer) (bool, error) {
-	switch {
-	case d.shardSpec != "":
-		k, n, err := kyoto.ParseShardSpec(d.shardSpec)
-		if err != nil {
-			return false, err
-		}
-		var env kyoto.ShardEnvelope
-		if d.ckPath != "" {
-			env, _, err = kyoto.RunSweepShardResumable(s, k, n, 0, d.ckPath, d.ckEvery)
-		} else {
-			env, err = kyoto.RunSweepShard(s, k, n, 0)
-		}
-		if err != nil {
-			return false, err
-		}
-		return false, env.WriteFile(d.shardOut, out)
-	case d.mergeGlobs != "":
+	if d.mergeGlobs != "" {
 		envs, err := kyoto.ReadShardEnvelopes(strings.Split(d.mergeGlobs, ","))
 		if err != nil {
 			return false, err
 		}
 		return true, kyoto.MergeShards(s, envs)
-	default:
-		if d.ckPath != "" {
-			// The whole in-process sweep is shard 0 of 1, so the same
-			// checkpoint machinery resumes it; merging the single envelope
-			// reproduces the plain RunSweep result bit-identically.
-			env, _, err := kyoto.RunSweepShardResumable(s, 0, 1, 0, d.ckPath, d.ckEvery)
-			if err != nil {
-				return false, err
-			}
-			return true, kyoto.MergeShards(s, []kyoto.ShardEnvelope{env})
-		}
-		return true, kyoto.RunSweep(s, 0)
 	}
+	k, n := 0, 1
+	if d.shardSpec != "" {
+		var err error
+		if k, n, err = kyoto.ParseShardSpec(d.shardSpec); err != nil {
+			return false, err
+		}
+	}
+	env, _, err := kyoto.RunSweepShardResumable(s, k, n, 0, d.ckPath, d.ckEvery)
+	if err != nil {
+		return false, err
+	}
+	if d.shardSpec != "" {
+		return false, env.WriteFile(d.shardOut, out)
+	}
+	return true, kyoto.MergeShards(s, []kyoto.ShardEnvelope{env})
 }
 
 // executeSeedSweep runs the -seeds statistical mode: the seedable sweep

@@ -754,9 +754,14 @@ func (s *FleetSweeper) MetricRows() []sweep.MetricRow {
 	return rows
 }
 
-// Table renders the sweep as its preset's comparison table.
+// Table renders the sweep as its preset's comparison table. A result
+// built by hand has no preset and renders with the trace preset, whose
+// columns every row has.
 func (r FleetSweepResult) Table() Table {
 	p := r.preset
+	if p == nil {
+		p = &tracePreset
+	}
 	t := Table{Title: fmt.Sprintf(p.title, r.Hosts, r.Pending), Note: p.note, Columns: p.columns}
 	for _, row := range r.Rows {
 		cells := make([]interface{}, len(p.columns))

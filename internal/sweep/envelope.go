@@ -1,15 +1,17 @@
 package sweep
 
-// Envelope file I/O: shard results are plain JSON files, so any
-// transport that can move a file (scp, object storage, CI artifacts) can
-// move a shard between the process that ran it and the process that
-// merges it.
+// Envelope file I/O: shard results and checkpoints are plain JSON files,
+// so any transport that can move a file (scp, object storage, CI
+// artifacts) can move a shard between the process that ran it and the
+// process that merges it.
 
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -20,18 +22,10 @@ import (
 // WriteFile writes the envelope as indented JSON to path ("-" writes to
 // w if non-nil, else stdout).
 func (e Envelope) WriteFile(path string, w io.Writer) error {
-	// Encode without HTML escaping: escaping would rewrite & < > inside
-	// job payloads, so a payload that is legal JSON with those bytes
-	// would come back from the file with a different fingerprint and be
-	// rejected at merge as corrupt.
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetEscapeHTML(false)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(e); err != nil {
-		return fmt.Errorf("sweep: encoding envelope: %w", err)
+	data, err := encodeEnvelope(e, "  ")
+	if err != nil {
+		return err
 	}
-	data := buf.Bytes()
 	if path == "-" {
 		if w == nil {
 			w = os.Stdout
@@ -40,6 +34,61 @@ func (e Envelope) WriteFile(path string, w io.Writer) error {
 		return err
 	}
 	return os.WriteFile(path, data, 0o644)
+}
+
+// encodeEnvelope is the one envelope encoder, behind shard files and
+// checkpoints alike: newline-terminated JSON indented by indent ("" is
+// compact), without HTML escaping. Escaping would rewrite & < > inside
+// job payloads, so a payload that is legal JSON with those bytes would
+// come back from the file with a different fingerprint and be rejected
+// as corrupt.
+func encodeEnvelope(e Envelope, indent string) ([]byte, error) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false)
+	enc.SetIndent("", indent)
+	if err := enc.Encode(e); err != nil {
+		return nil, fmt.Errorf("sweep: encoding envelope: %w", err)
+	}
+	return buf.Bytes(), nil
+}
+
+// WriteFileAtomic writes data to path through a temp file in the same
+// directory and a rename, so a kill mid-write leaves the previous file
+// intact and the destination always holds a complete checkpoint.
+func WriteFileAtomic(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	_, err = tmp.Write(data)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+		return err
+	}
+	return os.Rename(tmp.Name(), path)
+}
+
+// loadCheckpoint reads the checkpoint at path and validates it against
+// the freshly planned shard with checkEnvelope, returning its completed
+// jobs. A missing file is a clean cold start (nil, nil). Anything else
+// that is wrong is an error: silently discarding a checkpoint would hide
+// exactly the mismatch the configuration digest exists to catch.
+func loadCheckpoint(s Sweep, plan []Job, shard, shards int, path string) ([]JobResult, error) {
+	prior, err := ReadEnvelope(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, nil
+	}
+	if err == nil {
+		err = checkEnvelope(s, plan, prior, shard, shards, "checkpoint "+path)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return prior.Jobs, nil
 }
 
 // ReadEnvelope parses one shard envelope file.

@@ -34,17 +34,39 @@ func FuzzParseShardSpec(f *testing.F) {
 
 // FuzzShardEnvelopeRoundTrip pins the envelope file format from both
 // directions. Arbitrary bytes fed to ReadEnvelope must never panic, and
-// anything it accepts must carry the canonical schema. A well-formed
-// envelope built around the fuzzed payload must survive
-// WriteFile -> ReadEnvelope bit-exactly, and its payload fingerprint
-// must be stable across the trip and insensitive to JSON whitespace.
+// anything it accepts must carry the canonical schema; the same bytes
+// used as a checkpoint must be refused or resume to exactly the
+// cold-run envelope. A well-formed envelope built around the fuzzed
+// payload must survive WriteFile -> ReadEnvelope bit-exactly, and its
+// payload fingerprint must be stable across the trip and insensitive to
+// JSON whitespace.
 func FuzzShardEnvelopeRoundTrip(f *testing.F) {
 	f.Add([]byte(`{"metric": 0.54}`))
 	f.Add([]byte(`[1, 2, 3]`))
 	f.Add([]byte(`"solo/gcc"`))
 	f.Add([]byte(`{"schema":"kyoto-sweep-shard-v1","sweep":"x","shard":0,"shards":1,"plan_jobs":1,"jobs":[]}`))
+	f.Add([]byte(`{"schema":"kyoto-sweep-shard-v1","sweep":"fake","shard":0,"shards":1,"plan_jobs":3,"jobs":null}`))
 	f.Add([]byte(`not json at all`))
 	f.Add([]byte{0xff, 0xfe, 0x00})
+	// Real checkpoints of the sweep direction 1 resumes: complete, and
+	// left behind by a run that died at job 2.
+	coldEnv, err := Engine{Workers: 1}.RunShard(newFakeSweep(3), 0, 1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	cold, _ := json.Marshal(coldEnv)
+	f.Add(append(cold, '\n'))
+	dying := newFakeSweep(3)
+	dying.failAt = 2
+	partialPath := filepath.Join(f.TempDir(), "partial.json")
+	if _, _, err := (Engine{Workers: 1}).RunShardResumable(dying, 0, 1, partialPath, 1); err == nil {
+		f.Fatal("failing run succeeded")
+	}
+	partial, err := os.ReadFile(partialPath)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(partial)
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		dir := t.TempDir()
 
@@ -56,6 +78,13 @@ func FuzzShardEnvelopeRoundTrip(f *testing.F) {
 		}
 		if env, err := ReadEnvelope(rawPath); err == nil && env.Schema != EnvelopeSchema {
 			t.Fatalf("accepted envelope with schema %q", env.Schema)
+		}
+		// The same file as a checkpoint: refused, or resumed to the
+		// cold-run envelope whatever mix of cached and fresh jobs.
+		if env, _, err := (Engine{Workers: 1}).RunShardResumable(newFakeSweep(3), 0, 1, rawPath, 1); err == nil {
+			if got, _ := json.Marshal(env); !bytes.Equal(got, cold) {
+				t.Fatalf("checkpoint %q resumed to\n%s\nwant the cold run's\n%s", raw, got, cold)
+			}
 		}
 
 		// Direction 2: the fuzzed bytes as a job payload inside a

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -183,4 +184,102 @@ func TestRunShardResumableUniqueKeysAcrossRetries(t *testing.T) {
 		t.Fatalf("final checkpoint incomplete: resumed %d, jobs %d", resumed, len(env.Jobs))
 	}
 	_ = fmt.Sprint(env.Fingerprint)
+}
+
+// TestMergeAndResumeRefuseTheSameBrokenEnvelopes feeds each broken
+// envelope both to Merge and, as a checkpoint file, to
+// RunShardResumable: the one envelope check behind both must refuse it
+// with the same complaint, and the resume must run no job.
+func TestMergeAndResumeRefuseTheSameBrokenEnvelopes(t *testing.T) {
+	e0, err := Engine{}.RunShard(newFakeSweep(6), 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e1, err := Engine{}.RunShard(newFakeSweep(6), 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name, want string
+		mutate     func(e *Envelope)
+	}{
+		{"foreign sweep", "belongs to sweep", func(e *Envelope) { e.Sweep = "other" }},
+		{"wrong shard count", "disagree", func(e *Envelope) { e.Shards = 3 }},
+		{"out-of-range shard", "out of range", func(e *Envelope) { e.Shard = 2 }},
+		{"plan size", "same flags", func(e *Envelope) { e.PlanJobs = 9 }},
+		{"digest", "different configuration", func(e *Envelope) { e.Config = "0123456789abcdef" }},
+		{"foreign job index", "does not belong", func(e *Envelope) { e.Jobs[0].Index = 1 }},
+		{"wrong key", "same flags", func(e *Envelope) { e.Jobs[0].Key = "job/x" }},
+		{"duplicate job", "supplied twice", func(e *Envelope) { e.Jobs = append(e.Jobs, e.Jobs[0]) }},
+		{"tampered payload", "fingerprint", func(e *Envelope) { e.Jobs[0].Payload = json.RawMessage("12345") }},
+	}
+	dir := t.TempDir()
+	for _, tc := range cases {
+		bad := e0
+		bad.Jobs = append([]JobResult(nil), e0.Jobs...)
+		tc.mutate(&bad)
+
+		if err := Merge(newFakeSweep(6), []Envelope{e1, bad}); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Merge returned %v, want an error containing %q", tc.name, err, tc.want)
+		}
+
+		path := filepath.Join(dir, strings.ReplaceAll(tc.name, " ", "-")+".json")
+		data, err := encodeEnvelope(bad, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteFileAtomic(path, data); err != nil {
+			t.Fatal(err)
+		}
+		s := newFakeSweep(6)
+		_, _, err = Engine{Workers: 1}.RunShardResumable(s, 0, 2, path, 1)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: resume returned %v, want an error containing %q", tc.name, err, tc.want)
+		}
+		if n := s.runs.Load(); n != 0 {
+			t.Errorf("%s: refused checkpoint still ran %d jobs", tc.name, n)
+		}
+	}
+}
+
+// htmlSweep is fakeSweep with payloads that hold raw <, > and &, which
+// json.Marshal would escape (to \u003c, \u003e and \u0026).
+type htmlSweep struct{ *fakeSweep }
+
+func (h htmlSweep) Run(job Job) (json.RawMessage, error) {
+	h.runs.Add(1)
+	return json.RawMessage(fmt.Sprintf(`{"html":"<b>%d</b> & more"}`, job.Index)), nil
+}
+
+func (h htmlSweep) Merge(payloads []json.RawMessage) error { return nil }
+
+// TestRunShardResumableRawHTMLPayloads: a checkpoint keeps payload bytes
+// verbatim, so a payload holding raw <, > or & resumes from its own
+// checkpoint, and the checkpoint merges like a shard envelope.
+func TestRunShardResumableRawHTMLPayloads(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ckpt.json")
+	cold, _, err := Engine{Workers: 1}.RunShardResumable(htmlSweep{newFakeSweep(4)}, 0, 1, path, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again := htmlSweep{newFakeSweep(4)}
+	env, resumed, err := Engine{Workers: 1}.RunShardResumable(again, 0, 1, path, 1)
+	if err != nil {
+		t.Fatalf("resuming raw-HTML payloads: %v", err)
+	}
+	if resumed != 4 || again.runs.Load() != 0 {
+		t.Fatalf("resumed %d jobs and re-ran %d, want 4 and 0", resumed, again.runs.Load())
+	}
+	a, _ := json.Marshal(cold)
+	b, _ := json.Marshal(env)
+	if string(a) != string(b) {
+		t.Fatalf("resumed envelope differs:\n%s\nvs\n%s", b, a)
+	}
+	ck, err := ReadEnvelope(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Merge(htmlSweep{newFakeSweep(4)}, []Envelope{ck}); err != nil {
+		t.Fatalf("raw-HTML checkpoint does not merge: %v", err)
+	}
 }

@@ -200,17 +200,37 @@ type Engine struct {
 // RunShard plans the sweep and executes shard `shard` of `shards`,
 // returning its envelope. Shards partition the plan round-robin by job
 // index, so a sweep whose expensive jobs cluster at one end still
-// spreads them across shards.
+// spreads them across shards. It is RunShardResumable without a
+// checkpoint file.
 func (e Engine) RunShard(s Sweep, shard, shards int) (Envelope, error) {
+	env, _, err := e.RunShardResumable(s, shard, shards, "", 1)
+	return env, err
+}
+
+// RunShardResumable is RunShard with job-level checkpointing, so a killed
+// run restarts where it stopped instead of from job zero; an empty path
+// means no checkpoint. The file at path, when present, must be a
+// (partial) envelope of this exact sweep configuration and shard slice —
+// it passes the same checks Merge applies — and its completed jobs are
+// reused without re-running. Progress is rewritten to path (atomically)
+// after every `every` fresh completions, after a failure, and once at the
+// end, so the final file is the complete shard envelope. Jobs are
+// deterministic, so the envelope is byte-identical whatever mix of cached
+// and fresh jobs produced it. Returns the envelope plus how many jobs
+// were reused from the checkpoint.
+func (e Engine) RunShardResumable(s Sweep, shard, shards int, path string, every int) (Envelope, int, error) {
+	if path != "" && every < 1 {
+		return Envelope{}, 0, fmt.Errorf("sweep: checkpoint interval must be >= 1 job, got %d", every)
+	}
 	if shards < 1 {
-		return Envelope{}, fmt.Errorf("sweep: shards must be >= 1, got %d", shards)
+		return Envelope{}, 0, fmt.Errorf("sweep: shards must be >= 1, got %d", shards)
 	}
 	if shard < 0 || shard >= shards {
-		return Envelope{}, fmt.Errorf("sweep: shard %d out of range 0..%d", shard, shards-1)
+		return Envelope{}, 0, fmt.Errorf("sweep: shard %d out of range 0..%d", shard, shards-1)
 	}
 	plan, err := validatePlan(s)
 	if err != nil {
-		return Envelope{}, err
+		return Envelope{}, 0, err
 	}
 	var mine []Job
 	for _, j := range plan {
@@ -227,35 +247,88 @@ func (e Engine) RunShard(s Sweep, shard, shards int) (Envelope, error) {
 		Config:   configFingerprint(s),
 		Jobs:     make([]JobResult, len(mine)),
 	}
+	// done marks the jobs present in env.Jobs; job Index sits at slot
+	// Index / shards of its shard.
+	done := make([]bool, len(mine))
+	resumed := 0
+	if path != "" {
+		prior, err := loadCheckpoint(s, plan, shard, shards, path)
+		if err != nil {
+			return Envelope{}, 0, err
+		}
+		for _, jr := range prior {
+			env.Jobs[jr.Index/shards] = jr
+			done[jr.Index/shards] = true
+		}
+		resumed = len(prior)
+	}
+
+	// flush writes the completed jobs, in slice order, as the checkpoint
+	// (the whole envelope once every job is done). While jobs run, callers
+	// hold mu, which also guards the completion counter.
+	var mu sync.Mutex
+	fresh := 0
+	flush := func() error {
+		if path == "" {
+			return nil
+		}
+		partial := env
+		partial.Jobs = make([]JobResult, 0, len(env.Jobs))
+		for i, jr := range env.Jobs {
+			if done[i] {
+				partial.Jobs = append(partial.Jobs, jr)
+			}
+		}
+		data, err := encodeEnvelope(partial, "")
+		if err != nil {
+			return err
+		}
+		return WriteFileAtomic(path, data)
+	}
 	err = ForEach(len(mine), e.Workers, func(i int) error {
+		if done[i] {
+			return nil
+		}
 		payload, err := s.Run(mine[i])
 		if err != nil {
 			return fmt.Errorf("sweep %s: job %s: %w", s.Name(), mine[i].Key, err)
 		}
-		// Re-encode through json.RawMessage-safe compaction is not needed:
-		// the payload is already canonical JSON from json.Marshal. Guard
-		// against invalid JSON here so a buggy Sweep fails its own shard,
-		// not a later merge on another machine.
+		// Guard against invalid JSON here so a buggy Sweep fails its own
+		// shard, not a later merge on another machine.
 		if !json.Valid(payload) {
 			return fmt.Errorf("sweep %s: job %s returned invalid JSON", s.Name(), mine[i].Key)
 		}
+		mu.Lock()
+		defer mu.Unlock()
 		env.Jobs[i] = JobResult{
 			Key:         mine[i].Key,
 			Index:       mine[i].Index,
 			Fingerprint: FingerprintPayload(payload),
 			Payload:     payload,
 		}
+		done[i] = true
+		if fresh++; fresh%every == 0 {
+			return flush()
+		}
 		return nil
 	})
 	if err != nil {
-		return Envelope{}, err
+		// Persist whatever completed before the failure, so the retry
+		// resumes instead of restarting; the run itself still fails.
+		mu.Lock()
+		_ = flush()
+		mu.Unlock()
+		return Envelope{}, resumed, err
 	}
 	fps := make([]string, len(env.Jobs))
 	for i, j := range env.Jobs {
 		fps[i] = j.Fingerprint
 	}
 	env.Fingerprint = foldFingerprints(fps)
-	return env, nil
+	if err := flush(); err != nil {
+		return Envelope{}, resumed, err
+	}
+	return env, resumed, nil
 }
 
 // Run executes the whole sweep in-process and merges the result — the
@@ -273,108 +346,143 @@ func (e Engine) Run(s Sweep) error {
 // Merge validates that envs cover every job of the sweep's plan exactly
 // once and folds the payloads, in plan order, into the sweep's result via
 // s.Merge. The sweep must be configured identically to the one that
-// produced the envelopes; mismatches (different sweep name, plan size,
-// missing or duplicate jobs, disagreeing shard counts) are errors.
+// produced the envelopes: each envelope must pass checkEnvelope, and
+// together they must cover the plan (see place).
 func Merge(s Sweep, envs []Envelope) error {
 	plan, err := validatePlan(s)
 	if err != nil {
 		return err
 	}
-	if len(envs) == 0 {
-		return fmt.Errorf("sweep %s: no shard envelopes to merge", s.Name())
-	}
-	shards := envs[0].Shards
-	seen := make(map[int]bool, len(envs))
-	payloads := make([]json.RawMessage, len(plan))
 	for _, env := range envs {
-		if env.Schema != EnvelopeSchema {
-			return fmt.Errorf("sweep %s: envelope schema %q, want %q", s.Name(), env.Schema, EnvelopeSchema)
-		}
-		if env.Sweep != s.Name() {
-			return fmt.Errorf("sweep %s: envelope belongs to sweep %q", s.Name(), env.Sweep)
-		}
-		if env.Shards != shards {
-			return fmt.Errorf("sweep %s: envelopes disagree on shard count: %d vs %d", s.Name(), env.Shards, shards)
-		}
-		if env.PlanJobs != len(plan) {
-			return fmt.Errorf("sweep %s: envelope plans %d jobs, this configuration plans %d — merge must use the same flags as the shards", s.Name(), env.PlanJobs, len(plan))
-		}
-		if want := configFingerprint(s); env.Config != want {
-			return fmt.Errorf("sweep %s: envelope was produced under a different configuration (digest %s, merging with %s) — merge must use the same flags as the shards", s.Name(), env.Config, want)
-		}
-		if env.Shard < 0 || env.Shard >= shards {
-			return fmt.Errorf("sweep %s: envelope shard %d out of range 0..%d", s.Name(), env.Shard, shards-1)
-		}
-		if seen[env.Shard] {
-			return fmt.Errorf("sweep %s: shard %d supplied twice", s.Name(), env.Shard)
-		}
-		seen[env.Shard] = true
-		for _, j := range env.Jobs {
-			if j.Index < 0 || j.Index >= len(plan) {
-				return fmt.Errorf("sweep %s: job index %d out of plan range", s.Name(), j.Index)
-			}
-			if j.Index%shards != env.Shard {
-				return fmt.Errorf("sweep %s: job %d does not belong to shard %d of %d", s.Name(), j.Index, env.Shard, shards)
-			}
-			if j.Key != plan[j.Index].Key {
-				return fmt.Errorf("sweep %s: job %d is %q in the envelope but %q in the plan — merge must use the same flags as the shards", s.Name(), j.Index, j.Key, plan[j.Index].Key)
-			}
-			if payloads[j.Index] != nil {
-				return fmt.Errorf("sweep %s: job %d supplied twice", s.Name(), j.Index)
-			}
-			if got := FingerprintPayload(j.Payload); got != j.Fingerprint {
-				return fmt.Errorf("sweep %s: job %s payload does not match its fingerprint (%s vs %s) — envelope corrupted in transit", s.Name(), j.Key, got, j.Fingerprint)
-			}
-			payloads[j.Index] = j.Payload
+		if err := checkEnvelope(s, plan, env, env.Shard, envs[0].Shards, "envelope"); err != nil {
+			return err
 		}
 	}
-	if len(seen) != shards {
-		missing := make([]int, 0, shards)
-		for k := 0; k < shards; k++ {
-			if !seen[k] {
-				missing = append(missing, k)
-			}
-		}
-		return fmt.Errorf("sweep %s: missing shard envelopes %v of %d", s.Name(), missing, shards)
+	jobs, err := place(envs)
+	if err != nil {
+		return fmt.Errorf("sweep %s: %w", s.Name(), err)
 	}
-	for i, p := range payloads {
-		if p == nil {
-			return fmt.Errorf("sweep %s: job %d (%s) missing from all envelopes", s.Name(), i, plan[i].Key)
-		}
+	payloads := make([]json.RawMessage, len(jobs))
+	for i, j := range jobs {
+		payloads[i] = j.Payload
 	}
 	return s.Merge(payloads)
 }
 
 // MergedFingerprint folds the per-job fingerprints of a complete envelope
 // set in plan order — the whole-sweep identity the determinism goldens
-// pin. It performs the same coverage validation as Merge but does not
-// execute the sweep's own fold.
+// pin. It performs Merge's coverage pass but needs no sweep, so it
+// neither checks envelopes against a plan nor executes a fold.
 func MergedFingerprint(envs []Envelope) (string, error) {
-	if len(envs) == 0 {
-		return "", fmt.Errorf("sweep: no envelopes")
+	jobs, err := place(envs)
+	if err != nil {
+		return "", fmt.Errorf("sweep: %w", err)
 	}
-	n := envs[0].PlanJobs
-	fps := make([]string, n)
-	for _, env := range envs {
-		if env.PlanJobs != n {
-			return "", fmt.Errorf("sweep: envelopes disagree on plan size: %d vs %d", env.PlanJobs, n)
-		}
-		for _, j := range env.Jobs {
-			if j.Index < 0 || j.Index >= n {
-				return "", fmt.Errorf("sweep: job index %d out of plan range", j.Index)
-			}
-			if fps[j.Index] != "" {
-				return "", fmt.Errorf("sweep: job %d supplied twice", j.Index)
-			}
-			fps[j.Index] = j.Fingerprint
-		}
-	}
-	for i, fp := range fps {
-		if fp == "" {
-			return "", fmt.Errorf("sweep: job %d missing", i)
-		}
+	fps := make([]string, len(jobs))
+	for i, j := range jobs {
+		fps[i] = j.Fingerprint
 	}
 	return foldFingerprints(fps), nil
+}
+
+// checkEnvelope is the one validation of an envelope against the
+// freshly planned sweep, shared by Merge and checkpoint resume: schema,
+// sweep name, shard count (shards) and slice (shard), plan size and
+// configuration digest, then for each job its index, shard ownership,
+// key, uniqueness and payload fingerprint. what names the envelope in
+// errors.
+func checkEnvelope(s Sweep, plan []Job, env Envelope, shard, shards int, what string) error {
+	const sameFlags = " — use the same flags as the run that wrote it"
+	name := s.Name()
+	switch want := configFingerprint(s); {
+	case env.Schema != EnvelopeSchema:
+		return fmt.Errorf("sweep %s: %s has schema %q, this build reads %q", name, what, env.Schema, EnvelopeSchema)
+	case env.Sweep != name:
+		return fmt.Errorf("sweep %s: %s belongs to sweep %q", name, what, env.Sweep)
+	case env.Shards != shards:
+		return fmt.Errorf("sweep %s: %s disagrees on the shard count: %d vs %d", name, what, env.Shards, shards)
+	case env.Shard < 0 || env.Shard >= shards:
+		return fmt.Errorf("sweep %s: %s shard %d out of range 0..%d", name, what, env.Shard, shards-1)
+	case env.Shard != shard:
+		return fmt.Errorf("sweep %s: %s covers shard %d/%d, this run is shard %d/%d", name, what, env.Shard, shards, shard, shards)
+	case env.PlanJobs != len(plan):
+		return fmt.Errorf("sweep %s: %s plans %d jobs, this configuration plans %d"+sameFlags, name, what, env.PlanJobs, len(plan))
+	case env.Config != want:
+		return fmt.Errorf("sweep %s: %s was produced under a different configuration (digest %s, this run's is %s)"+sameFlags, name, what, env.Config, want)
+	}
+	seen := make(map[int]bool, len(env.Jobs))
+	for _, j := range env.Jobs {
+		switch {
+		case j.Index < 0 || j.Index >= len(plan):
+			return fmt.Errorf("sweep %s: %s job index %d out of plan range", name, what, j.Index)
+		case j.Index%shards != shard:
+			return fmt.Errorf("sweep %s: %s job %d does not belong to shard %d of %d", name, what, j.Index, shard, shards)
+		case j.Key != plan[j.Index].Key:
+			return fmt.Errorf("sweep %s: %s job %d is %q, the plan says %q"+sameFlags, name, what, j.Index, j.Key, plan[j.Index].Key)
+		case seen[j.Index]:
+			return fmt.Errorf("sweep %s: %s job %d supplied twice", name, what, j.Index)
+		}
+		seen[j.Index] = true
+		if got := FingerprintPayload(j.Payload); got != j.Fingerprint {
+			return fmt.Errorf("sweep %s: %s job %s payload does not match its fingerprint (%s vs %s) — corrupted", name, what, j.Key, got, j.Fingerprint)
+		}
+	}
+	return nil
+}
+
+// place is the coverage pass shared by Merge and MergedFingerprint: it
+// files every job of envs at its plan index, requiring the envelopes to
+// agree on plan size and shard count, each shard to be supplied exactly
+// once, and every plan index to be covered exactly once.
+func place(envs []Envelope) ([]JobResult, error) {
+	if len(envs) == 0 {
+		return nil, fmt.Errorf("no shard envelopes to merge")
+	}
+	n, shards := envs[0].PlanJobs, envs[0].Shards
+	seen := make(map[int]bool, len(envs))
+	total := 0
+	for _, env := range envs {
+		switch {
+		case env.PlanJobs != n:
+			return nil, fmt.Errorf("envelopes disagree on plan size: %d vs %d", env.PlanJobs, n)
+		case env.Shards != shards:
+			return nil, fmt.Errorf("envelopes disagree on shard count: %d vs %d", env.Shards, shards)
+		case env.Shard < 0 || env.Shard >= shards:
+			return nil, fmt.Errorf("envelope shard %d out of range 0..%d", env.Shard, shards-1)
+		case seen[env.Shard]:
+			return nil, fmt.Errorf("shard %d supplied twice", env.Shard)
+		}
+		seen[env.Shard] = true
+		total += len(env.Jobs)
+	}
+	if len(seen) != shards {
+		// List the first few gaps; a corrupt shard count must not turn
+		// the listing itself into a huge loop.
+		var missing []int
+		for k := 0; k < shards && len(missing) < 16; k++ {
+			if !seen[k] {
+				missing = append(missing, k)
+			}
+		}
+		return nil, fmt.Errorf("missing shard envelopes %v of %d", missing, shards)
+	}
+	// Checking the count first bounds the allocation by the jobs actually
+	// supplied; with it equal to n, an index in range and not yet filled
+	// for every job means every index is covered.
+	if total != n {
+		return nil, fmt.Errorf("envelopes hold %d jobs, the plan has %d", total, n)
+	}
+	jobs := make([]JobResult, n)
+	filled := make([]bool, n)
+	for _, env := range envs {
+		for _, j := range env.Jobs {
+			if j.Index < 0 || j.Index >= n || filled[j.Index] {
+				return nil, fmt.Errorf("job index %d out of plan range or supplied twice", j.Index)
+			}
+			jobs[j.Index], filled[j.Index] = j, true
+		}
+	}
+	return jobs, nil
 }
 
 // validatePlan fetches the plan and checks its invariants: contiguous

@@ -115,8 +115,9 @@ func RunSweepShard(s Sweep, shard, shards, workers int) (ShardEnvelope, error) {
 // every `every` fresh completions, and a file already present there must
 // be a checkpoint of this exact sweep configuration and shard slice,
 // whose completed jobs are reused without re-running. The final envelope
-// is byte-identical to an uninterrupted RunSweepShard. Returns the
-// envelope plus how many jobs were resumed from the checkpoint.
+// is byte-identical to an uninterrupted RunSweepShard. An empty path
+// means no checkpoint: the call is then exactly RunSweepShard. Returns
+// the envelope plus how many jobs were resumed from the checkpoint.
 func RunSweepShardResumable(s Sweep, shard, shards, workers int, path string, every int) (ShardEnvelope, int, error) {
 	return sweep.Engine{Workers: workers}.RunShardResumable(s, shard, shards, path, every)
 }
