@@ -6,8 +6,8 @@ package kyoto
 //
 //	go test -bench=. -benchmem
 //
-// reproduces the study end to end. DESIGN.md maps artefacts to benches;
-// EXPERIMENTS.md records paper-vs-measured values.
+// reproduces the study end to end. README's "Reproducing the paper's
+// figures" prints the same artefacts as tables through kyotobench.
 
 import (
 	"fmt"
@@ -306,7 +306,7 @@ func BenchmarkRunnerParallel(b *testing.B) {
 	}
 }
 
-// --- Ablation benches (extensions beyond the paper; see DESIGN.md §6). ---
+// --- Ablation benches (extensions beyond the paper; kyotobench -run ablations). ---
 
 // BenchmarkAblationIndicator compares quota enforcement driven by
 // Equation 1 vs the raw-LLCM indicator on the Fig 5 scenario.

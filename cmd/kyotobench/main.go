@@ -8,8 +8,8 @@
 //	kyotobench -list
 //
 // Each experiment prints an ASCII table whose rows correspond to the
-// paper's bars/series; EXPERIMENTS.md records the paper-vs-measured
-// comparison.
+// paper's bars/series; README's "Reproducing the paper's figures" walks
+// through the runs.
 //
 // The sweep-shaped experiments (fig4, fig4matrix, ablations, detection — see
 // -list-shardable) can be fanned out across processes: -shard k/n runs
@@ -80,149 +80,107 @@ func main() {
 	}
 }
 
-// experimentFunc runs one experiment and returns its rendered tables.
-type experimentFunc func(seed uint64) ([]experiments.Table, error)
+// runFunc renders one plain experiment's tables.
+type runFunc func(seed uint64, fid cache.Fidelity) ([]experiments.Table, error)
 
-// fidelityCapable lists the experiments -fidelity analytic can
-// accelerate. The rest either measure cache micro-behaviour the
-// analytic tier deliberately does not simulate (ablations partition the
-// exact LLC) or are cheap enough that two tiers would be noise.
-var fidelityCapable = map[string]bool{"fig4": true, "warmstart": true, "detection": true}
+// experiment is one kyotobench id. Exactly one of run and sweep is set.
+type experiment struct {
+	// run renders a plain experiment.
+	run runFunc
+	// sweep builds a fresh sweep-shaped experiment with its renderer, so
+	// shard and merge processes plan identical job lists from flags
+	// alone. It runs in-process through the same sweep, and -shard/-merge
+	// can distribute it; -seeds can replicate it when it is a
+	// sweep.Seedable.
+	sweep func(seed uint64, fid cache.Fidelity) shardableSweep
+	// fidelity marks the experiments -fidelity analytic can accelerate.
+	// The rest either measure cache micro-behaviour the analytic tier
+	// deliberately does not simulate (ablations partition the exact LLC)
+	// or are cheap enough that two tiers would be noise.
+	fidelity bool
+	// twoTier runs -fidelity two-tier, for the experiments whose broad
+	// pass ranks arms for exact confirmation.
+	twoTier func(seed uint64, topK int) ([]experiments.Table, error)
+}
 
-// twoTierCapable lists the experiments -fidelity two-tier applies to —
-// the ones whose broad pass ranks arms for exact confirmation.
-var twoTierCapable = map[string]bool{"fig4": true}
-
-// registry maps experiment ids to runners. Keep ids in sync with
-// DESIGN.md's per-experiment index.
-func registry(fid cache.Fidelity) map[string]experimentFunc {
-	return map[string]experimentFunc{
-		"table1": func(seed uint64) ([]experiments.Table, error) {
-			return []experiments.Table{experiments.Table1()}, nil
-		},
-		"table2": func(seed uint64) ([]experiments.Table, error) {
-			return []experiments.Table{experiments.Table2()}, nil
-		},
-		"fig4": func(seed uint64) ([]experiments.Table, error) {
-			s := experiments.NewFig4SweeperFidelity(seed, fid)
-			if err := (sweep.Engine{}).Run(s); err != nil {
-				return nil, err
-			}
-			return []experiments.Table{s.Result().Table()}, nil
-		},
-		"fig4matrix": func(seed uint64) ([]experiments.Table, error) {
-			t, err := experiments.Fig4Matrix(seed)
-			if err != nil {
-				return nil, err
-			}
-			return []experiments.Table{t}, nil
-		},
-		"fig1": func(seed uint64) ([]experiments.Table, error) {
-			r, err := experiments.Fig1(seed)
-			if err != nil {
-				return nil, err
-			}
-			return r.Tables(), nil
-		},
-		"fig2": func(seed uint64) ([]experiments.Table, error) {
-			r, err := experiments.Fig2(seed)
-			if err != nil {
-				return nil, err
-			}
-			return []experiments.Table{r.Table()}, nil
-		},
-		"fig3": func(seed uint64) ([]experiments.Table, error) {
-			r, err := experiments.Fig3(seed)
-			if err != nil {
-				return nil, err
-			}
-			return []experiments.Table{r.Table()}, nil
-		},
-		"fig5": func(seed uint64) ([]experiments.Table, error) {
-			r, err := experiments.Fig5(seed)
-			if err != nil {
-				return nil, err
-			}
-			return r.Tables(), nil
-		},
-		"fig6": func(seed uint64) ([]experiments.Table, error) {
-			r, err := experiments.Fig6(seed)
-			if err != nil {
-				return nil, err
-			}
-			return []experiments.Table{r.Table()}, nil
-		},
-		"fig8": func(seed uint64) ([]experiments.Table, error) {
-			r, err := experiments.Fig8(seed)
-			if err != nil {
-				return nil, err
-			}
-			return []experiments.Table{r.Table()}, nil
-		},
-		"fig9": func(seed uint64) ([]experiments.Table, error) {
-			r, err := experiments.Fig9(seed)
-			if err != nil {
-				return nil, err
-			}
-			return []experiments.Table{r.Table()}, nil
-		},
-		"fig10": func(seed uint64) ([]experiments.Table, error) {
-			r, err := experiments.Fig10(seed)
-			if err != nil {
-				return nil, err
-			}
-			return []experiments.Table{r.Table()}, nil
-		},
-		"fig11": func(seed uint64) ([]experiments.Table, error) {
-			r, err := experiments.Fig11(seed)
-			if err != nil {
-				return nil, err
-			}
-			return []experiments.Table{r.Table()}, nil
-		},
-		"fig12": func(seed uint64) ([]experiments.Table, error) {
-			r, err := experiments.Fig12(seed)
-			if err != nil {
-				return nil, err
-			}
-			return []experiments.Table{r.Table()}, nil
-		},
-		"ablations": func(seed uint64) ([]experiments.Table, error) {
-			t, err := experiments.AblationTable(seed)
-			if err != nil {
-				return nil, err
-			}
-			return []experiments.Table{t}, nil
-		},
-		"ks4linux": func(seed uint64) ([]experiments.Table, error) {
-			r, err := experiments.KS4Linux(seed)
-			if err != nil {
-				return nil, err
-			}
-			return []experiments.Table{r.Table()}, nil
-		},
-		"crossval": func(seed uint64) ([]experiments.Table, error) {
-			r, err := experiments.CrossValidate(seed)
-			if err != nil {
-				return nil, err
-			}
-			return []experiments.Table{r.Table()}, nil
-		},
-		"warmstart": func(seed uint64) ([]experiments.Table, error) {
-			r, err := experiments.WarmStartSweep(experiments.WarmStartConfig{Seed: seed, Fidelity: fid})
-			if err != nil {
-				return nil, err
-			}
-			return []experiments.Table{r.Table()}, nil
-		},
-		"detection": func(seed uint64) ([]experiments.Table, error) {
-			s := experiments.NewDetectionBenchSweeper(seed, fid)
-			if err := (sweep.Engine{}).Run(s); err != nil {
-				return nil, err
-			}
-			return []experiments.Table{s.Result().Table()}, nil
-		},
+// table adapts an experiment that renders one table.
+func table[R interface{ Table() experiments.Table }](f func(uint64) (R, error)) runFunc {
+	return func(seed uint64, _ cache.Fidelity) ([]experiments.Table, error) {
+		r, err := f(seed)
+		if err != nil {
+			return nil, err
+		}
+		return []experiments.Table{r.Table()}, nil
 	}
+}
+
+// tables adapts an experiment that renders several tables.
+func tables[R interface{ Tables() []experiments.Table }](f func(uint64) (R, error)) runFunc {
+	return func(seed uint64, _ cache.Fidelity) ([]experiments.Table, error) {
+		r, err := f(seed)
+		if err != nil {
+			return nil, err
+		}
+		return r.Tables(), nil
+	}
+}
+
+// registry maps experiment ids to their entries. README's "Reproducing
+// the paper's figures" shows how to run them.
+var registry = map[string]experiment{
+	"table1": {run: func(uint64, cache.Fidelity) ([]experiments.Table, error) {
+		return []experiments.Table{experiments.Table1()}, nil
+	}},
+	"table2": {run: func(uint64, cache.Fidelity) ([]experiments.Table, error) {
+		return []experiments.Table{experiments.Table2()}, nil
+	}},
+	"fig1":     {run: tables(experiments.Fig1)},
+	"fig2":     {run: table(experiments.Fig2)},
+	"fig3":     {run: table(experiments.Fig3)},
+	"fig5":     {run: tables(experiments.Fig5)},
+	"fig6":     {run: table(experiments.Fig6)},
+	"fig8":     {run: table(experiments.Fig8)},
+	"fig9":     {run: table(experiments.Fig9)},
+	"fig10":    {run: table(experiments.Fig10)},
+	"fig11":    {run: table(experiments.Fig11)},
+	"fig12":    {run: table(experiments.Fig12)},
+	"ks4linux": {run: table(experiments.KS4Linux)},
+	"crossval": {run: table(func(seed uint64) (*experiments.CrossValResult, error) {
+		return experiments.CrossValidate(seed)
+	})},
+	"warmstart": {fidelity: true, run: func(seed uint64, fid cache.Fidelity) ([]experiments.Table, error) {
+		r, err := experiments.WarmStartSweep(experiments.WarmStartConfig{Seed: seed, Fidelity: fid})
+		if err != nil {
+			return nil, err
+		}
+		return []experiments.Table{r.Table()}, nil
+	}},
+	"fig4": {
+		fidelity: true,
+		sweep: func(seed uint64, fid cache.Fidelity) shardableSweep {
+			s := experiments.NewFig4SweeperFidelity(seed, fid)
+			return shardableSweep{s, func() (experiments.Table, error) { return s.Result().Table(), nil }}
+		},
+		twoTier: func(seed uint64, topK int) ([]experiments.Table, error) {
+			r, err := experiments.TwoTierFig4(seed, topK)
+			if err != nil {
+				return nil, err
+			}
+			return r.Tables(), nil
+		},
+	},
+	"fig4matrix": {sweep: func(seed uint64, _ cache.Fidelity) shardableSweep {
+		s := experiments.NewFig4MatrixSweeper(seed)
+		return shardableSweep{s, func() (experiments.Table, error) { return *s.Result(), nil }}
+	}},
+	"ablations": {sweep: func(seed uint64, _ cache.Fidelity) shardableSweep {
+		s := experiments.NewAblationSweeper(seed)
+		return shardableSweep{s, func() (experiments.Table, error) { return *s.Result(), nil }}
+	}},
+	"detection": {fidelity: true, sweep: func(seed uint64, fid cache.Fidelity) shardableSweep {
+		s := experiments.NewDetectionBenchSweeper(seed, fid)
+		return shardableSweep{s, func() (experiments.Table, error) { return s.Result().Table(), nil }}
+	}},
 }
 
 // warmstartJSON is the -warmstart-json report: the warm-start sweep's
@@ -278,83 +236,74 @@ func runWarmstartJSON(seed uint64, fid cache.Fidelity, path string, out io.Write
 
 // shardableSweep pairs a sweep with the renderer of its merged result.
 type shardableSweep struct {
-	s      sweep.Sweep
-	tables func() ([]experiments.Table, error)
+	s     sweep.Sweep
+	table func() (experiments.Table, error)
 }
 
-// shardableSweeps builds the sweep-shaped experiments by id — the ones
-// -shard/-merge can distribute. Each call returns fresh sweeps, so shard
-// and merge processes plan identical job lists from flags alone.
-func shardableSweeps(seed uint64, fid cache.Fidelity) map[string]shardableSweep {
-	fig4 := experiments.NewFig4SweeperFidelity(seed, fid)
-	matrix := experiments.NewFig4MatrixSweeper(seed)
-	abl := experiments.NewAblationSweeper(seed)
-	det := experiments.NewDetectionBenchSweeper(seed, fid)
-	return map[string]shardableSweep{
-		"fig4": {fig4, func() ([]experiments.Table, error) {
-			return []experiments.Table{fig4.Result().Table()}, nil
-		}},
-		"fig4matrix": {matrix, func() ([]experiments.Table, error) {
-			return []experiments.Table{*matrix.Result()}, nil
-		}},
-		"ablations": {abl, func() ([]experiments.Table, error) {
-			return []experiments.Table{*abl.Result()}, nil
-		}},
-		"detection": {det, func() ([]experiments.Table, error) {
-			return []experiments.Table{det.Result().Table()}, nil
-		}},
+// runIn runs the sweep in-process with the given job parallelism and
+// renders its merged result.
+func (ss shardableSweep) runIn(workers int) ([]experiments.Table, error) {
+	if err := (sweep.Engine{Workers: workers}).Run(ss.s); err != nil {
+		return nil, err
 	}
+	t, err := ss.table()
+	if err != nil {
+		return nil, err
+	}
+	return []experiments.Table{t}, nil
 }
 
-// shardableIDs lists the -shard/-merge capable experiment ids, sorted.
-func shardableIDs() []string {
-	ids := make([]string, 0, 4)
-	for id := range shardableSweeps(1, cache.FidelityExact) {
-		ids = append(ids, id)
+// execute runs the experiment in-process and renders its tables.
+func (e experiment) execute(seed uint64, fid cache.Fidelity) ([]experiments.Table, error) {
+	if e.run != nil {
+		return e.run(seed, fid)
 	}
-	sort.Strings(ids)
-	return ids
+	return e.sweep(seed, fid).runIn(0)
 }
 
-// seedableSweeps builds the experiments -seeds can replicate across
-// consecutive seeds — the sweeps with sweep.Seedable adapters.
-func seedableSweeps(seed uint64, fid cache.Fidelity) map[string]sweep.Seedable {
-	return map[string]sweep.Seedable{
-		"fig4":      experiments.NewFig4SweeperFidelity(seed, fid),
-		"ablations": experiments.NewAblationSweeper(seed),
-		"detection": experiments.NewDetectionBenchSweeper(seed, fid),
+// seedProto returns the experiment's sweep as a sweep.Seedable, or nil
+// when -seeds cannot replicate it.
+func (e experiment) seedProto(seed uint64, fid cache.Fidelity) sweep.Seedable {
+	if e.sweep == nil {
+		return nil
 	}
+	s, _ := e.sweep(seed, fid).s.(sweep.Seedable)
+	return s
 }
 
-// seedableIDs lists the -seeds capable experiment ids, sorted.
-func seedableIDs() []string {
-	ids := make([]string, 0, 2)
-	for id := range seedableSweeps(1, cache.FidelityExact) {
-		ids = append(ids, id)
+// ids lists the registry ids whose entry passes keep, sorted.
+func ids(keep func(experiment) bool) []string {
+	var out []string
+	for id, e := range registry {
+		if keep(e) {
+			out = append(out, id)
+		}
 	}
-	sort.Strings(ids)
-	return ids
+	sort.Strings(out)
+	return out
 }
+
+// Filters for ids: every experiment, the ones -shard/-merge can
+// distribute, and the ones -seeds can replicate.
+func everyExperiment(experiment) bool { return true }
+
+func shardable(e experiment) bool { return e.sweep != nil }
+
+func seedable(e experiment) bool { return e.seedProto(1, cache.FidelityExact) != nil }
 
 // seedSweepEntry wraps a seedable experiment in a seed sweep paired
 // with the statistics-table renderer, so seed sweeps flow through the
 // same run/shard/merge paths as any other sweep.
 func seedSweepEntry(id string, seed uint64, seeds int, fid cache.Fidelity) (shardableSweep, error) {
-	proto, ok := seedableSweeps(seed, fid)[id]
-	if !ok {
-		return shardableSweep{}, fmt.Errorf("experiment %q does not support -seeds (seedable: %s)", id, strings.Join(seedableIDs(), ", "))
+	proto := registry[id].seedProto(seed, fid)
+	if proto == nil {
+		return shardableSweep{}, fmt.Errorf("experiment %q does not support -seeds (seedable: %s)", id, strings.Join(ids(seedable), ", "))
 	}
 	ss, err := sweep.NewSeedSweeper(proto, sweep.SeedSweepConfig{Seeds: seeds, BaseSeed: seed})
 	if err != nil {
 		return shardableSweep{}, err
 	}
-	return shardableSweep{ss, func() ([]experiments.Table, error) {
-		t, err := experiments.SeedSweepTable(ss.Result())
-		if err != nil {
-			return nil, err
-		}
-		return []experiments.Table{t}, nil
-	}}, nil
+	return shardableSweep{ss, func() (experiments.Table, error) { return experiments.SeedSweepTable(ss.Result()) }}, nil
 }
 
 func run(args []string) (err error) {
@@ -383,6 +332,9 @@ func run(args []string) (err error) {
 	if set["seeds"] && *seeds < 1 {
 		return fmt.Errorf("-seeds must be at least 1, got %d", *seeds)
 	}
+	if set["shard-out"] && *shardSpec == "" {
+		return fmt.Errorf("-shard-out only applies with -shard")
+	}
 	twoTier := *fidelity == "two-tier"
 	var fid cache.Fidelity
 	if !twoTier {
@@ -397,11 +349,16 @@ func run(args []string) (err error) {
 		return fmt.Errorf("-confirm-top must be at least 1, got %d", *confirmTop)
 	}
 	if *listShard {
-		for _, id := range shardableIDs() {
+		for _, id := range ids(shardable) {
 			fmt.Println(id)
 		}
 		return nil
 	}
+	stopProf, err := profiling.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		return err
+	}
+	defer profiling.StopInto(stopProf, &err)
 	if *wsJSON != "" {
 		if twoTier {
 			return fmt.Errorf("-warmstart-json runs on one tier; use -fidelity exact or analytic")
@@ -411,11 +368,6 @@ func run(args []string) (err error) {
 		}
 		return runWarmstartJSON(*seed, fid, *wsJSON, os.Stdout)
 	}
-	stopProf, err := profiling.Start(*cpuProfile, *memProfile)
-	if err != nil {
-		return err
-	}
-	defer profiling.StopInto(stopProf, &err)
 	if *shardSpec != "" || *mergeGlobs != "" {
 		if twoTier {
 			// The exact pass depends on the analytic ranking, so the
@@ -425,33 +377,28 @@ func run(args []string) (err error) {
 		}
 		return runSharded(*runList, *seed, *seeds, *workers, fid, *shardSpec, *shardOut, *mergeGlobs, os.Stdout)
 	}
-	reg := registry(fid)
-	ids := make([]string, 0, len(reg))
-	for id := range reg {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-
+	all := ids(everyExperiment)
 	if *list {
-		for _, id := range ids {
+		for _, id := range all {
 			fmt.Println(id)
 		}
 		return nil
 	}
 
-	selected := ids
+	selected := all
 	if *runList != "all" {
 		selected = strings.Split(*runList, ",")
 	}
 	for i, id := range selected {
 		selected[i] = strings.TrimSpace(id)
-		if _, ok := reg[selected[i]]; !ok {
+		e, ok := registry[selected[i]]
+		if !ok {
 			return fmt.Errorf("unknown experiment %q (use -list)", selected[i])
 		}
-		if twoTier && !twoTierCapable[selected[i]] {
+		if twoTier && e.twoTier == nil {
 			return fmt.Errorf("experiment %q does not support -fidelity two-tier (two-tier applies to: fig4)", selected[i])
 		}
-		if !twoTier && fid != cache.FidelityExact && !fidelityCapable[selected[i]] {
+		if !twoTier && fid != cache.FidelityExact && !e.fidelity {
 			return fmt.Errorf("experiment %q runs on the exact tier only (-fidelity applies to: fig4, warmstart, detection)", selected[i])
 		}
 	}
@@ -460,10 +407,20 @@ func run(args []string) (err error) {
 		if *seeds > 0 {
 			return fmt.Errorf("-fidelity two-tier does not compose with -seeds; replicate each tier separately with -fidelity analytic/exact")
 		}
-		return runTwoTier(selected, *seed, *confirmTop, os.Stdout)
+		return runEach(selected, os.Stdout, func(i int) ([]experiments.Table, error) {
+			return registry[selected[i]].twoTier(*seed, *confirmTop)
+		})
 	}
 	if *seeds > 0 {
-		return runSeedSweeps(selected, *seed, *seeds, *workers, fid, os.Stdout)
+		entries := make([]shardableSweep, len(selected))
+		for i, id := range selected {
+			if entries[i], err = seedSweepEntry(id, *seed, *seeds, fid); err != nil {
+				return err
+			}
+		}
+		return runEach(selected, os.Stdout, func(i int) ([]experiments.Table, error) {
+			return entries[i].runIn(*workers)
+		})
 	}
 
 	// Experiments are independent: fan them out across workers (each one
@@ -475,7 +432,7 @@ func run(args []string) (err error) {
 	outcomes := make([]outcome, len(selected))
 	err = experiments.ForEach(len(selected), *workers, func(i int) error {
 		start := time.Now()
-		tables, err := reg[selected[i]](*seed)
+		tables, err := registry[selected[i]].execute(*seed, fid)
 		if err != nil {
 			return fmt.Errorf("%s: %w", selected[i], err)
 		}
@@ -486,53 +443,30 @@ func run(args []string) (err error) {
 		return err
 	}
 	for i, id := range selected {
-		for _, t := range outcomes[i].tables {
-			fmt.Println(t.String())
-		}
-		fmt.Printf("[%s completed in %v]\n\n", id, outcomes[i].elapsed.Round(time.Millisecond))
+		printTables(os.Stdout, id, outcomes[i].tables, outcomes[i].elapsed)
 	}
 	return nil
 }
 
-// runSeedSweeps handles plain -seeds mode: each selected experiment must
-// be seedable; its seed sweep runs in-process and prints the statistics
-// table.
-func runSeedSweeps(ids []string, seed uint64, seeds, workers int, fid cache.Fidelity, out io.Writer) error {
-	for _, id := range ids {
-		entry, err := seedSweepEntry(id, seed, seeds, fid)
-		if err != nil {
-			return err
-		}
-		start := time.Now()
-		if err := (sweep.Engine{Workers: workers}).Run(entry.s); err != nil {
-			return fmt.Errorf("%s: %w", id, err)
-		}
-		tables, err := entry.tables()
-		if err != nil {
-			return fmt.Errorf("%s: %w", id, err)
-		}
-		for _, t := range tables {
-			fmt.Fprintln(out, t.String())
-		}
-		fmt.Fprintf(out, "[%s completed in %v]\n\n", id, time.Since(start).Round(time.Millisecond))
+// printTables prints one experiment's tables and its completion line.
+func printTables(out io.Writer, id string, tables []experiments.Table, elapsed time.Duration) {
+	for _, t := range tables {
+		fmt.Fprintln(out, t.String())
 	}
-	return nil
+	fmt.Fprintf(out, "[%s completed in %v]\n\n", id, elapsed.Round(time.Millisecond))
 }
 
-// runTwoTier handles -fidelity two-tier: each selected experiment runs
-// its broad pass on the analytic tier and re-runs the top-k leaders on
-// the exact tier.
-func runTwoTier(ids []string, seed uint64, topK int, out io.Writer) error {
-	for _, id := range ids {
+// runEach runs the selected experiments one after another, exec(i)
+// running ids[i] (the -seeds and two-tier modes, whose experiments fan
+// their own jobs out), and prints each one's tables.
+func runEach(ids []string, out io.Writer, exec func(i int) ([]experiments.Table, error)) error {
+	for i, id := range ids {
 		start := time.Now()
-		r, err := experiments.TwoTierFig4(seed, topK)
+		tables, err := exec(i)
 		if err != nil {
 			return fmt.Errorf("%s: %w", id, err)
 		}
-		for _, t := range r.Tables() {
-			fmt.Fprintln(out, t.String())
-		}
-		fmt.Fprintf(out, "[%s completed in %v]\n\n", id, time.Since(start).Round(time.Millisecond))
+		printTables(out, id, tables, time.Since(start))
 	}
 	return nil
 }
@@ -546,25 +480,23 @@ func runSharded(runList string, seed uint64, seeds, workers int, fid cache.Fidel
 	if shardSpec != "" && mergeGlobs != "" {
 		return fmt.Errorf("-shard and -merge are mutually exclusive (run shards first, merge after)")
 	}
-	ids := strings.Split(runList, ",")
-	if len(ids) != 1 || runList == "all" {
-		return fmt.Errorf("-shard/-merge need exactly one experiment in -run (shardable: %s)", strings.Join(shardableIDs(), ", "))
+	if strings.Contains(runList, ",") || runList == "all" {
+		return fmt.Errorf("-shard/-merge need exactly one experiment in -run (shardable: %s)", strings.Join(ids(shardable), ", "))
 	}
-	id := strings.TrimSpace(ids[0])
-	var entry shardableSweep
-	if fid != cache.FidelityExact && !fidelityCapable[id] {
+	id := strings.TrimSpace(runList)
+	if fid != cache.FidelityExact && !registry[id].fidelity {
 		return fmt.Errorf("experiment %q runs on the exact tier only (-fidelity applies to: fig4, warmstart, detection)", id)
 	}
+	var entry shardableSweep
 	if seeds > 0 {
 		var err error
 		if entry, err = seedSweepEntry(id, seed, seeds, fid); err != nil {
 			return err
 		}
+	} else if e := registry[id]; e.sweep != nil {
+		entry = e.sweep(seed, fid)
 	} else {
-		var ok bool
-		if entry, ok = shardableSweeps(seed, fid)[id]; !ok {
-			return fmt.Errorf("experiment %q is not shardable (shardable: %s)", id, strings.Join(shardableIDs(), ", "))
-		}
+		return fmt.Errorf("experiment %q is not shardable (shardable: %s)", id, strings.Join(ids(shardable), ", "))
 	}
 	if shardSpec != "" {
 		k, n, err := sweep.ParseShardSpec(shardSpec)
@@ -584,13 +516,11 @@ func runSharded(runList string, seed uint64, seeds, workers int, fid cache.Fidel
 	if err := sweep.Merge(entry.s, envs); err != nil {
 		return err
 	}
-	tables, err := entry.tables()
+	t, err := entry.table()
 	if err != nil {
 		return err
 	}
-	for _, t := range tables {
-		fmt.Fprintln(out, t.String())
-	}
+	fmt.Fprintln(out, t.String())
 	fp, err := sweep.MergedFingerprint(envs)
 	if err != nil {
 		return err

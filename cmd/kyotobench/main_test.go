@@ -7,12 +7,10 @@ import (
 	"sort"
 	"strings"
 	"testing"
-
-	"kyoto/internal/cache"
 )
 
 func TestRegistryCoversPaperArtefacts(t *testing.T) {
-	reg := registry(cache.FidelityExact)
+	reg := registry
 	wanted := []string{
 		"table1", "table2",
 		"fig1", "fig2", "fig3", "fig4", "fig5", "fig6",
@@ -47,12 +45,12 @@ func TestQuickExperimentsExecute(t *testing.T) {
 }
 
 func TestShardableIDsAreRegistryMembers(t *testing.T) {
-	reg := registry(cache.FidelityExact)
-	ids := shardableIDs()
-	if len(ids) < 3 {
-		t.Fatalf("shardable set shrank: %v", ids)
+	reg := registry
+	shardIDs := ids(shardable)
+	if len(shardIDs) < 3 {
+		t.Fatalf("shardable set shrank: %v", shardIDs)
 	}
-	for _, id := range ids {
+	for _, id := range shardIDs {
 		if _, ok := reg[id]; !ok {
 			t.Errorf("shardable id %q missing from registry", id)
 		}
@@ -70,11 +68,26 @@ func TestShardFlagValidation(t *testing.T) {
 		"unshardable":          {"-run", "table1", "-shard", "0/2"},
 		"bad spec":             {"-run", "ablations", "-shard", "2/2"},
 		"missing shards":       {"-run", "ablations", "-merge", "no-such-file-*.json"},
+		"shard-out alone":      {"-run", "ablations", "-shard-out", "x.json"},
 	}
 	for name, args := range cases {
 		if err := run(args); err == nil {
 			t.Fatalf("%s: must fail", name)
 		}
+	}
+}
+
+// TestWarmstartJSONWritesCPUProfile pins that -cpuprofile covers the
+// -warmstart-json mode too.
+func TestWarmstartJSONWritesCPUProfile(t *testing.T) {
+	dir := t.TempDir()
+	prof := filepath.Join(dir, "cpu.out")
+	args := []string{"-warmstart-json", filepath.Join(dir, "ws.json"), "-fidelity", "analytic", "-cpuprofile", prof}
+	if err := run(args); err != nil {
+		t.Fatal(err)
+	}
+	if fi, err := os.Stat(prof); err != nil || fi.Size() == 0 {
+		t.Fatalf("-warmstart-json wrote no CPU profile: %v", err)
 	}
 }
 
@@ -119,13 +132,12 @@ func TestSeedsFlagValidation(t *testing.T) {
 }
 
 func TestSeedableIDsAreShardable(t *testing.T) {
-	shardable := shardableSweeps(1, cache.FidelityExact)
-	ids := seedableIDs()
-	if len(ids) < 2 {
-		t.Fatalf("seedable set shrank: %v", ids)
+	seedIDs := ids(seedable)
+	if len(seedIDs) < 2 {
+		t.Fatalf("seedable set shrank: %v", seedIDs)
 	}
-	for _, id := range ids {
-		if _, ok := shardable[id]; !ok {
+	for _, id := range seedIDs {
+		if !shardable(registry[id]) {
 			t.Errorf("seedable id %q is not shardable", id)
 		}
 	}
@@ -198,7 +210,7 @@ func captureRun(args []string) (string, error) {
 }
 
 func TestRegistryIdsSorted(t *testing.T) {
-	reg := registry(cache.FidelityExact)
+	reg := registry
 	ids := make([]string, 0, len(reg))
 	for id := range reg {
 		ids = append(ids, id)

@@ -30,7 +30,11 @@ package arrivals
 
 import (
 	"fmt"
+	"math"
 	"sort"
+	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"kyoto/internal/workload"
 )
@@ -81,6 +85,11 @@ func (t Trace) Validate() error {
 		if _, err := workload.Lookup(e.App); err != nil {
 			return fmt.Errorf("arrivals: event %d: %w", i, err)
 		}
+		// Names are printable text: CSV cannot carry a carriage return
+		// and JSON cannot carry invalid UTF-8.
+		if !utf8.ValidString(e.Name) || strings.ContainsFunc(e.Name, unicode.IsControl) {
+			return fmt.Errorf("arrivals: event %d (%s): name %q is not printable UTF-8", i, e.App, e.Name)
+		}
 		if e.Submit > MaxTick || e.Lifetime > MaxTick {
 			return fmt.Errorf("arrivals: event %d (%s): submit/lifetime beyond MaxTick (%d)", i, e.App, uint64(MaxTick))
 		}
@@ -92,6 +101,12 @@ func (t Trace) Validate() error {
 		}
 		if e.LLCCap < 0 {
 			return fmt.Errorf("arrivals: event %d (%s): negative llc_cap", i, e.App)
+		}
+		// A NaN permit slips past the sign check above (every comparison
+		// with NaN is false) and so past Kyoto admission too; neither it
+		// nor an infinite one can be written as JSON.
+		if math.IsNaN(e.LLCCap) || math.IsInf(e.LLCCap, 1) {
+			return fmt.Errorf("arrivals: event %d (%s): non-finite llc_cap", i, e.App)
 		}
 	}
 	return nil

@@ -2,6 +2,7 @@ package arrivals
 
 import (
 	"bytes"
+	"math"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -254,8 +255,17 @@ func TestSynthesizeSanitizesBadKnobs(t *testing.T) {
 }
 
 func TestValidateRejectsUnknownApp(t *testing.T) {
-	tr := Trace{Events: []Event{{Submit: 0, App: "gc", LLCCap: 250}}}
-	if err := tr.Validate(); err == nil {
-		t.Fatal("typo'd app class must fail at validation, not mid-replay")
+	// Each malformed event must fail at validation, not mid-replay.
+	for name, e := range map[string]Event{
+		"typo'd app class":  {Submit: 0, App: "gc", LLCCap: 250},
+		"negative llc_cap":  {App: "gcc", LLCCap: -1},
+		"NaN llc_cap":       {App: "gcc", LLCCap: math.NaN()},
+		"+Inf llc_cap":      {App: "gcc", LLCCap: math.Inf(1)},
+		"-Inf llc_cap":      {App: "gcc", LLCCap: math.Inf(-1)},
+		"submit past limit": {Submit: MaxTick + 1, App: "gcc", LLCCap: 250},
+	} {
+		if err := (Trace{Events: []Event{e}}).Validate(); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }

@@ -15,8 +15,8 @@ import (
 	"kyoto/internal/workload"
 )
 
-// This file holds the design-choice ablations promised in DESIGN.md §6 —
-// extensions beyond the paper that quantify the alternatives its related
+// This file holds the design-choice ablations (kyotobench's "ablations"
+// experiment; README, "Scaling sweeps") — extensions beyond the paper that quantify the alternatives its related
 // work section argues against. The three studies are independent, so the
 // fan-out is expressed as a sweep.Sweep (AblationSweeper) and shards like
 // every other sweep.
@@ -172,8 +172,8 @@ type ablationPayload struct {
 	B float64 `json:"b"`
 }
 
-// AblationSweeper is the shardable form of AblationTable: one job per
-// design-choice study.
+// AblationSweeper is the ablation suite as a shardable sweep: one job
+// per design-choice study, merged into one table.
 type AblationSweeper struct {
 	seed uint64
 	res  *Table
@@ -239,13 +239,3 @@ func (s *AblationSweeper) Merge(payloads []json.RawMessage) error {
 
 // Result returns the merged table; it is nil until Merge ran.
 func (s *AblationSweeper) Result() *Table { return s.res }
-
-// AblationTable renders all three ablations as one table (the
-// "ablations" kyotobench experiment), in-process through AblationSweeper.
-func AblationTable(seed uint64) (Table, error) {
-	s := NewAblationSweeper(seed)
-	if err := (sweep.Engine{}).Run(s); err != nil {
-		return Table{}, err
-	}
-	return *s.Result(), nil
-}

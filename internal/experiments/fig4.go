@@ -127,6 +127,54 @@ func fig4RunJob(job sweep.Job, seed uint64, fid cache.Fidelity) (json.RawMessage
 	return json.Marshal(fig4PairPayload{Attacker: attacker, Victim: victim, VictimIPC: r.IPC("victim")})
 }
 
+// fig4Cell is one decoded pair job: the victim's IPC degradation
+// (percent) when co-run with the attacker.
+type fig4Cell struct {
+	attacker, victim string
+	deg              float64
+}
+
+// fig4Decode decodes a Figure 4 plan's payloads: the solo payloads in
+// apps order, then any subset of the pair payloads in plan order. It
+// returns the solo characterizations and each pair's degradation.
+func fig4Decode(apps []string, payloads []json.RawMessage) ([]fig4SoloPayload, []fig4Cell, error) {
+	solo := make([]fig4SoloPayload, len(apps))
+	soloIPC := make(map[string]float64, len(apps))
+	for i, app := range apps {
+		if err := json.Unmarshal(payloads[i], &solo[i]); err != nil {
+			return nil, nil, fmt.Errorf("solo/%s payload: %w", app, err)
+		}
+		soloIPC[app] = solo[i].IPC
+	}
+	cells := make([]fig4Cell, len(payloads)-len(apps))
+	for i, raw := range payloads[len(apps):] {
+		var p fig4PairPayload
+		if err := json.Unmarshal(raw, &p); err != nil {
+			return nil, nil, fmt.Errorf("pair payload %d: %w", i, err)
+		}
+		cells[i] = fig4Cell{p.Attacker, p.Victim, stats.DegradationPercent(soloIPC[p.Victim], p.VictimIPC)}
+	}
+	return solo, cells, nil
+}
+
+// fig4Aggressiveness averages the degradation each attacker inflicts
+// across its cells, counting a co-run speedup as no degradation.
+func fig4Aggressiveness(cells []fig4Cell) map[string]float64 {
+	inflicted := make(map[string][]float64)
+	for _, c := range cells {
+		deg := c.deg
+		if deg < 0 {
+			deg = 0
+		}
+		inflicted[c.attacker] = append(inflicted[c.attacker], deg)
+	}
+	agg := make(map[string]float64, len(inflicted))
+	for a, degs := range inflicted {
+		agg[a] = stats.Mean(degs)
+	}
+	return agg
+}
+
 // Fig4Sweeper is the shardable form of Fig4: the 10 solo
 // characterizations plus the 90-world pairwise parallel-execution matrix
 // behind the aggressiveness averages — the largest single sweep in the
@@ -180,43 +228,24 @@ func fig4ConfigFingerprint(seed uint64, fid cache.Fidelity) string {
 // Merge implements sweep.Sweep: fold the solo indicators and pairwise
 // degradations into the orderings and Kendall taus.
 func (s *Fig4Sweeper) Merge(payloads []json.RawMessage) error {
+	solo, cells, err := fig4Decode(s.apps, payloads)
+	if err != nil {
+		return err
+	}
 	res := Fig4Result{
-		Aggressiveness: make(map[string]float64, len(s.apps)),
+		Aggressiveness: fig4Aggressiveness(cells),
 		LLCM:           make(map[string]float64, len(s.apps)),
 		Equation1:      make(map[string]float64, len(s.apps)),
 	}
-	soloIPC := make(map[string]float64, len(s.apps))
-	for i, app := range s.apps {
-		var p fig4SoloPayload
-		if err := json.Unmarshal(payloads[i], &p); err != nil {
-			return fmt.Errorf("solo/%s payload: %w", app, err)
-		}
-		soloIPC[app] = p.IPC
-		res.LLCM[app] = p.LLCM
-		res.Equation1[app] = p.Eq1
+	for _, p := range solo {
+		res.LLCM[p.App] = p.LLCM
+		res.Equation1[p.App] = p.Eq1
 	}
-	inflicted := make(map[string][]float64, len(s.apps))
-	for i := range fig4Pairs(s.apps) {
-		var p fig4PairPayload
-		if err := json.Unmarshal(payloads[len(s.apps)+i], &p); err != nil {
-			return fmt.Errorf("pair payload %d: %w", i, err)
-		}
-		deg := stats.DegradationPercent(soloIPC[p.Victim], p.VictimIPC)
-		if deg < 0 {
-			deg = 0
-		}
-		inflicted[p.Attacker] = append(inflicted[p.Attacker], deg)
-	}
-	for _, app := range s.apps {
-		res.Aggressiveness[app] = stats.Mean(inflicted[app])
-	}
-
 	res.O1 = stats.RankByValue(res.Aggressiveness)
 	res.O2 = stats.RankByValue(res.LLCM)
 	res.O3 = stats.RankByValue(res.Equation1)
 	res.Apps = res.O1
 
-	var err error
 	if res.TauLLCM, err = stats.KendallTau(res.O2, res.O1); err != nil {
 		return err
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"kyoto/internal/cache"
-	"kyoto/internal/stats"
 	"kyoto/internal/sweep"
 	"kyoto/internal/workload"
 )
@@ -46,22 +45,14 @@ func (s *Fig4MatrixSweeper) Run(job sweep.Job) (json.RawMessage, error) {
 
 // Merge implements sweep.Sweep: fold the cells into the rendered matrix.
 func (s *Fig4MatrixSweeper) Merge(payloads []json.RawMessage) error {
-	soloIPC := make(map[string]float64, len(s.apps))
-	for i, app := range s.apps {
-		var p fig4SoloPayload
-		if err := json.Unmarshal(payloads[i], &p); err != nil {
-			return fmt.Errorf("solo/%s payload: %w", app, err)
-		}
-		soloIPC[app] = p.IPC
+	_, cells, err := fig4Decode(s.apps, payloads)
+	if err != nil {
+		return err
 	}
 	type pair struct{ attacker, victim string }
-	deg := make(map[pair]float64, len(payloads)-len(s.apps))
-	for i := range fig4Pairs(s.apps) {
-		var p fig4PairPayload
-		if err := json.Unmarshal(payloads[len(s.apps)+i], &p); err != nil {
-			return fmt.Errorf("pair payload %d: %w", i, err)
-		}
-		deg[pair{p.Attacker, p.Victim}] = stats.DegradationPercent(soloIPC[p.Victim], p.VictimIPC)
+	deg := make(map[pair]float64, len(cells))
+	for _, c := range cells {
+		deg[pair{c.attacker, c.victim}] = c.deg
 	}
 
 	t := Table{
@@ -86,13 +77,3 @@ func (s *Fig4MatrixSweeper) Merge(payloads []json.RawMessage) error {
 
 // Result returns the merged matrix table; it is nil until Merge ran.
 func (s *Fig4MatrixSweeper) Result() *Table { return s.res }
-
-// Fig4Matrix computes the pairwise degradation matrix in-process through
-// Fig4MatrixSweeper.
-func Fig4Matrix(seed uint64) (Table, error) {
-	s := NewFig4MatrixSweeper(seed)
-	if err := (sweep.Engine{}).Run(s); err != nil {
-		return Table{}, err
-	}
-	return *s.Result(), nil
-}

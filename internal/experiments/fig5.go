@@ -16,7 +16,7 @@ import (
 // Paper booking levels (§4.3): the paper books 250k for the Figure 5 VMs
 // and 50k for the Figure 6 disruptors. Our Equation-1 unit is misses per
 // busy millisecond on the scaled clock, so the same labels map to 250/50
-// (see EXPERIMENTS.md for the unit discussion).
+// (README's introduction gives the 1:16 capacity and 1:28 clock scaling).
 const (
 	Fig5LLCCap    = 250
 	Fig6DisLLCCap = 50

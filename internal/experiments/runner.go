@@ -3,8 +3,8 @@
 // corresponding scenario on the scaled testbed, runs it, and returns a
 // structured result that renders as the paper's rows/series.
 //
-// The per-experiment index mapping paper artefacts to these functions
-// lives in DESIGN.md; EXPERIMENTS.md records paper-vs-measured values.
+// cmd/kyotobench's experiment table maps each artefact id to these
+// functions; README's "Reproducing the paper's figures" shows the runs.
 package experiments
 
 import (

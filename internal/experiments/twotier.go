@@ -14,11 +14,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"kyoto/internal/arrivals"
 	"kyoto/internal/cache"
-	"kyoto/internal/stats"
 	"kyoto/internal/sweep"
 	"kyoto/internal/workload"
 )
@@ -66,36 +66,18 @@ func TwoTierTraceSweep(tr arrivals.Trace, cfg FleetSweepConfig, topK int) (*TwoT
 	if err != nil {
 		return nil, err
 	}
-	// Exact solo baselines plus the top-k arm replays, as the exact
-	// sweeper's own jobs, fanned out like any sweep.
-	keys := make([]string, 0, len(es.apps)+topK)
-	for _, app := range es.apps {
-		keys = append(keys, "solo/"+app)
+	// Cut the exact sweeper to the leading arms, in ranking order: its
+	// plan is then the exact solo baselines plus those arm replays.
+	leaders := make([]fleetArm, topK)
+	for i, row := range ranked[:topK] {
+		leaders[i] = es.arms[slices.IndexFunc(es.arms, func(a fleetArm) bool { return a.placer.Name() == row.Placer })]
 	}
-	for i := 0; i < topK; i++ {
-		keys = append(keys, "arm/"+ranked[i].Placer)
-	}
-	raws := make([]json.RawMessage, len(keys))
-	if err := ForEach(len(keys), cfg.Workers, func(i int) error {
-		raw, err := es.Run(sweep.Job{Sweep: es.Name(), Key: keys[i]})
-		raws[i] = raw
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	solo, err := es.soloBaselines(raws)
+	es.arms = leaders
+	eres, err := runFleetSweep(es, nil)
 	if err != nil {
 		return nil, err
 	}
-	res := &TwoTierTraceResult{Analytic: ares, TopK: topK}
-	for i := len(es.apps); i < len(keys); i++ {
-		var p fleetArmPayload
-		if err := json.Unmarshal(raws[i], &p); err != nil {
-			return nil, fmt.Errorf("%s payload: %w", keys[i], err)
-		}
-		res.Confirmed = append(res.Confirmed, es.row(p, solo))
-	}
-	return res, nil
+	return &TwoTierTraceResult{Analytic: ares, TopK: topK, Confirmed: eres.Rows}, nil
 }
 
 // Tables renders the broad analytic table and the exact-confirmation
@@ -156,51 +138,26 @@ func TwoTierFig4(seed uint64, topK int) (*TwoTierFig4Result, error) {
 	}
 	attackers := append([]string(nil), ares.Apps[:topK]...)
 
+	// The exact pass is the Figure 4 plan cut to the solo baselines and
+	// the attackers' pairings.
 	apps := workload.Figure4Apps()
-	keys := make([]string, 0, len(apps)+topK*(len(apps)-1))
-	for _, app := range apps {
-		keys = append(keys, "solo/"+app)
-	}
-	for _, a := range attackers {
-		for _, b := range apps {
-			if a != b {
-				keys = append(keys, "pair/"+a+"/"+b)
-			}
-		}
-	}
-	raws := make([]json.RawMessage, len(keys))
-	if err := ForEach(len(keys), 0, func(i int) error {
-		raw, err := fig4RunJob(sweep.Job{Sweep: "fig4", Key: keys[i]}, seed, cache.FidelityExact)
+	plan := slices.DeleteFunc(fig4Plan("fig4", apps, seed), func(j sweep.Job) bool {
+		a, pair := j.Params["attacker"]
+		return pair && !slices.Contains(attackers, a)
+	})
+	raws := make([]json.RawMessage, len(plan))
+	if err := ForEach(len(plan), 0, func(i int) error {
+		raw, err := fig4RunJob(plan[i], seed, cache.FidelityExact)
 		raws[i] = raw
 		return err
 	}); err != nil {
 		return nil, err
 	}
-	soloIPC := make(map[string]float64, len(apps))
-	for i := range apps {
-		var p fig4SoloPayload
-		if err := json.Unmarshal(raws[i], &p); err != nil {
-			return nil, fmt.Errorf("%s payload: %w", keys[i], err)
-		}
-		soloIPC[p.App] = p.IPC
+	_, cells, err := fig4Decode(apps, raws)
+	if err != nil {
+		return nil, err
 	}
-	inflicted := make(map[string][]float64, topK)
-	for i := len(apps); i < len(keys); i++ {
-		var p fig4PairPayload
-		if err := json.Unmarshal(raws[i], &p); err != nil {
-			return nil, fmt.Errorf("%s payload: %w", keys[i], err)
-		}
-		deg := stats.DegradationPercent(soloIPC[p.Victim], p.VictimIPC)
-		if deg < 0 {
-			deg = 0
-		}
-		inflicted[p.Attacker] = append(inflicted[p.Attacker], deg)
-	}
-	exact := make(map[string]float64, topK)
-	for _, a := range attackers {
-		exact[a] = stats.Mean(inflicted[a])
-	}
-	return &TwoTierFig4Result{Analytic: ares, TopK: topK, Attackers: attackers, ExactAggressiveness: exact}, nil
+	return &TwoTierFig4Result{Analytic: ares, TopK: topK, Attackers: attackers, ExactAggressiveness: fig4Aggressiveness(cells)}, nil
 }
 
 // Tables renders the broad analytic study and the exact-confirmation
