@@ -477,9 +477,6 @@ func runEach(ids []string, out io.Writer, exec func(i int) ([]experiments.Table,
 // wrapped in a seed sweep first, so the shards partition the
 // seed-replicated job plan.
 func runSharded(runList string, seed uint64, seeds, workers int, fid cache.Fidelity, shardSpec, shardOut, mergeGlobs string, out io.Writer) error {
-	if shardSpec != "" && mergeGlobs != "" {
-		return fmt.Errorf("-shard and -merge are mutually exclusive (run shards first, merge after)")
-	}
 	if strings.Contains(runList, ",") || runList == "all" {
 		return fmt.Errorf("-shard/-merge need exactly one experiment in -run (shardable: %s)", strings.Join(ids(shardable), ", "))
 	}
@@ -498,22 +495,8 @@ func runSharded(runList string, seed uint64, seeds, workers int, fid cache.Fidel
 	} else {
 		return fmt.Errorf("experiment %q is not shardable (shardable: %s)", id, strings.Join(ids(shardable), ", "))
 	}
-	if shardSpec != "" {
-		k, n, err := sweep.ParseShardSpec(shardSpec)
-		if err != nil {
-			return err
-		}
-		env, err := sweep.Engine{Workers: workers}.RunShard(entry.s, k, n)
-		if err != nil {
-			return err
-		}
-		return env.WriteFile(shardOut, out)
-	}
-	envs, err := sweep.ReadEnvelopes(strings.Split(mergeGlobs, ","))
-	if err != nil {
-		return err
-	}
-	if err := sweep.Merge(entry.s, envs); err != nil {
+	envs, err := sweep.Dispatch{Shard: shardSpec, ShardOut: shardOut, Merge: mergeGlobs, Workers: workers}.Run(entry.s, out)
+	if err != nil || envs == nil {
 		return err
 	}
 	t, err := entry.table()

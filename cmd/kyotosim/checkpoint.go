@@ -43,14 +43,6 @@ type cliCheckpoint struct {
 	Snapshot json.RawMessage `json:"snapshot"`
 }
 
-// checkpointOpts carries the -checkpoint-every/-checkpoint-out/-resume
-// flags into the scenario runner. The zero value means neither.
-type checkpointOpts struct {
-	resume string // checkpoint file to resume from ("" = fresh run)
-	path   string // periodic checkpoint output file ("" = no checkpoints)
-	every  int    // ticks between checkpoints when path is set
-}
-
 // canonicalJSON compacts data and HTML-escapes it: the form json.Marshal
 // gives the scenario it embeds as a json.RawMessage. Stored and presented
 // scenario bytes then compare independently of formatting and of how a
@@ -111,24 +103,16 @@ func resumeScenario(cfg kyoto.WorldConfig, raw []byte, path string, warmup, tota
 }
 
 // executeScenario runs the single-host scenario, optionally resuming
-// from and/or writing checkpoints, and prints the per-VM report. With
-// zero checkpointOpts this is the plain straight-through run; a resumed
-// run produces byte-identical report output.
-func executeScenario(sc scenario, raw []byte, fid kyoto.Fidelity, ck checkpointOpts, out io.Writer) error {
-	cfg, err := worldConfig(sc, fid)
-	if err != nil {
-		return err
-	}
-	if len(sc.VMs) == 0 {
-		return fmt.Errorf("scenario has no VMs")
-	}
-	warmup, ticks := windows(sc)
-	total := uint64(warmup + ticks)
-
+// from o.resume and writing a checkpoint to o.ckOut every o.ckEvery
+// ticks, and prints the per-VM report. Without those flags this is the
+// plain straight-through run; a resumed run produces byte-identical
+// report output.
+func executeScenario(sc scenario, cfg kyoto.WorldConfig, raw []byte, o *options, out io.Writer) (err error) {
+	warmup, total := uint64(sc.Warmup), uint64(sc.Warmup+sc.Ticks)
 	var w *kyoto.World
 	var before []kyoto.Counters
-	if ck.resume != "" {
-		w, before, err = resumeScenario(cfg, raw, ck.resume, uint64(warmup), total)
+	if o.resume != "" {
+		w, before, err = resumeScenario(cfg, raw, o.resume, warmup, total)
 		if err != nil {
 			return err
 		}
@@ -166,7 +150,7 @@ func executeScenario(sc scenario, raw []byte, fid kyoto.Fidelity, ck checkpointO
 		if err != nil {
 			return err
 		}
-		return sweep.WriteFileAtomic(ck.path, append(data, '\n'))
+		return sweep.WriteFileAtomic(o.ckOut, append(data, '\n'))
 	}
 
 	// Chunked run loop: boundaries at the warmup end (to capture the
@@ -176,29 +160,29 @@ func executeScenario(sc scenario, raw []byte, fid kyoto.Fidelity, ck checkpointO
 	lastWritten := uint64(1<<64 - 1)
 	for t := w.Now(); t < total; t = w.Now() {
 		next := total
-		if t < uint64(warmup) {
-			next = uint64(warmup)
+		if t < warmup {
+			next = warmup
 		}
-		if ck.path != "" {
-			if c := (t/uint64(ck.every) + 1) * uint64(ck.every); c < next {
+		if o.ckOut != "" {
+			if c := (t/uint64(o.ckEvery) + 1) * uint64(o.ckEvery); c < next {
 				next = c
 			}
 		}
 		w.RunTicks(int(next - t))
-		if next >= uint64(warmup) && before == nil {
+		if next >= warmup && before == nil {
 			before = make([]kyoto.Counters, len(vms))
 			for i, v := range vms {
 				before[i] = v.Counters()
 			}
 		}
-		if ck.path != "" && next%uint64(ck.every) == 0 {
+		if o.ckOut != "" && next%uint64(o.ckEvery) == 0 {
 			if err := writeCk(next); err != nil {
 				return err
 			}
 			lastWritten = next
 		}
 	}
-	if ck.path != "" && lastWritten != total {
+	if o.ckOut != "" && lastWritten != total {
 		// The final checkpoint is always the completed run, whatever the
 		// cadence, so a resume from it replays only the report.
 		if err := writeCk(total); err != nil {

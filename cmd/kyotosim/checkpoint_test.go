@@ -78,11 +78,7 @@ func TestScenarioCheckpointResumeByteIdentity(t *testing.T) {
 	// A genuinely mid-run checkpoint, built against the public API the
 	// way a killed run would have left it (tick 20 of 72, past warmup):
 	// the CLI must continue it to a byte-identical report.
-	var sc scenario
-	if err := json.Unmarshal([]byte(exampleScenario), &sc); err != nil {
-		t.Fatal(err)
-	}
-	cfg, err := worldConfig(sc, kyoto.FidelityExact)
+	sc, cfg, _, err := loadScenario(scn, kyoto.FidelityExact)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,8 +91,7 @@ func TestScenarioCheckpointResumeByteIdentity(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	warmup, _ := windows(sc)
-	w.RunTicks(warmup)
+	w.RunTicks(sc.Warmup)
 	before := make([]kyoto.Counters, 0, len(w.VMs()))
 	for _, v := range w.VMs() {
 		before = append(before, v.Counters())

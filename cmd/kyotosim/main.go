@@ -95,6 +95,29 @@
 //	kyotosim -trace trace.json -hosts 4 -seeds 200
 //	kyotosim -churn 24 -hosts 4 -seeds 100 -shard 0/4 -shard-out s0.json
 //
+// Each flag applies in some modes only, and setting one where it does
+// not apply is an error, never a silently ignored value:
+//
+//   - -example and -apps print and exit, each on its own;
+//   - -scenario needs no -trace/-churn, and -placer a fleet scenario
+//     (-hosts > 1);
+//   - -seed belongs to the -trace/-churn sweeps, and -trace-out,
+//     -churn-horizon and -churn-life to -churn (-trace-out outside
+//     -shard/-merge);
+//   - -migrate, -pending and -big-llc need a single-tier sweep;
+//     -migrate-every and -migrate-downtime need an arm that migrates
+//     (-migrate reactive, topo, signature or all), -pending-deadline
+//     needs -pending deadline, and the -detect-* knobs a signature arm;
+//   - -seeds, -shard and -merge need a single-tier sweep, and -shard-out
+//     needs -shard;
+//   - -checkpoint-every and -checkpoint-out (given together) and -resume
+//     apply to single-host scenarios and single-tier sweep runs, not to
+//     -merge;
+//   - -fidelity two-tier needs a -trace/-churn sweep, and -confirm-top
+//     needs -fidelity two-tier;
+//   - -hosts and -fidelity exact|analytic apply to every scenario and
+//     sweep, and -cpuprofile and -memprofile apply everywhere.
+//
 // Scenario schema (JSON):
 //
 //	{
@@ -112,20 +135,25 @@
 //	     "memory_mb": 64}
 //	  ]
 //	}
+//
+// warmup and ticks count ticks: zero picks the defaults (12 and 60), and
+// a negative window is an error.
 package main
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"text/tabwriter"
 
 	"kyoto"
 	"kyoto/internal/profiling"
+	"kyoto/internal/sweep"
 )
 
 // scenario is the JSON schema.
@@ -182,385 +210,303 @@ func main() {
 	}
 }
 
-func run(args []string, out io.Writer) (err error) {
+// options holds kyotosim's flags, the names of those the command line
+// set, and the mode they select.
+type options struct {
+	scenario, placer string
+	example, apps    bool
+	hosts            int
+
+	trace, traceOut string
+	churn           int
+	seed, horizon   uint64
+	meanLife        float64
+
+	migrate, pending      string
+	migrateEvery, maxWait uint64
+	downtime, bigLLC      int
+	detector              kyoto.DetectorConfig
+
+	seeds, confirmTop int
+	fidelity          string
+	fid               kyoto.Fidelity
+
+	shard, shardOut, merge string
+	ckEvery                int
+	ckOut, resume          string
+
+	cpuProfile, memProfile string
+
+	set  map[string]bool
+	mode mode
+}
+
+// newFlagSet defines kyotosim's flags, bound to o.
+func newFlagSet(o *options) *flag.FlagSet {
 	fs := flag.NewFlagSet("kyotosim", flag.ContinueOnError)
-	var (
-		path    = fs.String("scenario", "", "scenario JSON file ('-' for stdin)")
-		example = fs.Bool("example", false, "print an example scenario and exit")
-		apps    = fs.Bool("apps", false, "list built-in application profiles and exit")
-		hosts   = fs.Int("hosts", 1, "fleet size; > 1 runs the scenario on a cluster")
-		placer  = fs.String("placer", "first-fit", "fleet placement policy: first-fit, spread or kyoto")
+	fs.StringVar(&o.scenario, "scenario", "", "scenario JSON file ('-' for stdin)")
+	fs.BoolVar(&o.example, "example", false, "print an example scenario and exit")
+	fs.BoolVar(&o.apps, "apps", false, "list built-in application profiles and exit")
+	fs.IntVar(&o.hosts, "hosts", 1, "fleet size; > 1 runs the scenario on a cluster")
+	fs.StringVar(&o.placer, "placer", "first-fit", "fleet placement policy: first-fit, spread or kyoto")
 
-		tracePath = fs.String("trace", "", "arrival/departure trace file (.json or .csv); replays it through all three placers")
-		churn     = fs.Int("churn", 0, "synthesize a churn trace of this many VMs and replay it through all three placers")
-		seed      = fs.Uint64("seed", 1, "seed for -trace/-churn fleets and the synthetic generator")
-		horizon   = fs.Uint64("churn-horizon", 0, "ticks the synthetic arrivals spread over (default 120)")
-		meanLife  = fs.Float64("churn-life", 0, "mean synthetic VM lifetime in ticks (default 45)")
-		traceOut  = fs.String("trace-out", "", "write the synthesized -churn trace to this JSON file")
+	fs.StringVar(&o.trace, "trace", "", "arrival/departure trace file (.json or .csv); replays it through all three placers")
+	fs.IntVar(&o.churn, "churn", 0, "synthesize a churn trace of this many VMs and replay it through all three placers")
+	fs.Uint64Var(&o.seed, "seed", 1, "seed for -trace/-churn fleets and the synthetic generator")
+	fs.Uint64Var(&o.horizon, "churn-horizon", 0, "ticks the synthetic arrivals spread over (default 120)")
+	fs.Float64Var(&o.meanLife, "churn-life", 0, "mean synthetic VM lifetime in ticks (default 45)")
+	fs.StringVar(&o.traceOut, "trace-out", "", "write the synthesized -churn trace to this JSON file")
 
-		migrate      = fs.String("migrate", "", "live-migration sweep: compare no-migration against this rebalancer (reactive, topo, signature, or all for every one) across all three placers")
-		pending      = fs.String("pending", "", "pending-queue policy for the migration sweep: none, fifo, deadline or sjf (default fifo once -migrate/-pending engage the sweep)")
-		migrateEvery = fs.Uint64("migrate-every", 0, "rebalance epoch in ticks (default 12)")
-		downtime     = fs.Int("migrate-downtime", 0, "per-migration blackout in ticks (default 0)")
-		maxWait      = fs.Uint64("pending-deadline", 0, "max queue wait in ticks under -pending deadline (default 60)")
-		bigLLC       = fs.Int("big-llc", -1, "LLC scale factor of the sweep's highest-ID host (power of two; 0 = homogeneous; default: 2 when a topo arm is swept, else 0 so non-topo sweeps stay comparable to plain -trace runs)")
+	fs.StringVar(&o.migrate, "migrate", "", "live-migration sweep: compare no-migration against this rebalancer (reactive, topo, signature, or all for every one) across all three placers")
+	fs.StringVar(&o.pending, "pending", "", "pending-queue policy for the migration sweep: none, fifo, deadline or sjf (default fifo once -migrate/-pending engage the sweep)")
+	fs.Uint64Var(&o.migrateEvery, "migrate-every", 0, "rebalance epoch in ticks (default 12)")
+	fs.IntVar(&o.downtime, "migrate-downtime", 0, "per-migration blackout in ticks (default 0)")
+	fs.Uint64Var(&o.maxWait, "pending-deadline", 0, "max queue wait in ticks under -pending deadline (default 60)")
+	fs.IntVar(&o.bigLLC, "big-llc", -1, "LLC scale factor of the sweep's highest-ID host (power of two; 0 = homogeneous; default: 2 when a topo arm is swept, else 0 so non-topo sweeps stay comparable to plain -trace runs)")
 
-		detectAlpha     = fs.Float64("detect-alpha", 0, "signature arm: EWMA smoothing factor in (0,1] for the change-point detector (default 0.2)")
-		detectDrift     = fs.Float64("detect-drift", 0, "signature arm: CUSUM drift (slack) in normalized units, >= 0 (default 0.5)")
-		detectThreshold = fs.Float64("detect-threshold", 0, "signature arm: CUSUM fire threshold in normalized units, > 0 (default 5)")
-		detectWarmup    = fs.Int("detect-warmup", 0, "signature arm: samples the detector observes before arming (default 4)")
+	fs.Float64Var(&o.detector.Alpha, "detect-alpha", 0, "signature arm: EWMA smoothing factor in (0,1] for the change-point detector (default 0.2)")
+	fs.Float64Var(&o.detector.Drift, "detect-drift", 0, "signature arm: CUSUM drift (slack) in normalized units, >= 0 (default 0.5)")
+	fs.Float64Var(&o.detector.Threshold, "detect-threshold", 0, "signature arm: CUSUM fire threshold in normalized units, > 0 (default 5)")
+	fs.IntVar(&o.detector.Warmup, "detect-warmup", 0, "signature arm: samples the detector observes before arming (default 4)")
 
-		seeds = fs.Int("seeds", 0, "statistical mode: replicate the -trace/-churn sweep under this many consecutive seeds (starting at -seed) and report per-metric means, percentiles and 95% confidence intervals")
+	fs.IntVar(&o.seeds, "seeds", 0, "statistical mode: replicate the -trace/-churn sweep under this many consecutive seeds (starting at -seed) and report per-metric means, percentiles and 95% confidence intervals")
 
-		fidelity   = fs.String("fidelity", "exact", "cache-model tier: exact (per-access simulation), analytic (fast LLC-occupancy model), or two-tier (-trace/-churn only: broad analytic pass, top arms confirmed exact)")
-		confirmTop = fs.Int("confirm-top", 1, "arms the two-tier mode re-runs on the exact tier")
+	fs.StringVar(&o.fidelity, "fidelity", "exact", "cache-model tier: exact (per-access simulation), analytic (fast LLC-occupancy model), or two-tier (-trace/-churn only: broad analytic pass, top arms confirmed exact)")
+	fs.IntVar(&o.confirmTop, "confirm-top", 1, "arms the two-tier mode re-runs on the exact tier")
 
-		shardSpec  = fs.String("shard", "", "run one shard (k/n) of the -trace/-churn sweep's job plan and write its envelope instead of the table")
-		shardOut   = fs.String("shard-out", "-", "shard envelope output path ('-' = stdout)")
-		mergeGlobs = fs.String("merge", "", "comma-separated shard envelope files/globs to merge into the sweep's table (repeat the shard runs' flags)")
+	fs.StringVar(&o.shard, "shard", "", "run one shard (k/n) of the -trace/-churn sweep's job plan and write its envelope instead of the table")
+	fs.StringVar(&o.shardOut, "shard-out", "-", "shard envelope output path ('-' = stdout)")
+	fs.StringVar(&o.merge, "merge", "", "comma-separated shard envelope files/globs to merge into the sweep's table (repeat the shard runs' flags)")
 
-		ckEvery    = fs.Int("checkpoint-every", 0, "write a resumable checkpoint every N ticks (scenario mode) or N completed jobs (-trace/-churn sweeps); requires -checkpoint-out")
-		ckOut      = fs.String("checkpoint-out", "", "checkpoint file the run writes (atomically) and a killed run resumes from with -resume")
-		resumeFrom = fs.String("resume", "", "resume from this checkpoint file; the run must repeat the checkpointed run's scenario/flags and its output is byte-identical to an uninterrupted run")
+	fs.IntVar(&o.ckEvery, "checkpoint-every", 0, "write a resumable checkpoint every N ticks (scenario mode) or N completed jobs (-trace/-churn sweeps); requires -checkpoint-out")
+	fs.StringVar(&o.ckOut, "checkpoint-out", "", "checkpoint file the run writes (atomically) and a killed run resumes from with -resume")
+	fs.StringVar(&o.resume, "resume", "", "resume from this checkpoint file; the run must repeat the checkpointed run's scenario/flags and its output is byte-identical to an uninterrupted run")
 
-		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile = fs.String("memprofile", "", "write a heap profile to this file on exit")
-	)
+	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&o.memProfile, "memprofile", "", "write a heap profile to this file on exit")
+	return fs
+}
+
+// mode is what one invocation does. check works it out once from the
+// flags, and flagRules says which modes each flag applies in.
+type mode uint8
+
+const (
+	modeInfo     mode = 1 << iota // -example / -apps
+	modeScenario                  // -scenario on one host
+	modeFleet                     // -scenario with -hosts > 1
+	modeTrace                     // -trace/-churn through the three placers
+	modeMigrate                   // the trace sweep with -migrate/-pending
+	modeTwoTier                   // the trace sweep with -fidelity two-tier
+
+	sweepModes = modeTrace | modeMigrate | modeTwoTier
+	runModes   = modeScenario | modeFleet | sweepModes
+	// ckModes checkpoint: the single-host run and the single-tier sweeps.
+	ckModes = modeScenario | modeTrace | modeMigrate
+)
+
+// flagRule says when its flags apply: in one of modes, and when holds
+// (nil = always). needs completes the error "-flag only applies ...".
+type flagRule struct {
+	flags []string
+	modes mode
+	when  func(o *options) bool
+	needs string
+}
+
+// flagRules covers every flag but -cpuprofile and -memprofile, which
+// apply everywhere. A flag set where its rule fails is an error, so no
+// run reports a number its flags did not shape.
+var flagRules = []flagRule{
+	{[]string{"example", "apps"}, modeInfo, func(o *options) bool { return !(o.example && o.apps) },
+		"alone: one of -example and -apps, with at most the profile flags"},
+	{[]string{"fidelity"}, runModes, func(o *options) bool { return o.fidelity != "two-tier" || o.mode == modeTwoTier },
+		"to scenarios and sweeps, and as two-tier only to -trace/-churn sweeps"},
+	{[]string{"hosts"}, runModes, nil, "to scenarios and sweeps"},
+	{[]string{"scenario"}, modeScenario | modeFleet, nil, "without -trace/-churn"},
+	{[]string{"placer"}, modeFleet, nil, "to a fleet scenario (-scenario with -hosts > 1); sweeps run all three placers"},
+	{[]string{"trace", "churn"}, sweepModes, func(o *options) bool { return o.trace == "" || o.churn == 0 },
+		"one at a time: -trace or -churn"},
+	{[]string{"seed"}, sweepModes, nil, "to -trace/-churn sweeps"},
+	{[]string{"churn-horizon", "churn-life"}, sweepModes, func(o *options) bool { return o.churn != 0 }, "with -churn"},
+	{[]string{"trace-out"}, sweepModes, func(o *options) bool { return o.churn != 0 && o.shard == "" && o.merge == "" },
+		"with -churn, outside -shard/-merge (synthesize the trace in its own run)"},
+	{[]string{"migrate", "pending"}, modeMigrate, nil, "to -trace/-churn sweeps on one tier (-fidelity exact or analytic)"},
+	{[]string{"big-llc"}, modeMigrate, nil, "to migration sweeps (-migrate/-pending)"},
+	{[]string{"migrate-every", "migrate-downtime"}, modeMigrate, func(o *options) bool { return o.migrate != "" && o.migrate != "none" },
+		"when an arm migrates (-migrate reactive, topo, signature or all)"},
+	{[]string{"pending-deadline"}, modeMigrate, func(o *options) bool { return o.pending == "deadline" }, "with -pending deadline"},
+	{[]string{"detect-alpha", "detect-drift", "detect-threshold", "detect-warmup"}, modeMigrate,
+		func(o *options) bool { return o.migrate == "signature" || o.migrate == "all" }, "with -migrate signature (or -migrate all)"},
+	{[]string{"seeds", "shard", "merge"}, modeTrace | modeMigrate, nil, "to -trace/-churn sweeps on one tier (-fidelity exact or analytic)"},
+	{[]string{"shard-out"}, modeTrace | modeMigrate, func(o *options) bool { return o.shard != "" }, "with -shard"},
+	{[]string{"checkpoint-every", "checkpoint-out", "resume"}, ckModes,
+		func(o *options) bool { return o.merge == "" && o.set["checkpoint-every"] == o.set["checkpoint-out"] },
+		"to single-host scenarios and single-tier sweep runs (not -merge), with -checkpoint-every and -checkpoint-out given together"},
+	{[]string{"confirm-top"}, modeTwoTier, nil, "with -fidelity two-tier on a -trace/-churn sweep"},
+}
+
+// flagMins are the integer flags' lower bounds, checked when set.
+var flagMins = []struct {
+	name string
+	min  int
+}{{"hosts", 1}, {"churn", 1}, {"seeds", 1}, {"confirm-top", 1}, {"checkpoint-every", 1}, {"big-llc", 0}}
+
+// check works out o.mode and rejects out-of-range values and every flag
+// set where it does not apply, before anything runs.
+func (o *options) check(fs *flag.FlagSet) (err error) {
+	o.set = map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { o.set[f.Name] = true })
+	for _, m := range flagMins {
+		if v := fs.Lookup(m.name).Value.(flag.Getter).Get().(int); o.set[m.name] && v < m.min {
+			return fmt.Errorf("-%s must be at least %d, got %d", m.name, m.min, v)
+		}
+	}
+	if o.fidelity != "two-tier" {
+		if o.fid, err = kyoto.ParseFidelity(o.fidelity); err != nil {
+			return err
+		}
+	}
+	switch replay := o.trace != "" || o.churn != 0; {
+	case o.example || o.apps:
+		o.mode = modeInfo
+	case !replay && o.hosts > 1:
+		o.mode = modeFleet
+	case !replay:
+		o.mode = modeScenario
+	case o.fidelity == "two-tier":
+		o.mode = modeTwoTier
+	case o.set["migrate"] || o.set["pending"]:
+		o.mode = modeMigrate
+	default:
+		o.mode = modeTrace
+	}
+	for _, r := range flagRules {
+		for _, name := range r.flags {
+			if o.set[name] && (o.mode&r.modes == 0 || r.when != nil && !r.when(o)) {
+				return fmt.Errorf("-%s only applies %s", name, r.needs)
+			}
+		}
+	}
+	if o.resume != "" {
+		if _, err := os.Stat(o.resume); err != nil {
+			return fmt.Errorf("cannot resume: %w", err)
+		}
+	}
+	return nil
+}
+
+func run(args []string, out io.Writer) (err error) {
+	var o options
+	fs := newFlagSet(&o)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	stopProf, err := profiling.Start(*cpuProfile, *memProfile)
+	if err := o.check(fs); err != nil {
+		return err
+	}
+	stopProf, err := profiling.Start(o.cpuProfile, o.memProfile)
 	if err != nil {
 		return err
 	}
 	defer profiling.StopInto(stopProf, &err)
-	if *example {
+	switch {
+	case o.example:
 		fmt.Fprintln(out, exampleScenario)
 		return nil
-	}
-	if *apps {
+	case o.apps:
 		for _, n := range kyoto.ProfileNames() {
 			fmt.Fprintln(out, n)
 		}
 		return nil
+	case o.mode&sweepModes != 0:
+		return runSweep(&o, out)
 	}
-	// Flags from the other mode must not be silently dropped, in either
-	// direction: trace/churn mode rejects scenario flags, scenario mode
-	// rejects trace/churn flags.
-	set := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	twoTier := *fidelity == "two-tier"
-	var fid kyoto.Fidelity
-	if !twoTier {
-		if fid, err = kyoto.ParseFidelity(*fidelity); err != nil {
+	sc, cfg, raw, err := loadScenario(o.scenario, o.fid)
+	if err != nil {
+		return err
+	}
+	if o.mode == modeFleet {
+		return executeFleet(sc, cfg, o.hosts, o.placer, out)
+	}
+	return executeScenario(sc, cfg, raw, &o, out)
+}
+
+// runSweep loads or synthesizes the trace and runs the sweep o.mode
+// names.
+func runSweep(o *options, out io.Writer) error {
+	// A shard run's stdout is just the envelope (or nothing, with
+	// -shard-out to a file): the informational preamble would pollute
+	// the merged stream sweep_shards.sh pipes around.
+	quiet := o.shard != ""
+	var tr kyoto.Trace
+	if o.trace != "" {
+		var err error
+		if tr, err = kyoto.LoadTrace(o.trace); err != nil {
+			return err
+		}
+		if !quiet {
+			fmt.Fprintf(out, "trace: %s (%d events)\n", o.trace, len(tr.Events))
+		}
+	} else {
+		tr = kyoto.SynthesizeTrace(kyoto.ChurnConfig{Seed: o.seed, VMs: o.churn, Horizon: o.horizon, MeanLifetime: o.meanLife})
+		if !quiet {
+			fmt.Fprintf(out, "synthetic churn: %d VMs, seed %d\n", o.churn, o.seed)
+		}
+		if o.traceOut != "" {
+			var buf bytes.Buffer
+			if err := tr.WriteJSON(&buf); err != nil {
+				return err
+			}
+			if err := os.WriteFile(o.traceOut, buf.Bytes(), 0o644); err != nil {
+				return err
+			}
+			fmt.Fprintf(out, "wrote %s\n", o.traceOut)
+		}
+	}
+	if o.mode == modeTwoTier {
+		// Broad analytic pass, then the top -confirm-top arms exact.
+		res, err := kyoto.SweepTraceTwoTier(tr, kyoto.FleetSweepConfig{Hosts: o.hosts, Seed: o.seed}, o.confirmTop)
+		if err != nil {
+			return err
+		}
+		for _, t := range res.Tables() {
+			fmt.Fprintln(out, t.String())
+		}
+		return nil
+	}
+	// In the sweep modes the checkpoint file both receives progress and
+	// seeds a resume, so -resume and -checkpoint-out name the same file
+	// and either one engages job-level checkpointing.
+	if o.ckOut != "" && o.resume != "" && o.ckOut != o.resume {
+		return fmt.Errorf("in sweep modes -resume and -checkpoint-out name the same checkpoint file; got %q and %q", o.resume, o.ckOut)
+	}
+	d := sweep.Dispatch{Shard: o.shard, ShardOut: o.shardOut, Merge: o.merge, Checkpoint: cmp.Or(o.ckOut, o.resume), Every: o.ckEvery}
+	cfg := kyoto.FleetSweepConfig{Hosts: o.hosts, Seed: o.seed, Fidelity: o.fid}
+	if o.mode == modeMigrate {
+		if err := migrationConfig(&cfg, o); err != nil {
 			return err
 		}
 	}
-	if set["confirm-top"] && !twoTier {
-		return fmt.Errorf("-confirm-top only applies with -fidelity two-tier")
-	}
-	if twoTier && *confirmTop < 1 {
-		return fmt.Errorf("-confirm-top must be at least 1, got %d", *confirmTop)
-	}
-	// Checkpoint flags: -checkpoint-every/-checkpoint-out checkpoint a
-	// run, -resume continues one. Valid in single-host scenario mode and
-	// the sweep modes; validated here, routed below.
-	checkpointing := set["checkpoint-every"] || set["checkpoint-out"] || set["resume"]
-	if set["checkpoint-every"] && *ckEvery < 1 {
-		return fmt.Errorf("-checkpoint-every must be at least 1, got %d", *ckEvery)
-	}
-	if set["checkpoint-every"] != set["checkpoint-out"] {
-		return fmt.Errorf("-checkpoint-every and -checkpoint-out go together (got one without the other)")
-	}
-	if *resumeFrom != "" {
-		if _, err := os.Stat(*resumeFrom); err != nil {
-			return fmt.Errorf("cannot resume: %w", err)
-		}
-	}
-	if *tracePath == "" && *churn == 0 {
-		for _, name := range []string{"seed", "churn-horizon", "churn-life", "trace-out",
-			"migrate", "pending", "migrate-every", "migrate-downtime", "pending-deadline", "big-llc",
-			"detect-alpha", "detect-drift", "detect-threshold", "detect-warmup",
-			"seeds", "shard", "shard-out", "merge"} {
-			if set[name] {
-				return fmt.Errorf("-%s only applies in -trace/-churn mode", name)
-			}
-		}
-	}
-	if *tracePath != "" || *churn > 0 {
-		if *hosts < 1 {
-			return fmt.Errorf("-hosts must be at least 1, got %d", *hosts)
-		}
-		if *tracePath != "" && *churn > 0 {
-			return fmt.Errorf("-trace and -churn are mutually exclusive")
-		}
-		if *path != "" {
-			return fmt.Errorf("-scenario does not apply in -trace/-churn mode")
-		}
-		if set["placer"] {
-			return fmt.Errorf("-placer does not apply in -trace/-churn mode: the trace is swept through all three placers")
-		}
-		if *tracePath != "" && (set["trace-out"] || set["churn-horizon"] || set["churn-life"]) {
-			return fmt.Errorf("-trace-out/-churn-horizon/-churn-life only apply with -churn")
-		}
-		migrateMode := set["migrate"] || set["pending"]
-		if set["seeds"] && *seeds < 1 {
-			return fmt.Errorf("-seeds must be at least 1, got %d", *seeds)
-		}
-		if set["big-llc"] && *bigLLC < 0 {
-			return fmt.Errorf("-big-llc must be >= 0, got %d", *bigLLC)
-		}
-		if *shardSpec != "" && *mergeGlobs != "" {
-			return fmt.Errorf("-shard and -merge are mutually exclusive (run shards first, merge after)")
-		}
-		if set["shard-out"] && *shardSpec == "" {
-			return fmt.Errorf("-shard-out only applies with -shard")
-		}
-		if (*shardSpec != "" || *mergeGlobs != "") && set["trace-out"] {
-			// N shard processes would race writing the same file, and the
-			// confirmation line would pollute a stdout envelope; write the
-			// trace once, separately.
-			return fmt.Errorf("-trace-out does not apply with -shard/-merge (synthesize the trace in its own run)")
-		}
-		if *mergeGlobs != "" && checkpointing {
-			return fmt.Errorf("-checkpoint/-resume apply to runs, not -merge (merge re-reads completed envelopes)")
-		}
-		if !migrateMode {
-			for _, name := range []string{"migrate-every", "migrate-downtime", "pending-deadline", "big-llc"} {
-				if set[name] {
-					return fmt.Errorf("-%s only applies with -migrate/-pending", name)
-				}
-			}
-		}
-		// Detector knobs tune the signature rebalancer's change-point
-		// detector; with no signature arm in the sweep they would be
-		// silently dropped.
-		signatureArm := *migrate == "signature" || *migrate == "all"
-		for _, name := range []string{"detect-alpha", "detect-drift", "detect-threshold", "detect-warmup"} {
-			if set[name] && !signatureArm {
-				return fmt.Errorf("-%s only applies with -migrate signature (or -migrate all)", name)
-			}
-		}
-		detector := kyoto.DetectorConfig{
-			Alpha:     *detectAlpha,
-			Drift:     *detectDrift,
-			Threshold: *detectThreshold,
-			Warmup:    *detectWarmup,
-		}
-		// A shard run's stdout is just the envelope (or nothing, with
-		// -shard-out to a file): the informational preamble would pollute
-		// the merged stream sweep_shards.sh pipes around.
-		quiet := *shardSpec != ""
-		var tr kyoto.Trace
-		if *tracePath != "" {
-			tr, err = kyoto.LoadTrace(*tracePath)
-			if err != nil {
-				return err
-			}
-			if !quiet {
-				fmt.Fprintf(out, "trace: %s (%d events)\n", *tracePath, len(tr.Events))
-			}
-		} else {
-			cfg := kyoto.ChurnConfig{Seed: *seed, VMs: *churn, Horizon: *horizon, MeanLifetime: *meanLife}
-			tr = kyoto.SynthesizeTrace(cfg)
-			if !quiet {
-				fmt.Fprintf(out, "synthetic churn: %d VMs, seed %d\n", *churn, *seed)
-			}
-			if *traceOut != "" {
-				f, err := os.Create(*traceOut)
-				if err != nil {
-					return err
-				}
-				if err := tr.WriteJSON(f); err != nil {
-					f.Close()
-					return err
-				}
-				if err := f.Close(); err != nil {
-					return err
-				}
-				fmt.Fprintf(out, "wrote %s\n", *traceOut)
-			}
-		}
-		// In the sweep modes the checkpoint file both receives progress and
-		// seeds a resume, so -resume and -checkpoint-out name the same file
-		// and either one engages job-level checkpointing.
-		ckPath := *ckOut
-		if ckPath == "" {
-			ckPath = *resumeFrom
-		}
-		if *ckOut != "" && *resumeFrom != "" && *ckOut != *resumeFrom {
-			return fmt.Errorf("in sweep modes -resume and -checkpoint-out name the same checkpoint file; got %q and %q", *resumeFrom, *ckOut)
-		}
-		ckEveryJobs := *ckEvery
-		if ckEveryJobs == 0 {
-			ckEveryJobs = 1
-		}
-		dispatch := sweepDispatch{shardSpec: *shardSpec, shardOut: *shardOut, mergeGlobs: *mergeGlobs,
-			ckPath: ckPath, ckEvery: ckEveryJobs}
-		if twoTier {
-			// The two-tier mode's exact pass depends on the analytic
-			// ranking, so it cannot be planned as independent jobs up
-			// front; it runs in-process only.
-			if *shardSpec != "" || *mergeGlobs != "" {
-				return fmt.Errorf("-fidelity two-tier does not shard (-shard/-merge); shard each tier separately with -fidelity analytic/exact")
-			}
-			if checkpointing {
-				return fmt.Errorf("-fidelity two-tier does not checkpoint (its exact pass depends on the analytic ranking); checkpoint each tier separately with -fidelity analytic/exact")
-			}
-			if *seeds > 0 {
-				return fmt.Errorf("-fidelity two-tier does not compose with -seeds; replicate each tier separately with -fidelity analytic/exact")
-			}
-			if migrateMode {
-				return fmt.Errorf("-fidelity two-tier applies to the plain trace sweep; run the migration sweep with -fidelity analytic or exact")
-			}
-			return executeTwoTierTrace(tr, *hosts, *seed, *confirmTop, out)
-		}
-		cfg := kyoto.FleetSweepConfig{Hosts: *hosts, Seed: *seed, Fidelity: fid}
-		if migrateMode {
-			if err := migrationConfig(&cfg, *migrate, *pending, *migrateEvery, *downtime, *maxWait, *bigLLC, detector); err != nil {
-				return err
-			}
-		}
-		return executeSweep(tr, cfg, migrateMode, *seeds, dispatch, out)
-	}
-	if twoTier {
-		return fmt.Errorf("-fidelity two-tier only applies in -trace/-churn mode")
-	}
-	if *path == "" {
-		return fmt.Errorf("missing -scenario (use -example for a template)")
-	}
-
-	var raw []byte
-	if *path == "-" {
-		raw, err = io.ReadAll(os.Stdin)
-	} else {
-		raw, err = os.ReadFile(*path)
-	}
-	if err != nil {
-		return err
-	}
-	var sc scenario
-	dec := json.NewDecoder(strings.NewReader(string(raw)))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&sc); err != nil {
-		return fmt.Errorf("parsing scenario: %w", err)
-	}
-	if *hosts < 1 {
-		return fmt.Errorf("-hosts must be at least 1, got %d", *hosts)
-	}
-	placerKind, err := kyoto.PlacerKindByName(*placer)
-	if err != nil {
-		return err
-	}
-	if *hosts > 1 {
-		if checkpointing {
-			return fmt.Errorf("-checkpoint/-resume apply to single-host scenarios and -trace/-churn sweeps, not fleet scenario mode")
-		}
-		return executeFleet(sc, *hosts, fid, *placer, placerKind, out)
-	}
-	return executeScenario(sc, raw, fid, checkpointOpts{
-		resume: *resumeFrom, path: *ckOut, every: *ckEvery,
-	}, out)
-}
-
-// sweepDispatch carries the -shard/-merge and checkpoint flags into the
-// sweep modes.
-type sweepDispatch struct {
-	shardSpec  string
-	shardOut   string
-	mergeGlobs string
-	// ckPath, when non-empty, engages job-level checkpointing: completed
-	// jobs are persisted there every ckEvery completions and a file
-	// already present (from a killed run) is resumed instead of re-run.
-	ckPath  string
-	ckEvery int
-}
-
-// apply runs the sweep the way the flags ask: a merge of existing
-// envelopes, one shard written as an envelope, or the whole sweep
-// in-process (the default) — shard 0 of 1, merged. Both runs take the
-// optional job-level checkpoint. It reports whether the caller should
-// print the merged result (false after a shard run, whose only output is
-// the envelope).
-func (d sweepDispatch) apply(s kyoto.Sweep, out io.Writer) (bool, error) {
-	if d.mergeGlobs != "" {
-		envs, err := kyoto.ReadShardEnvelopes(strings.Split(d.mergeGlobs, ","))
-		if err != nil {
-			return false, err
-		}
-		return true, kyoto.MergeShards(s, envs)
-	}
-	k, n := 0, 1
-	if d.shardSpec != "" {
-		var err error
-		if k, n, err = kyoto.ParseShardSpec(d.shardSpec); err != nil {
-			return false, err
-		}
-	}
-	env, _, err := kyoto.RunSweepShardResumable(s, k, n, 0, d.ckPath, d.ckEvery)
-	if err != nil {
-		return false, err
-	}
-	if d.shardSpec != "" {
-		return false, env.WriteFile(d.shardOut, out)
-	}
-	return true, kyoto.MergeShards(s, []kyoto.ShardEnvelope{env})
-}
-
-// executeSeedSweep runs the -seeds statistical mode: the seedable sweep
-// is replicated under consecutive seeds starting at baseSeed, sharded or
-// merged exactly like the underlying sweep, and the merged across-seed
-// statistics table is printed (the per-seed digests are not — with many
-// seeds they are noise).
-func executeSeedSweep(proto kyoto.SeedableSweep, seeds int, baseSeed uint64, dispatch sweepDispatch, out io.Writer) error {
-	ss, err := kyoto.NewSeedSweeper(proto, kyoto.SeedSweepConfig{Seeds: seeds, BaseSeed: baseSeed})
-	if err != nil {
-		return err
-	}
-	print, err := dispatch.apply(ss, out)
-	if err != nil {
-		return err
-	}
-	if !print {
-		return nil
-	}
-	tbl, err := kyoto.SeedSweepTable(ss.Result())
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(out, tbl.String())
-	return nil
-}
-
-// executeTwoTierTrace runs the trace sweep two-tier: broad analytic
-// pass, top-k arms confirmed exact.
-func executeTwoTierTrace(tr kyoto.Trace, hosts int, seed uint64, topK int, out io.Writer) error {
-	res, err := kyoto.SweepTraceTwoTier(tr, kyoto.FleetSweepConfig{Hosts: hosts, Seed: seed}, topK)
-	if err != nil {
-		return err
-	}
-	for _, t := range res.Tables() {
-		fmt.Fprintln(out, t.String())
-	}
-	return nil
+	return executeSweep(tr, cfg, o.mode == modeMigrate, o.seeds, d, out)
 }
 
 // migrationConfig resolves the -migrate/-pending flags into cfg: the
 // rebalancing arms (no-migration plus the requested policy), the queue
 // policy and the fleet shape the topology-aware arm needs.
-func migrationConfig(cfg *kyoto.FleetSweepConfig, migrate, pending string,
-	every uint64, downtime int, maxWait uint64, bigLLC int, detector kyoto.DetectorConfig) error {
-	switch migrate {
+func migrationConfig(cfg *kyoto.FleetSweepConfig, o *options) error {
+	switch o.migrate {
 	case "", "none":
 		cfg.Rebalancers = []string{"none"}
 	case "all":
 		cfg.Rebalancers = kyoto.RebalancerNames()
 	default:
-		if _, err := kyoto.RebalancerByName(migrate); err != nil {
+		if _, err := kyoto.RebalancerByName(o.migrate); err != nil {
 			return err
 		}
-		cfg.Rebalancers = []string{"none", migrate}
+		cfg.Rebalancers = []string{"none", o.migrate}
 	}
+	bigLLC := o.bigLLC
 	if bigLLC < 0 {
 		// Auto default: the topology-aware arm needs a bigger-LLC host to
 		// steer polluters to; every other sweep stays homogeneous so its
@@ -572,17 +518,14 @@ func migrationConfig(cfg *kyoto.FleetSweepConfig, migrate, pending string,
 			}
 		}
 	}
-	if pending == "" {
-		// The sweep exists to show the rejection-vs-wait trade-off, so the
-		// queue defaults on; pass -pending none for drop-on-reject.
-		pending = "fifo"
-	}
-	pp, err := kyoto.PendingPolicyByName(pending)
+	// The sweep exists to show the rejection-vs-wait trade-off, so the
+	// queue defaults on; pass -pending none for drop-on-reject.
+	pp, err := kyoto.PendingPolicyByName(cmp.Or(o.pending, "fifo"))
 	if err != nil {
 		return err
 	}
-	cfg.RebalanceEvery, cfg.Downtime, cfg.Pending, cfg.MaxWait = every, downtime, pp, maxWait
-	cfg.BigLLCFactor, cfg.Detector = bigLLC, detector
+	cfg.RebalanceEvery, cfg.Downtime, cfg.Pending, cfg.MaxWait = o.migrateEvery, o.downtime, pp, o.maxWait
+	cfg.BigLLCFactor, cfg.Detector = bigLLC, o.detector
 	return nil
 }
 
@@ -590,7 +533,7 @@ func migrationConfig(cfg *kyoto.FleetSweepConfig, migrate, pending string,
 // placer migration sweep) over the trace and prints the comparison table
 // plus a per-arm digest: rejections for the trace sweep, applied
 // migrations for the migration sweep.
-func executeSweep(tr kyoto.Trace, cfg kyoto.FleetSweepConfig, migrate bool, seeds int, dispatch sweepDispatch, out io.Writer) error {
+func executeSweep(tr kyoto.Trace, cfg kyoto.FleetSweepConfig, migrate bool, seeds int, d sweep.Dispatch, out io.Writer) error {
 	build := kyoto.NewTraceSweeper
 	if migrate {
 		build = kyoto.NewMigrationSweeper
@@ -600,14 +543,25 @@ func executeSweep(tr kyoto.Trace, cfg kyoto.FleetSweepConfig, migrate bool, seed
 		return err
 	}
 	if seeds > 0 {
-		return executeSeedSweep(s, seeds, cfg.Seed, dispatch, out)
-	}
-	print, err := dispatch.apply(s, out)
-	if err != nil {
-		return err
-	}
-	if !print {
+		// Statistical mode: the sweep replicated under consecutive seeds
+		// from cfg.Seed, sharded or merged like the sweep itself. Only the
+		// across-seed statistics print; per-seed digests would be noise.
+		ss, err := kyoto.NewSeedSweeper(s, kyoto.SeedSweepConfig{Seeds: seeds, BaseSeed: cfg.Seed})
+		if err != nil {
+			return err
+		}
+		if envs, err := d.Run(ss, out); err != nil || envs == nil {
+			return err
+		}
+		tbl, err := kyoto.SeedSweepTable(ss.Result())
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(out, tbl.String())
 		return nil
+	}
+	if envs, err := d.Run(s, out); err != nil || envs == nil {
+		return err
 	}
 	res := s.Result()
 	fmt.Fprintln(out, res.Table().String())
@@ -628,6 +582,46 @@ func executeSweep(tr kyoto.Trace, cfg kyoto.FleetSweepConfig, migrate bool, seed
 		}
 	}
 	return nil
+}
+
+// loadScenario reads the scenario at path ('-' = stdin) and checks it
+// once for both scenario modes: strict decoding, known machine, scheduler
+// and monitor names, at least one VM, and non-negative windows, whose
+// zero values it fills with the defaults. It returns the scenario, its
+// world config and the raw bytes a checkpoint stores.
+func loadScenario(path string, fid kyoto.Fidelity) (sc scenario, cfg kyoto.WorldConfig, raw []byte, err error) {
+	switch path {
+	case "":
+		return sc, cfg, nil, fmt.Errorf("missing -scenario (use -example for a template)")
+	case "-":
+		raw, err = io.ReadAll(os.Stdin)
+	default:
+		raw, err = os.ReadFile(path)
+	}
+	if err != nil {
+		return sc, cfg, nil, err
+	}
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&sc); err != nil {
+		return sc, cfg, nil, fmt.Errorf("parsing scenario: %w", err)
+	}
+	if cfg, err = worldConfig(sc, fid); err != nil {
+		return sc, cfg, nil, err
+	}
+	switch {
+	case len(sc.VMs) == 0:
+		return sc, cfg, nil, fmt.Errorf("scenario has no VMs")
+	case sc.Warmup < 0 || sc.Ticks < 0:
+		return sc, cfg, nil, fmt.Errorf("scenario windows must be >= 0 ticks, got warmup %d, ticks %d", sc.Warmup, sc.Ticks)
+	}
+	if sc.Warmup == 0 {
+		sc.Warmup = 12
+	}
+	if sc.Ticks == 0 {
+		sc.Ticks = 60
+	}
+	return sc, cfg, raw, nil
 }
 
 // worldConfig maps the scenario's host settings onto a WorldConfig.
@@ -662,18 +656,6 @@ func worldConfig(sc scenario, fid kyoto.Fidelity) (kyoto.WorldConfig, error) {
 	return cfg, nil
 }
 
-// windows returns the scenario's warmup and measurement tick counts.
-func windows(sc scenario) (warmup, ticks int) {
-	warmup, ticks = sc.Warmup, sc.Ticks
-	if warmup == 0 {
-		warmup = 12
-	}
-	if ticks == 0 {
-		ticks = 60
-	}
-	return warmup, ticks
-}
-
 // statsRow writes one VM's measurement-window report line.
 func statsRow(tw io.Writer, prefix string, v *kyoto.VM, before kyoto.Counters) {
 	d := v.Counters().Delta(before)
@@ -685,13 +667,10 @@ func statsRow(tw io.Writer, prefix string, v *kyoto.VM, before kyoto.Counters) {
 
 // executeFleet runs the scenario on a cluster of identical hosts behind
 // the named placement policy.
-func executeFleet(sc scenario, hosts int, fid kyoto.Fidelity, placerName string, placer kyoto.PlacerKind, out io.Writer) error {
-	cfg, err := worldConfig(sc, fid)
+func executeFleet(sc scenario, cfg kyoto.WorldConfig, hosts int, placerName string, out io.Writer) error {
+	placer, err := kyoto.PlacerKindByName(placerName)
 	if err != nil {
 		return err
-	}
-	if len(sc.VMs) == 0 {
-		return fmt.Errorf("scenario has no VMs")
 	}
 	c, err := kyoto.NewCluster(kyoto.ClusterConfig{Hosts: hosts, World: cfg, Placer: placer})
 	if err != nil {
@@ -721,15 +700,14 @@ func executeFleet(sc scenario, hosts int, fid kyoto.Fidelity, placerName string,
 		rows[i] = row{v: p.VM, host: p.HostID}
 	}
 
-	warmup, ticks := windows(sc)
-	c.RunTicks(warmup)
+	c.RunTicks(sc.Warmup)
 	before := make([]kyoto.Counters, len(rows))
 	for i, r := range rows {
 		if r.v != nil {
 			before[i] = r.v.Counters()
 		}
 	}
-	c.RunTicks(ticks)
+	c.RunTicks(sc.Ticks)
 
 	fmt.Fprintf(out, "fleet: %d hosts, placer %s\nper-host machine:\n%s\n",
 		hosts, placerName, c.Host(0).MachineTable())

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -15,6 +16,9 @@ func TestExampleFlag(t *testing.T) {
 	if !strings.Contains(out.String(), `"vms"`) {
 		t.Fatalf("example output: %s", out.String())
 	}
+	if err := run([]string{"-example", "-hosts", "2"}, &strings.Builder{}); err == nil {
+		t.Fatal("-example with a run flag must fail, not print the template")
+	}
 }
 
 func TestAppsFlag(t *testing.T) {
@@ -26,6 +30,9 @@ func TestAppsFlag(t *testing.T) {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("apps listing missing %s", want)
 		}
+	}
+	if err := run([]string{"-apps", "-seed", "3"}, &strings.Builder{}); err == nil {
+		t.Fatal("-apps with a sweep flag must fail, not list the profiles")
 	}
 }
 
@@ -69,11 +76,19 @@ func TestScenarioValidation(t *testing.T) {
 		"unknown monitor": `{"monitor": "magic", "vms": [{"name":"a","app":"gcc"}]}`,
 		"no vms":          `{"ticks": 5}`,
 		"unknown app":     `{"vms": [{"name":"a","app":"doom"}]}`,
+		// A negative warmup once wrapped to 2^64-5 ticks: the single-host
+		// loop spun forever and the fleet skipped 2^64-5 ticks.
+		"negative warmup": `{"warmup": -5, "vms": [{"name":"a","app":"gcc","pins":[0]}]}`,
+		"negative ticks":  `{"ticks": -5, "vms": [{"name":"a","app":"gcc","pins":[0]}]}`,
 	}
 	for name, body := range cases {
 		t.Run(name, func(t *testing.T) {
-			if err := run([]string{"-scenario", write(body)}, &strings.Builder{}); err == nil {
-				t.Fatal("want error")
+			// Both scenario modes share one loader, so each bad input
+			// fails on one host and on a fleet alike.
+			for _, hosts := range []string{"1", "2"} {
+				if err := run([]string{"-scenario", write(body), "-hosts", hosts}, &strings.Builder{}); err == nil {
+					t.Fatalf("-hosts %s: want error", hosts)
+				}
 			}
 		})
 	}
@@ -161,6 +176,9 @@ func TestFleetModeFlagValidation(t *testing.T) {
 	if err := run([]string{"-scenario", path, "-hosts", "2", "-placer", "magic"}, &strings.Builder{}); err == nil {
 		t.Fatal("unknown placer must fail")
 	}
+	if err := run([]string{"-scenario", path, "-placer", "kyoto"}, &strings.Builder{}); err == nil {
+		t.Fatal("-placer on a single-host scenario must fail, not be ignored")
+	}
 }
 
 // TestTraceModeComparisonTable is the acceptance lock for -trace: the
@@ -225,6 +243,9 @@ func TestTraceModeFlagValidation(t *testing.T) {
 	}
 	if err := run([]string{"-churn", "5", "-hosts", "0"}, &strings.Builder{}); err == nil {
 		t.Fatal("hosts 0 must fail in trace mode")
+	}
+	if err := run([]string{"-churn", "-5"}, &strings.Builder{}); err == nil || !strings.HasPrefix(err.Error(), "-churn ") {
+		t.Fatalf("negative -churn must fail naming -churn, got %v", err)
 	}
 }
 
@@ -471,6 +492,18 @@ func TestMigrateModeFlagValidation(t *testing.T) {
 	if err := run([]string{"-scenario", "s.json", "-pending", "fifo"}, &strings.Builder{}); err == nil {
 		t.Fatal("-pending outside -trace/-churn mode must fail")
 	}
+	// Knobs no arm reads: the deadline outside -pending deadline, and the
+	// rebalance epoch and blackout when no arm migrates.
+	for _, args := range [][]string{
+		{"-churn", "5", "-pending", "fifo", "-pending-deadline", "40"},
+		{"-churn", "5", "-migrate", "none", "-migrate-every", "6"},
+		{"-churn", "5", "-pending", "sjf", "-migrate-downtime", "2"},
+		{"-churn", "5", "-migrate", "reactive", "-migrate-downtime", "-3"},
+	} {
+		if err := run(args, &strings.Builder{}); err == nil {
+			t.Fatalf("%v: must fail", args)
+		}
+	}
 }
 
 // TestSignatureFlagValidation pins the clean-error contract for the
@@ -555,5 +588,102 @@ func TestSignatureSweepComposition(t *testing.T) {
 	}
 	if err := run(bad, &strings.Builder{}); err == nil {
 		t.Fatal("envelopes from a differently tuned detector merged silently")
+	}
+}
+
+// TestFlagMatrix checks kyotosim's mode table. Every flag is either a
+// profile flag, which applies everywhere, or in exactly one flagRules row;
+// and for every row and every bound in flagMins, an invocation that
+// breaks it fails with an error naming the flag. The invocations name
+// input files that do not exist, so an error about the flag also shows
+// that the check ran before any input was read or any simulation began.
+func TestFlagMatrix(t *testing.T) {
+	dir := t.TempDir()
+	absent := filepath.Join(dir, "absent.json")
+	everywhere := map[string]bool{"cpuprofile": true, "memprofile": true}
+	rowOf := map[string]int{}
+	for i, r := range flagRules {
+		for _, name := range r.flags {
+			if _, dup := rowOf[name]; dup || everywhere[name] {
+				t.Errorf("-%s is covered twice", name)
+			}
+			rowOf[name] = i
+		}
+	}
+	newFlagSet(&options{}).VisitAll(func(f *flag.Flag) {
+		if _, ok := rowOf[f.Name]; !ok && !everywhere[f.Name] {
+			t.Errorf("-%s is in no flagRules row and is not a profile flag", f.Name)
+		}
+	})
+
+	type breach struct {
+		flag string
+		args []string
+	}
+	misplaced := []breach{
+		{"example", []string{"-example", "-apps"}},
+		{"fidelity", []string{"-apps", "-fidelity", "analytic"}},
+		{"fidelity", []string{"-scenario", absent, "-fidelity", "two-tier"}},
+		{"hosts", []string{"-example", "-hosts", "2"}},
+		{"scenario", []string{"-trace", absent, "-scenario", absent}},
+		{"placer", []string{"-scenario", absent, "-placer", "kyoto"}},
+		{"placer", []string{"-trace", absent, "-placer", "kyoto"}},
+		{"trace", []string{"-trace", absent, "-churn", "5"}},
+		{"seed", []string{"-scenario", absent, "-seed", "9"}},
+		{"churn-life", []string{"-trace", absent, "-churn-life", "10"}},
+		{"trace-out", []string{"-trace", absent, "-trace-out", filepath.Join(dir, "t.json")}},
+		{"trace-out", []string{"-churn", "5", "-shard", "0/2", "-trace-out", filepath.Join(dir, "t.json")}},
+		{"migrate", []string{"-trace", absent, "-fidelity", "two-tier", "-migrate", "reactive"}},
+		{"pending", []string{"-scenario", absent, "-pending", "fifo"}},
+		{"big-llc", []string{"-trace", absent, "-big-llc", "2"}},
+		{"migrate-every", []string{"-trace", absent, "-migrate", "none", "-migrate-every", "6"}},
+		{"migrate-downtime", []string{"-trace", absent, "-pending", "fifo", "-migrate-downtime", "2"}},
+		{"pending-deadline", []string{"-trace", absent, "-pending", "fifo", "-pending-deadline", "40"}},
+		{"detect-drift", []string{"-trace", absent, "-migrate", "reactive", "-detect-drift", "0.5"}},
+		{"seeds", []string{"-trace", absent, "-fidelity", "two-tier", "-seeds", "3"}},
+		{"shard", []string{"-scenario", absent, "-shard", "0/2"}},
+		{"shard-out", []string{"-trace", absent, "-shard-out", filepath.Join(dir, "s.json")}},
+		{"checkpoint-every", []string{"-scenario", absent, "-checkpoint-every", "5"}},
+		{"checkpoint-every", []string{"-scenario", absent, "-hosts", "2", "-checkpoint-every", "5", "-checkpoint-out", filepath.Join(dir, "ck.json")}},
+		{"resume", []string{"-trace", absent, "-merge", absent, "-resume", absent}},
+		{"confirm-top", []string{"-trace", absent, "-confirm-top", "2"}},
+	}
+	outOfRange := []breach{
+		{"hosts", []string{"-scenario", absent, "-hosts", "0"}},
+		{"churn", []string{"-churn", "-5"}},
+		{"seeds", []string{"-trace", absent, "-seeds", "0"}},
+		{"confirm-top", []string{"-trace", absent, "-fidelity", "two-tier", "-confirm-top", "0"}},
+		{"checkpoint-every", []string{"-scenario", absent, "-checkpoint-every", "0", "-checkpoint-out", filepath.Join(dir, "ck.json")}},
+		{"big-llc", []string{"-trace", absent, "-migrate", "topo", "-big-llc", "-1"}},
+	}
+	rowBroken := make([]bool, len(flagRules))
+	for _, b := range misplaced {
+		err := run(b.args, &strings.Builder{})
+		if err == nil || !strings.HasPrefix(err.Error(), "-"+b.flag+" only applies") {
+			t.Errorf("%v: want a -%s rule error, got %v", b.args, b.flag, err)
+		}
+		rowBroken[rowOf[b.flag]] = true
+	}
+	for i, r := range flagRules {
+		if !rowBroken[i] {
+			t.Errorf("no invocation breaks the rule for %v", r.flags)
+		}
+	}
+	bounded := map[string]bool{}
+	for _, b := range outOfRange {
+		err := run(b.args, &strings.Builder{})
+		if err == nil || !strings.HasPrefix(err.Error(), "-"+b.flag+" must be at least") {
+			t.Errorf("%v: want a -%s range error, got %v", b.args, b.flag, err)
+		}
+		bounded[b.flag] = true
+	}
+	for _, m := range flagMins {
+		if !bounded[m.name] {
+			t.Errorf("no invocation breaks the bound on -%s", m.name)
+		}
+	}
+	// The profile flags apply in every mode, -example's included.
+	if err := run([]string{"-example", "-cpuprofile", filepath.Join(dir, "cpu.out")}, &strings.Builder{}); err != nil {
+		t.Fatal(err)
 	}
 }

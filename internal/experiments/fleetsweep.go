@@ -93,8 +93,8 @@ type FleetSweepConfig struct {
 	// DefaultDetectionRebalanceEvery for detection). Migration and
 	// detection.
 	RebalanceEvery uint64
-	// Downtime is the per-migration blackout in ticks (default 0).
-	// Migration and detection.
+	// Downtime is the per-migration blackout in ticks (default 0; a
+	// negative value is an error). Migration and detection.
 	Downtime int
 	// Pending is the queue policy applied to rejected arrivals in every
 	// arm (default PendingNone: reject outright). Migration.
@@ -478,6 +478,9 @@ func newFleetSweeper(p *fleetPreset, tr arrivals.Trace, cfg FleetSweepConfig) (*
 	}
 	if len(cfg.AggressiveApps) == 0 && slices.Contains(p.accepts, "AggressiveApps") {
 		cfg.AggressiveApps = DefaultAggressiveApps()
+	}
+	if cfg.Downtime < 0 {
+		return nil, fmt.Errorf("experiments: Downtime must be >= 0 ticks, got %d", cfg.Downtime)
 	}
 	if err := tr.Validate(); err != nil {
 		return nil, err

@@ -110,6 +110,9 @@ func TestMigrationSweepValidatesConfig(t *testing.T) {
 	if _, err := MigrationSweep(sweepTrace(), FleetSweepConfig{Rebalancers: []string{"bogus"}}); err == nil {
 		t.Fatal("bogus rebalancer name must fail")
 	}
+	if _, err := MigrationSweep(sweepTrace(), FleetSweepConfig{Downtime: -3}); err == nil || !strings.Contains(err.Error(), "Downtime") {
+		t.Fatalf("negative Downtime: %v", err)
+	}
 	bad := arrivals.Trace{Events: []arrivals.Event{{App: "no-such-app"}}}
 	if _, err := MigrationSweep(bad, FleetSweepConfig{}); err == nil {
 		t.Fatal("invalid trace must fail")

@@ -1,9 +1,9 @@
 package sweep
 
-// Envelope file I/O: shard results and checkpoints are plain JSON files,
-// so any transport that can move a file (scp, object storage, CI
-// artifacts) can move a shard between the process that ran it and the
-// process that merges it.
+// Envelope file I/O and the CLI side of the shard protocol: shard
+// results and checkpoints are plain JSON files, so any transport that can
+// move a file (scp, object storage, CI artifacts) can move a shard
+// between the process that ran it and the process that merges it.
 
 import (
 	"bytes"
@@ -132,6 +132,57 @@ func ReadEnvelopes(patterns []string) ([]Envelope, error) {
 		envs = append(envs, env)
 	}
 	return envs, nil
+}
+
+// Dispatch is the shard protocol's flags as one command line gives them
+// (-shard k/n, -shard-out FILE, -merge GLOBS, plus an optional job-level
+// checkpoint), shared by every CLI that runs sweeps.
+type Dispatch struct {
+	// Shard ("k/n") runs that shard and writes its envelope to ShardOut
+	// ("-" = the writer Run is given).
+	Shard, ShardOut string
+	// Merge lists comma-separated envelope globs to merge instead of
+	// running anything.
+	Merge string
+	// Checkpoint, when set, is the file a run resumes from and rewrites
+	// every Every completed jobs (0 = after each job).
+	Checkpoint string
+	Every      int
+	// Workers caps job parallelism (0 = GOMAXPROCS).
+	Workers int
+}
+
+// Run does one of three things with s: merge the envelopes d.Merge
+// names; run shard d.Shard and write its envelope; or, with neither set,
+// run shard 0 of 1 in-process and merge it. It returns the envelopes it
+// merged, or nil after a shard run, whose only output is the envelope.
+func (d Dispatch) Run(s Sweep, w io.Writer) ([]Envelope, error) {
+	if d.Shard != "" && d.Merge != "" {
+		return nil, fmt.Errorf("sweep: -shard and -merge are mutually exclusive (run shards first, merge after)")
+	}
+	if d.Merge != "" {
+		envs, err := ReadEnvelopes(strings.Split(d.Merge, ","))
+		if err != nil {
+			return nil, err
+		}
+		return envs, Merge(s, envs)
+	}
+	k, n := 0, 1
+	if d.Shard != "" {
+		var err error
+		if k, n, err = ParseShardSpec(d.Shard); err != nil {
+			return nil, err
+		}
+	}
+	env, _, err := Engine{Workers: d.Workers}.RunShardResumable(s, k, n, d.Checkpoint, max(d.Every, 1))
+	if err != nil {
+		return nil, err
+	}
+	if d.Shard != "" {
+		return nil, env.WriteFile(d.ShardOut, w)
+	}
+	envs := []Envelope{env}
+	return envs, Merge(s, envs)
 }
 
 // ParseShardSpec parses a "-shard k/n" flag value.

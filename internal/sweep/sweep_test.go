@@ -216,6 +216,39 @@ func TestEnvelopeFileRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDispatchModes drives the CLIs' one dispatcher through its three
+// modes: shard runs write envelopes and return nil, the merge of those
+// files and the in-process run (with a checkpoint) both fold the whole
+// plan and return what they merged, and -shard with -merge is refused.
+func TestDispatchModes(t *testing.T) {
+	dir := t.TempDir()
+	for k := 0; k < 2; k++ {
+		var stdout bytes.Buffer
+		out := filepath.Join(dir, fmt.Sprintf("shard-%d.json", k))
+		envs, err := Dispatch{Shard: fmt.Sprintf("%d/2", k), ShardOut: out}.Run(newFakeSweep(5), &stdout)
+		if err != nil || envs != nil || stdout.Len() != 0 {
+			t.Fatalf("shard %d/2: envs %v, stdout %q, err %v", k, envs, stdout.String(), err)
+		}
+	}
+	merged := newFakeSweep(5)
+	envs, err := Dispatch{Merge: filepath.Join(dir, "shard-*.json")}.Run(merged, nil)
+	if err != nil || len(envs) != 2 || fmt.Sprint(merged.merged) != "[0 1 4 9 16]" {
+		t.Fatalf("merge: %d envelopes, merged %v, err %v", len(envs), merged.merged, err)
+	}
+	ck := filepath.Join(dir, "ck.json")
+	whole := newFakeSweep(5)
+	envs, err = Dispatch{Checkpoint: ck}.Run(whole, nil)
+	if err != nil || len(envs) != 1 || fmt.Sprint(whole.merged) != "[0 1 4 9 16]" {
+		t.Fatalf("in-process: %d envelopes, merged %v, err %v", len(envs), whole.merged, err)
+	}
+	if final, err := ReadEnvelope(ck); err != nil || final.Fingerprint != envs[0].Fingerprint {
+		t.Fatalf("checkpoint is not the finished envelope: %v", err)
+	}
+	if _, err := (Dispatch{Shard: "0/2", Merge: ck}).Run(newFakeSweep(5), nil); err == nil {
+		t.Fatal("-shard with -merge must fail")
+	}
+}
+
 func TestParseShardSpec(t *testing.T) {
 	k, n, err := ParseShardSpec("2/5")
 	if err != nil || k != 2 || n != 5 {
