@@ -11,8 +11,6 @@ import (
 	"fmt"
 
 	"kyoto/internal/cluster"
-	"kyoto/internal/machine"
-	"kyoto/internal/sched"
 )
 
 // ErrUnplaceable is wrapped by Cluster.Place when no host can take the
@@ -130,36 +128,20 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	wc := cfg.World
-	var newSched func(cores int) sched.Scheduler
-	switch wc.Scheduler {
-	case 0, CreditScheduler:
-		newSched = func(cores int) sched.Scheduler { return sched.NewCredit(cores) }
-	case CFSScheduler:
-		newSched = func(int) sched.Scheduler { return sched.NewCFS() }
-	case PiscesScheduler:
-		newSched = func(int) sched.Scheduler { return sched.NewPisces() }
-	default:
-		return nil, fmt.Errorf("kyoto: unknown scheduler kind %d", wc.Scheduler)
+	nc, err := nodeConfig(cfg.World)
+	if err != nil {
+		return nil, err
 	}
-	var shadow bool
-	switch wc.Monitor {
-	case MonitorCounters:
-	case MonitorShadowSim:
-		shadow = true
-	default:
-		return nil, fmt.Errorf("kyoto: unknown monitor kind %d", wc.Monitor)
-	}
-	var mcfg machine.Config = wc.Machine
 	f, err := cluster.New(cluster.Config{
 		Hosts: cfg.Hosts,
 		Template: cluster.HostTemplate{
-			Machine:       mcfg,
-			NewSched:      newSched,
-			EnableKyoto:   wc.EnableKyoto,
-			ShadowMonitor: shadow,
-			Seed:          wc.Seed,
-			Fidelity:      wc.Fidelity,
+			Machine:       nc.Machine,
+			NewSched:      nc.NewSched,
+			EnableKyoto:   nc.EnableKyoto,
+			ShadowMonitor: nc.ShadowMonitor,
+			Indicator:     nc.Indicator,
+			Seed:          nc.Seed,
+			Fidelity:      nc.Fidelity,
 			MemoryMB:      cfg.HostMemoryMB,
 			LLCBudget:     cfg.HostLLCBudget,
 		},
@@ -172,7 +154,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 	c := &Cluster{fleet: f, cfg: cfg}
 	for _, h := range f.Hosts() {
-		c.hosts = append(c.hosts, &World{inner: h.World, kyoto: h.Kyoto()})
+		c.hosts = append(c.hosts, &World{node: h.Node, inCluster: true})
 	}
 	return c, nil
 }

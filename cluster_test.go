@@ -1,6 +1,7 @@
 package kyoto
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -125,5 +126,67 @@ func TestClusterPlacerKindsDiffer(t *testing.T) {
 	}
 	if sp[0] != 0 || sp[1] != 1 {
 		t.Fatalf("spread must separate the polluters: %v", sp)
+	}
+}
+
+// TestClusterHonorsIndicator: every host's monitor measures with the
+// template's indicator. The two indicators give different rate traces
+// on a standalone World, so a cluster whose traces match for both
+// dropped WorldConfig.Indicator somewhere.
+func TestClusterHonorsIndicator(t *testing.T) {
+	specs := []VMSpec{
+		{Name: "sen", App: "gcc", Pins: []int{0}, LLCCap: 250},
+		{Name: "dis", App: "lbm", Pins: []int{1}, LLCCap: 250},
+	}
+	// rates runs 12 ticks one at a time and records the ledger's
+	// measured rate for every VM after each.
+	rates := func(run func(), k func() *Kyoto, vms []*VM) []float64 {
+		var out []float64
+		for tick := 0; tick < 12; tick++ {
+			run()
+			for _, v := range vms {
+				out = append(out, k().LastRate(v))
+			}
+		}
+		return out
+	}
+	world := func(ind Indicator) []float64 {
+		w, err := NewWorld(WorldConfig{Seed: 5, EnableKyoto: true, Indicator: ind})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var vms []*VM
+		for _, s := range specs {
+			v, err := w.AddVM(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			vms = append(vms, v)
+		}
+		return rates(func() { w.RunTicks(1) }, w.Kyoto, vms)
+	}
+	fleet := func(ind Indicator) []float64 {
+		c, err := NewCluster(ClusterConfig{Hosts: 1, World: WorldConfig{Seed: 5, EnableKyoto: true, Indicator: ind}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var vms []*VM
+		for _, s := range specs {
+			p, err := c.Place(ClusterVMSpec{VMSpec: s})
+			if err != nil {
+				t.Fatal(err)
+			}
+			vms = append(vms, p.VM)
+		}
+		return rates(func() { c.RunTicks(1) }, c.Host(0).Kyoto, vms)
+	}
+	if reflect.DeepEqual(world(Equation1), world(RawLLCM)) {
+		t.Fatal("Equation 1 and raw LLCM give identical rate traces on a World; the test cannot tell them apart")
+	}
+	if reflect.DeepEqual(fleet(Equation1), fleet(RawLLCM)) {
+		t.Fatal("the cluster's rate traces ignore WorldConfig.Indicator")
+	}
+	if !reflect.DeepEqual(fleet(0), fleet(Equation1)) {
+		t.Fatal("a zero indicator must measure with Equation 1")
 	}
 }

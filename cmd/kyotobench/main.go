@@ -7,6 +7,9 @@
 //	kyotobench -run fig4,fig5 -seed 7
 //	kyotobench -list
 //
+// -list and -list-shardable print experiment ids and exit; each runs
+// alone, with at most -cpuprofile and -memprofile.
+//
 // Each experiment prints an ASCII table whose rows correspond to the
 // paper's bars/series; README's "Reproducing the paper's figures" walks
 // through the runs.
@@ -329,6 +332,18 @@ func run(args []string) (err error) {
 	}
 	set := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if *list || *listShard {
+		// Listing prints and exits: any other flag would be ignored.
+		var given []string
+		fs.Visit(func(f *flag.Flag) {
+			if f.Name != "cpuprofile" && f.Name != "memprofile" {
+				given = append(given, "-"+f.Name)
+			}
+		})
+		if len(given) > 1 {
+			return fmt.Errorf("-list and -list-shardable each run alone, with at most the profile flags; got %s", strings.Join(given, " "))
+		}
+	}
 	if set["seeds"] && *seeds < 1 {
 		return fmt.Errorf("-seeds must be at least 1, got %d", *seeds)
 	}
@@ -348,17 +363,17 @@ func run(args []string) (err error) {
 	if twoTier && *confirmTop < 1 {
 		return fmt.Errorf("-confirm-top must be at least 1, got %d", *confirmTop)
 	}
+	stopProf, err := profiling.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		return err
+	}
+	defer profiling.StopInto(stopProf, &err)
 	if *listShard {
 		for _, id := range ids(shardable) {
 			fmt.Println(id)
 		}
 		return nil
 	}
-	stopProf, err := profiling.Start(*cpuProfile, *memProfile)
-	if err != nil {
-		return err
-	}
-	defer profiling.StopInto(stopProf, &err)
 	if *wsJSON != "" {
 		if twoTier {
 			return fmt.Errorf("-warmstart-json runs on one tier; use -fidelity exact or analytic")

@@ -34,6 +34,30 @@ func TestListFlag(t *testing.T) {
 	if err := run([]string{"-list"}); err != nil {
 		t.Fatal(err)
 	}
+	// -list and -list-shardable print and exit, so any other flag but
+	// the profile flags would be silently ignored.
+	for _, args := range [][]string{
+		{"-list", "-seeds", "3", "-run", "fig4"},
+		{"-list-shardable", "-workers", "4", "-fidelity", "analytic"},
+		{"-list", "-list-shardable"},
+		{"-seed", "2", "-list"},
+	} {
+		if err := run(args); err == nil || !strings.Contains(err.Error(), "run alone") {
+			t.Errorf("%v: want a run-alone error, got %v", args, err)
+		}
+	}
+	dir := t.TempDir()
+	for _, args := range [][]string{
+		{"-list", "-cpuprofile", filepath.Join(dir, "list.cpu")},
+		{"-list-shardable", "-memprofile", filepath.Join(dir, "shardable.mem")},
+	} {
+		if err := run(args); err != nil {
+			t.Errorf("%v: %v", args, err)
+		}
+		if _, err := os.Stat(args[2]); err != nil {
+			t.Errorf("%v wrote no profile: %v", args, err)
+		}
+	}
 }
 
 func TestQuickExperimentsExecute(t *testing.T) {

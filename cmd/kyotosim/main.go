@@ -103,7 +103,7 @@
 //     (-hosts > 1);
 //   - -seed belongs to the -trace/-churn sweeps, and -trace-out,
 //     -churn-horizon and -churn-life to -churn (-trace-out outside
-//     -shard/-merge);
+//     -shard/-merge; -churn-life positive and finite);
 //   - -migrate, -pending and -big-llc need a single-tier sweep;
 //     -migrate-every and -migrate-downtime need an arm that migrates
 //     (-migrate reactive, topo, signature or all), -pending-deadline
@@ -132,12 +132,13 @@
 //	    {"name": "web", "app": "gcc", "pins": [0], "llc_cap": 250},
 //	    {"name": "batch", "app": "lbm", "pins": [1], "llc_cap": 250,
 //	     "weight": 256, "cap_percent": 0, "home_node": 0,
-//	     "memory_mb": 64}
+//	     "vcpus": 1, "memory_mb": 64}
 //	  ]
 //	}
 //
 // warmup and ticks count ticks: zero picks the defaults (12 and 60), and
-// a negative window is an error.
+// a negative window is an error. A VM's vcpus may not exceed the
+// machine's cores.
 package main
 
 import (
@@ -148,6 +149,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"text/tabwriter"
 
@@ -361,6 +363,9 @@ func (o *options) check(fs *flag.FlagSet) (err error) {
 		if v := fs.Lookup(m.name).Value.(flag.Getter).Get().(int); o.set[m.name] && v < m.min {
 			return fmt.Errorf("-%s must be at least %d, got %d", m.name, m.min, v)
 		}
+	}
+	if o.set["churn-life"] && !(o.meanLife > 0 && o.meanLife <= math.MaxFloat64) {
+		return fmt.Errorf("-churn-life must be a positive finite number of ticks, got %v", o.meanLife)
 	}
 	if o.fidelity != "two-tier" {
 		if o.fid, err = kyoto.ParseFidelity(o.fidelity); err != nil {
@@ -614,6 +619,14 @@ func loadScenario(path string, fid kyoto.Fidelity) (sc scenario, cfg kyoto.World
 		return sc, cfg, nil, fmt.Errorf("scenario has no VMs")
 	case sc.Warmup < 0 || sc.Ticks < 0:
 		return sc, cfg, nil, fmt.Errorf("scenario windows must be >= 0 ticks, got warmup %d, ticks %d", sc.Warmup, sc.Ticks)
+	}
+	// A VM books at most one vCPU per core (the fleet's admission rule);
+	// an unbounded count would allocate until memory runs out.
+	cores := cfg.Machine.Sockets * cfg.Machine.CoresPerSocket
+	for _, v := range sc.VMs {
+		if v.VCPUs > cores {
+			return sc, cfg, nil, fmt.Errorf("scenario VM %q asks for %d vCPUs, more than the machine's %d cores", v.Name, v.VCPUs, cores)
+		}
 	}
 	if sc.Warmup == 0 {
 		sc.Warmup = 12

@@ -80,6 +80,9 @@ func TestScenarioValidation(t *testing.T) {
 		// loop spun forever and the fleet skipped 2^64-5 ticks.
 		"negative warmup": `{"warmup": -5, "vms": [{"name":"a","app":"gcc","pins":[0]}]}`,
 		"negative ticks":  `{"ticks": -5, "vms": [{"name":"a","app":"gcc","pins":[0]}]}`,
+		// A single host built every vCPU asked for, ~850 B each, so a
+		// large count exhausted memory before the first tick.
+		"vcpus beyond cores": `{"vms": [{"name":"a","app":"gcc","vcpus":4096}]}`,
 	}
 	for name, body := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -680,6 +683,13 @@ func TestFlagMatrix(t *testing.T) {
 	for _, m := range flagMins {
 		if !bounded[m.name] {
 			t.Errorf("no invocation breaks the bound on -%s", m.name)
+		}
+	}
+	// -churn-life is a float: set, it must be positive and finite.
+	for _, v := range []string{"-3", "0", "NaN", "+Inf", "-Inf"} {
+		err := run([]string{"-churn", "5", "-churn-life", v}, &strings.Builder{})
+		if err == nil || !strings.HasPrefix(err.Error(), "-churn-life must be a positive finite number") {
+			t.Errorf("-churn-life %s: want a range error, got %v", v, err)
 		}
 	}
 	// The profile flags apply in every mode, -example's included.

@@ -51,6 +51,7 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"runtime"
@@ -59,9 +60,7 @@ import (
 
 	"kyoto/internal/cache"
 	"kyoto/internal/core"
-	"kyoto/internal/hv"
 	"kyoto/internal/machine"
-	"kyoto/internal/monitor"
 	"kyoto/internal/pmc"
 	"kyoto/internal/sched"
 	"kyoto/internal/vm"
@@ -91,6 +90,9 @@ type HostTemplate struct {
 	// ShadowMonitor selects the trace-replay monitor instead of the
 	// exact per-vCPU counters when Kyoto is enabled.
 	ShadowMonitor bool
+	// Indicator is the counter monitor's pollution metric; zero selects
+	// Equation 1.
+	Indicator core.Indicator
 	// Seed drives all randomness; host i derives its own stream from it.
 	Seed uint64
 	// Fidelity selects each host's cache-model tier (hv.Config.Fidelity).
@@ -105,17 +107,12 @@ type HostTemplate struct {
 	LLCBudget float64
 }
 
-// Host is one machine of the fleet: a World plus the resource ledger the
-// placement policies book against.
+// Host is one machine of the fleet: a Kyoto host (its World, ledger and
+// monitor) plus the resource ledger the placement policies book against.
 type Host struct {
 	// ID is the host's index in the fleet, fixed at construction.
 	ID int
-	// World is the host's simulated testbed.
-	World *hv.World
-
-	kyoto  *core.Kyoto
-	oracle *monitor.Oracle
-	shadow bool
+	*Node
 
 	// Capacity of the three first-class resources. CPUs counts vCPU
 	// slots (one per physical core: the paper's §2.2 assumption of
@@ -141,10 +138,6 @@ type Host struct {
 	mu  sync.Mutex
 	ran uint64
 }
-
-// Kyoto returns the host's pollution ledger when the template enabled
-// enforcement, else nil.
-func (h *Host) Kyoto() *core.Kyoto { return h.kyoto }
 
 // Placements returns the VMs currently placed on this host, in placement
 // order (departed VMs are pruned by Fleet.Remove). The slice is a copy:
@@ -338,12 +331,8 @@ func (f *Fleet) drainers() int {
 // newHost assembles one host from the template, deriving a per-host seed
 // the same way hv derives per-VM seeds.
 func newHost(id int, t HostTemplate) (*Host, error) {
+	seed := cmp.Or(t.Seed, 1) ^ uint64(id+1)*0x9e3779b97f4a7c15
 	mcfg := t.Machine
-	seed := t.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	seed ^= uint64(id+1) * 0x9e3779b97f4a7c15
 	if mcfg.Sockets == 0 {
 		mcfg = machine.TableOne(seed)
 	}
@@ -351,53 +340,20 @@ func newHost(id int, t HostTemplate) (*Host, error) {
 	// carries an explicit machine config, or every host replays identical
 	// replacement streams.
 	mcfg.Seed = seed
-	cores := mcfg.Sockets * mcfg.CoresPerSocket
-
-	var base sched.Scheduler
-	if t.NewSched != nil {
-		base = t.NewSched(cores)
-	} else {
-		base = sched.NewCredit(cores)
-	}
-	var k *core.Kyoto
-	s := base
-	if t.EnableKyoto {
-		k = core.New(base)
-		s = k
-	}
-	if t.ShadowMonitor && t.Fidelity == cache.FidelityAnalytic {
-		return nil, fmt.Errorf("cluster: the shadow monitor replays per-access traces, which the analytic tier does not produce — use the counter monitor or exact fidelity")
-	}
-	w, err := hv.New(hv.Config{Machine: mcfg, Seed: seed, Fidelity: t.Fidelity}, s)
+	n, err := NewNode(NodeConfig{
+		Machine: mcfg, Seed: seed, Fidelity: t.Fidelity, NewSched: t.NewSched,
+		EnableKyoto: t.EnableKyoto, ShadowMonitor: t.ShadowMonitor, Indicator: t.Indicator,
+	})
 	if err != nil {
 		return nil, err
 	}
-	var oracle *monitor.Oracle
-	if t.EnableKyoto {
-		if t.ShadowMonitor {
-			w.AddHook(monitor.NewShadowSim(k, mcfg, 0))
-		} else {
-			oracle = monitor.NewOracle(k, core.Equation1)
-			w.AddHook(oracle)
-		}
-	}
-	memMB := t.MemoryMB
-	if memMB == 0 {
-		memMB = mcfg.MainMemoryMB
-	}
-	llc := t.LLCBudget
-	if llc == 0 {
-		llc = float64(cores) * DefaultLLCCapPerCore
-	}
+	cores := mcfg.Sockets * mcfg.CoresPerSocket
 	return &Host{
 		ID:            id,
-		World:         w,
-		kyoto:         k,
-		oracle:        oracle,
-		shadow:        t.EnableKyoto && t.ShadowMonitor,
+		Node:          n,
 		CapacityCPUs:  cores,
-		CapacityMemMB: memMB,
-		LLCBudget:     llc,
+		CapacityMemMB: cmp.Or(t.MemoryMB, mcfg.MainMemoryMB),
+		LLCBudget:     cmp.Or(t.LLCBudget, float64(cores)*DefaultLLCCapPerCore),
 	}, nil
 }
 

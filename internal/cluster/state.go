@@ -9,12 +9,7 @@ package cluster
 // checkpoint) and the envelope's per-host clocks agree — which is what
 // lets a resumed run keep advancing lazily and still end bit-identical.
 
-import (
-	"fmt"
-
-	"kyoto/internal/hv"
-	"kyoto/internal/pmc"
-)
+import "fmt"
 
 // HostPlacementState is one VM placed on a host: its name (the key it is
 // found under after the world restore) and the original request whose
@@ -24,10 +19,10 @@ type HostPlacementState struct {
 	Request Request `json:"request"`
 }
 
-// HostState is one host's serialized state.
+// HostState is one host's serialized state: its Kyoto host's checkpoint,
+// whose fields encoding/json promotes in place, plus the bookings.
 type HostState struct {
-	World  *hv.WorldState `json:"world"`
-	Oracle []pmc.Counters `json:"oracle,omitempty"`
+	NodeState
 
 	BookedCPUs  int     `json:"booked_cpus"`
 	BookedMemMB int     `json:"booked_mem_mb"`
@@ -56,21 +51,15 @@ func (f *Fleet) CaptureState() (*FleetState, error) {
 	f.Barrier()
 	st := &FleetState{}
 	for _, h := range f.hosts {
-		if h.shadow {
-			return nil, fmt.Errorf("cluster: host %d uses the shadow-sim monitor, whose trace buffers are not checkpointable — use the counter monitor", h.ID)
-		}
-		ws, err := h.World.CaptureState()
+		ns, err := h.Node.CaptureState()
 		if err != nil {
 			return nil, fmt.Errorf("cluster: host %d: %w", h.ID, err)
 		}
 		hs := HostState{
-			World:       ws,
+			NodeState:   ns,
 			BookedCPUs:  h.BookedCPUs,
 			BookedMemMB: h.BookedMemMB,
 			BookedLLC:   h.BookedLLC,
-		}
-		if h.oracle != nil {
-			hs.Oracle = h.oracle.CaptureState(h.World.VCPUs())
 		}
 		for _, p := range h.vms {
 			hs.VMs = append(hs.VMs, HostPlacementState{Name: p.VM.Name, Request: p.Request})
@@ -98,7 +87,7 @@ func (f *Fleet) RestoreState(st *FleetState) error {
 	// misaligned clocks would silently skew every later lazy delta.
 	for i := 1; i < len(st.Hosts); i++ {
 		if st.Hosts[i].World == nil || st.Hosts[0].World == nil {
-			continue // the nil check below reports the real error per host
+			continue // Node.RestoreState reports the missing world per host
 		}
 		if st.Hosts[i].World.Now != st.Hosts[0].World.Now {
 			return fmt.Errorf("cluster: state holds host clocks at ticks %d and %d — a fleet snapshot must be captured at a barrier", st.Hosts[0].World.Now, st.Hosts[i].World.Now)
@@ -106,19 +95,8 @@ func (f *Fleet) RestoreState(st *FleetState) error {
 	}
 	for i, h := range f.hosts {
 		hs := &st.Hosts[i]
-		if h.shadow {
-			return fmt.Errorf("cluster: host %d uses the shadow-sim monitor, which cannot restore checkpoints", h.ID)
-		}
-		if hs.World == nil {
-			return fmt.Errorf("cluster: host %d state has no world", h.ID)
-		}
-		if err := h.World.RestoreState(hs.World); err != nil {
+		if err := h.Node.RestoreState(&hs.NodeState); err != nil {
 			return fmt.Errorf("cluster: host %d: %w", h.ID, err)
-		}
-		if h.oracle != nil {
-			if err := h.oracle.RestoreState(h.World.VCPUs(), hs.Oracle); err != nil {
-				return fmt.Errorf("cluster: host %d: %w", h.ID, err)
-			}
 		}
 		h.BookedCPUs = hs.BookedCPUs
 		h.BookedMemMB = hs.BookedMemMB

@@ -4,7 +4,6 @@ import (
 	"kyoto/internal/core"
 	"kyoto/internal/hv"
 	"kyoto/internal/machine"
-	"kyoto/internal/monitor"
 	"kyoto/internal/sched"
 	"kyoto/internal/vm"
 )
@@ -57,9 +56,7 @@ func fig12Run(seed uint64, tickMs int, kyoto bool) (float64, error) {
 	var s sched.Scheduler = sched.NewCredit(4)
 	var hooks []hv.TickHook
 	if kyoto {
-		k := core.New(s)
-		hooks = append(hooks, monitor.NewOracle(k, core.Equation1))
-		s = k
+		s, hooks = ks4(s, core.Equation1)
 	}
 	w, err := hv.New(hv.Config{
 		Machine:       machine.TableOne(seed),

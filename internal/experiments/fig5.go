@@ -22,12 +22,12 @@ const (
 	Fig6DisLLCCap = 50
 )
 
-// ks4xen builds one KS4Xen scheduler instance with its oracle monitor.
-// Each scenario needs a fresh pair.
-func ks4xen(cores int, opts ...core.Option) (*core.Kyoto, []hv.TickHook) {
-	k := core.New(sched.NewCredit(cores), opts...)
-	mon := monitor.NewOracle(k, core.Equation1)
-	return k, []hv.TickHook{mon}
+// ks4 wraps base in the Kyoto ledger (KS4Xen over credit, KS4Linux over
+// CFS, KS4Pisces over Pisces) and returns it with the oracle monitor
+// that feeds it the given indicator. Each scenario needs a fresh pair.
+func ks4(base sched.Scheduler, ind core.Indicator, opts ...core.Option) (*core.Kyoto, []hv.TickHook) {
+	k := core.New(base, opts...)
+	return k, []hv.TickHook{monitor.NewOracle(k, ind)}
 }
 
 // Fig5Timeline is the per-tick trace of the vdis1 comparison (Fig 5
@@ -95,7 +95,7 @@ func Fig5(seed uint64) (Fig5Result, error) {
 		}
 
 		// KS4Xen.
-		k, hooks := ks4xen(4)
+		k, hooks := ks4(sched.NewCredit(4), core.Equation1)
 		ks, err := Run(Scenario{
 			Seed:     seed,
 			NewSched: func(int) sched.Scheduler { return k },
@@ -157,7 +157,7 @@ func fig5Timeline(seed uint64) (Fig5Timeline, error) {
 	tl.RanXCS = xcsRec.Values["dis"]
 
 	// KS4Xen run trace: CPU usage, measured rate, quota ledger.
-	k, hooks := ks4xen(4)
+	k, hooks := ks4(sched.NewCredit(4), core.Equation1)
 	var rate, quota, ran []float64
 	rec := NewTickSeries(func(domain *vm.VM, delta pmc.Counters, _ *hv.World) float64 {
 		if domain.Name != "dis" {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"kyoto/internal/core"
 	"kyoto/internal/sched"
 	"kyoto/internal/vm"
 	"kyoto/internal/workload"
@@ -51,7 +52,7 @@ func Fig6(seed uint64) (Fig6Result, error) {
 			})
 		}
 
-		k, hooks := ks4xen(4)
+		k, hooks := ks4(sched.NewCredit(4), core.Equation1)
 		ks, err := Run(Scenario{
 			Seed:     seed,
 			NewSched: func(int) sched.Scheduler { return k },

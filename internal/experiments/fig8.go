@@ -4,7 +4,6 @@ import (
 	"kyoto/internal/core"
 	"kyoto/internal/hv"
 	"kyoto/internal/machine"
-	"kyoto/internal/monitor"
 	"kyoto/internal/sched"
 	"kyoto/internal/vm"
 	"kyoto/internal/workload"
@@ -59,9 +58,7 @@ func fig8Run(seed uint64, colocated, kyoto bool) (float64, error) {
 	var s sched.Scheduler = sched.NewPisces()
 	var hooks []hv.TickHook
 	if kyoto {
-		k := core.New(s)
-		hooks = append(hooks, monitor.NewOracle(k, core.Equation1))
-		s = k
+		s, hooks = ks4(s, core.Equation1)
 	}
 	w, err := hv.New(hv.Config{Machine: machine.TableOne(seed), Seed: seed}, s)
 	if err != nil {

@@ -4,8 +4,6 @@ import (
 	"sync"
 
 	"kyoto/internal/core"
-	"kyoto/internal/hv"
-	"kyoto/internal/monitor"
 	"kyoto/internal/sched"
 	"kyoto/internal/workload"
 )
@@ -61,13 +59,12 @@ func KS4Linux(seed uint64) (KS4LinuxResult, error) {
 			return err
 		}
 
-		k := core.New(mk())
-		mon := monitor.NewOracle(k, core.Equation1)
+		k, hooks := ks4(mk(), core.Equation1)
 		ks, err := Run(Scenario{
 			Seed:     seed,
 			NewSched: func(int) sched.Scheduler { return k },
 			VMs:      fig5VMs(workload.VDis1),
-			Hooks:    []hv.TickHook{mon},
+			Hooks:    hooks,
 			Measure:  45,
 		})
 		if err != nil {

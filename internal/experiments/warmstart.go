@@ -15,10 +15,10 @@ import (
 	"time"
 
 	"kyoto/internal/cache"
+	"kyoto/internal/cluster"
 	"kyoto/internal/hv"
 	"kyoto/internal/machine"
 	"kyoto/internal/pmc"
-	"kyoto/internal/sched"
 	"kyoto/internal/snapshot"
 	"kyoto/internal/vm"
 )
@@ -101,13 +101,9 @@ func (r *WarmStartResult) BitIdentical() bool {
 	return true
 }
 
-// warmStartWorld builds the sweep's empty world.
-func warmStartWorld(cfg WarmStartConfig) (*hv.World, error) {
-	return hv.New(hv.Config{
-		Machine:  machine.TableOne(cfg.Seed),
-		Seed:     cfg.Seed,
-		Fidelity: cfg.Fidelity,
-	}, sched.NewCredit(machine.TableOne(cfg.Seed).Sockets*machine.TableOne(cfg.Seed).CoresPerSocket))
+// warmStartWorld builds the sweep's empty host: plain credit scheduling.
+func warmStartWorld(cfg WarmStartConfig) (*cluster.Node, error) {
+	return cluster.NewNode(cluster.NodeConfig{Machine: machine.TableOne(cfg.Seed), Seed: cfg.Seed, Fidelity: cfg.Fidelity})
 }
 
 // warmStartFingerprint folds the world's outcome.
@@ -163,15 +159,15 @@ func WarmStartSweep(cfg WarmStartConfig) (*WarmStartResult, error) {
 	// Cold path: each arm re-simulates the shared prefix.
 	start := time.Now()
 	for _, dis := range cfg.Disruptors {
-		w, err := warmStartWorld(cfg)
+		n, err := warmStartWorld(cfg)
 		if err != nil {
 			return nil, err
 		}
-		if _, err := w.AddVM(vm.Spec{Name: "victim", App: cfg.Victim, Pins: []int{0}}); err != nil {
+		if _, err := n.World.AddVM(vm.Spec{Name: "victim", App: cfg.Victim, Pins: []int{0}}); err != nil {
 			return nil, err
 		}
-		w.RunTicks(cfg.WarmupTicks)
-		arm, err := warmStartMeasure(w, cfg, dis)
+		n.World.RunTicks(cfg.WarmupTicks)
+		arm, err := warmStartMeasure(n.World, cfg, dis)
 		if err != nil {
 			return nil, err
 		}
@@ -185,23 +181,23 @@ func WarmStartSweep(cfg WarmStartConfig) (*WarmStartResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := prefix.AddVM(vm.Spec{Name: "victim", App: cfg.Victim, Pins: []int{0}}); err != nil {
+	if _, err := prefix.World.AddVM(vm.Spec{Name: "victim", App: cfg.Victim, Pins: []int{0}}); err != nil {
 		return nil, err
 	}
-	prefix.RunTicks(cfg.WarmupTicks)
-	ckpt, err := snapshot.CaptureWorld(prefix, nil, digest)
+	prefix.World.RunTicks(cfg.WarmupTicks)
+	ckpt, err := snapshot.CaptureWorld(prefix, digest)
 	if err != nil {
 		return nil, err
 	}
 	for _, dis := range cfg.Disruptors {
-		w, err := warmStartWorld(cfg)
+		n, err := warmStartWorld(cfg)
 		if err != nil {
 			return nil, err
 		}
-		if err := snapshot.RestoreWorld(w, nil, digest, ckpt); err != nil {
+		if err := snapshot.RestoreWorld(n, digest, ckpt); err != nil {
 			return nil, err
 		}
-		arm, err := warmStartMeasure(w, cfg, dis)
+		arm, err := warmStartMeasure(n.World, cfg, dis)
 		if err != nil {
 			return nil, err
 		}

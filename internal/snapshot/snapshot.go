@@ -31,9 +31,6 @@ import (
 	"fmt"
 
 	"kyoto/internal/cluster"
-	"kyoto/internal/hv"
-	"kyoto/internal/monitor"
-	"kyoto/internal/pmc"
 	"kyoto/internal/sweep"
 )
 
@@ -63,13 +60,9 @@ type Envelope struct {
 	Payload json.RawMessage `json:"payload"`
 }
 
-// WorldPayload is a KindWorld envelope's payload: the hypervisor state
-// plus the counter monitor's sampler snapshots (present exactly when the
-// world attaches one).
-type WorldPayload struct {
-	World  *hv.WorldState `json:"world"`
-	Oracle []pmc.Counters `json:"oracle,omitempty"`
-}
+// WorldPayload is a KindWorld envelope's payload: one Kyoto host's
+// checkpoint, the same bytes a fleet snapshot holds per host.
+type WorldPayload = cluster.NodeState
 
 // ConfigDigest canonicalizes a configuration value to JSON and hashes
 // it. Both sides of a checkpoint must digest the identically normalized
@@ -139,24 +132,20 @@ func Decode(data []byte, wantKind, wantConfig string) (json.RawMessage, error) {
 	return env.Payload, nil
 }
 
-// CaptureWorld snapshots a world (and its counter monitor, when
-// attached) into an envelope. Call it only between ticks.
-func CaptureWorld(w *hv.World, o *monitor.Oracle, configDigest string) ([]byte, error) {
-	st, err := w.CaptureState()
+// CaptureWorld snapshots one Kyoto host into an envelope. Call it only
+// between ticks.
+func CaptureWorld(n *cluster.Node, configDigest string) ([]byte, error) {
+	p, err := n.CaptureState()
 	if err != nil {
 		return nil, err
-	}
-	p := WorldPayload{World: st}
-	if o != nil {
-		p.Oracle = o.CaptureState(w.VCPUs())
 	}
 	return Encode(KindWorld, configDigest, p)
 }
 
-// RestoreWorld restores a world snapshot onto a freshly built world (and
-// its counter monitor, when attached) constructed from the identical
-// configuration the digest was computed over.
-func RestoreWorld(w *hv.World, o *monitor.Oracle, configDigest string, data []byte) error {
+// RestoreWorld restores a world snapshot onto a freshly built host
+// constructed from the identical configuration the digest was computed
+// over.
+func RestoreWorld(n *cluster.Node, configDigest string, data []byte) error {
 	raw, err := Decode(data, KindWorld, configDigest)
 	if err != nil {
 		return err
@@ -165,18 +154,7 @@ func RestoreWorld(w *hv.World, o *monitor.Oracle, configDigest string, data []by
 	if err := json.Unmarshal(raw, &p); err != nil {
 		return fmt.Errorf("snapshot: decoding world payload: %w", err)
 	}
-	if p.World == nil {
-		return fmt.Errorf("snapshot: world payload has no hypervisor state")
-	}
-	if err := w.RestoreState(p.World); err != nil {
-		return err
-	}
-	if o != nil {
-		if err := o.RestoreState(w.VCPUs(), p.Oracle); err != nil {
-			return err
-		}
-	}
-	return nil
+	return n.RestoreState(&p)
 }
 
 // CaptureFleet snapshots a whole fleet into an envelope. Call it only

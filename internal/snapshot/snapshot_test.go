@@ -17,12 +17,9 @@ import (
 	"kyoto/internal/arrivals"
 	"kyoto/internal/cache"
 	"kyoto/internal/cluster"
-	"kyoto/internal/core"
 	"kyoto/internal/hv"
 	"kyoto/internal/machine"
-	"kyoto/internal/monitor"
 	"kyoto/internal/pmc"
-	"kyoto/internal/sched"
 	"kyoto/internal/snapshot"
 	"kyoto/internal/sweep"
 	"kyoto/internal/vm"
@@ -32,13 +29,6 @@ const (
 	testSeed  = 7
 	testTicks = 60
 )
-
-// world is one built scenario: the hypervisor plus its oracle (nil for
-// non-Kyoto scenarios).
-type world struct {
-	w      *hv.World
-	oracle *monitor.Oracle
-}
 
 // scenarios mirrors internal/hv's golden worlds: solo, contention pair,
 // and the fully booked Kyoto host — the three commit-pinned futures.
@@ -62,35 +52,25 @@ var scenarios = []struct {
 	}, true},
 }
 
-// buildHost constructs the scenario's world with no VMs — the shape a
+// buildHost constructs the scenario's host with no VMs — the shape a
 // restore target must have (RestoreState rebuilds the VMs itself).
-func buildHost(t testing.TB, scIdx int, fid cache.Fidelity) world {
+func buildHost(t testing.TB, scIdx int, fid cache.Fidelity) *cluster.Node {
 	t.Helper()
-	sc := scenarios[scIdx]
-	var s sched.Scheduler = sched.NewCredit(4)
-	var k *core.Kyoto
-	if sc.kyoto {
-		k = core.New(s)
-		s = k
-	}
-	w, err := hv.New(hv.Config{Machine: machine.TableOne(testSeed), Seed: testSeed, Fidelity: fid}, s)
+	n, err := cluster.NewNode(cluster.NodeConfig{
+		Machine: machine.TableOne(testSeed), Seed: testSeed, Fidelity: fid, EnableKyoto: scenarios[scIdx].kyoto,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := world{w: w}
-	if sc.kyoto {
-		out.oracle = monitor.NewOracle(k, core.Equation1)
-		w.AddHook(out.oracle)
-	}
-	return out
+	return n
 }
 
 // build constructs the scenario's world with its VMs placed, ready to run.
-func build(t testing.TB, scIdx int, fid cache.Fidelity) world {
+func build(t testing.TB, scIdx int, fid cache.Fidelity) *cluster.Node {
 	t.Helper()
 	out := buildHost(t, scIdx, fid)
 	for _, spec := range scenarios[scIdx].specs {
-		if _, err := out.w.AddVM(spec); err != nil {
+		if _, err := out.World.AddVM(spec); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -115,42 +95,42 @@ func TestWorldRoundTripBitIdentity(t *testing.T) {
 		for _, fid := range []cache.Fidelity{cache.FidelityExact, cache.FidelityAnalytic} {
 			t.Run(fmt.Sprintf("%s/%v", scenarios[scIdx].name, fid), func(t *testing.T) {
 				ref := build(t, scIdx, fid)
-				ref.w.RunTicks(testTicks)
-				want := fingerprint(ref.w)
+				ref.World.RunTicks(testTicks)
+				want := fingerprint(ref.World)
 
 				for _, snapTick := range []int{0, 17, 41} {
 					// (a) capturing must not perturb the captured world.
 					a := build(t, scIdx, fid)
-					a.w.RunTicks(snapTick)
-					data, err := snapshot.CaptureWorld(a.w, a.oracle, "test-config")
+					a.World.RunTicks(snapTick)
+					data, err := snapshot.CaptureWorld(a, "test-config")
 					if err != nil {
 						t.Fatalf("tick %d: capture: %v", snapTick, err)
 					}
-					a.w.RunTicks(testTicks - snapTick)
-					if got := fingerprint(a.w); got != want {
+					a.World.RunTicks(testTicks - snapTick)
+					if got := fingerprint(a.World); got != want {
 						t.Fatalf("tick %d: snapshotted world diverged after capture: %s vs %s", snapTick, got, want)
 					}
 
 					// (b) the restored world continues bit-identically.
 					b := buildHost(t, scIdx, fid)
-					if err := snapshot.RestoreWorld(b.w, b.oracle, "test-config", data); err != nil {
+					if err := snapshot.RestoreWorld(b, "test-config", data); err != nil {
 						t.Fatalf("tick %d: restore: %v", snapTick, err)
 					}
-					if b.w.Now() != uint64(snapTick) {
-						t.Fatalf("tick %d: restored clock at %d", snapTick, b.w.Now())
+					if b.World.Now() != uint64(snapTick) {
+						t.Fatalf("tick %d: restored clock at %d", snapTick, b.World.Now())
 					}
-					b.w.RunTicks(testTicks - snapTick)
-					if got := fingerprint(b.w); got != want {
+					b.World.RunTicks(testTicks - snapTick)
+					if got := fingerprint(b.World); got != want {
 						t.Fatalf("tick %d: restored world diverged: %s vs %s", snapTick, got, want)
 					}
 
 					// (c) re-capturing a freshly restored world reproduces
 					// the snapshot byte for byte.
 					c := buildHost(t, scIdx, fid)
-					if err := snapshot.RestoreWorld(c.w, c.oracle, "test-config", data); err != nil {
+					if err := snapshot.RestoreWorld(c, "test-config", data); err != nil {
 						t.Fatalf("tick %d: second restore: %v", snapTick, err)
 					}
-					again, err := snapshot.CaptureWorld(c.w, c.oracle, "test-config")
+					again, err := snapshot.CaptureWorld(c, "test-config")
 					if err != nil {
 						t.Fatalf("tick %d: recapture: %v", snapTick, err)
 					}
@@ -169,24 +149,24 @@ func TestWorldRoundTripBitIdentity(t *testing.T) {
 // cleanly on the state shape.
 func TestRestoreFidelityMismatch(t *testing.T) {
 	a := build(t, 0, cache.FidelityAnalytic)
-	a.w.RunTicks(5)
-	data, err := snapshot.CaptureWorld(a.w, a.oracle, "same-digest")
+	a.World.RunTicks(5)
+	data, err := snapshot.CaptureWorld(a, "same-digest")
 	if err != nil {
 		t.Fatal(err)
 	}
 	b := buildHost(t, 0, cache.FidelityExact)
-	if err := snapshot.RestoreWorld(b.w, b.oracle, "same-digest", data); err == nil {
+	if err := snapshot.RestoreWorld(b, "same-digest", data); err == nil {
 		t.Fatal("restoring an analytic snapshot into an exact world succeeded")
 	}
 
 	c := build(t, 0, cache.FidelityExact)
-	c.w.RunTicks(5)
-	data, err = snapshot.CaptureWorld(c.w, c.oracle, "same-digest")
+	c.World.RunTicks(5)
+	data, err = snapshot.CaptureWorld(c, "same-digest")
 	if err != nil {
 		t.Fatal(err)
 	}
 	d := buildHost(t, 0, cache.FidelityAnalytic)
-	if err := snapshot.RestoreWorld(d.w, d.oracle, "same-digest", data); err == nil {
+	if err := snapshot.RestoreWorld(d, "same-digest", data); err == nil {
 		t.Fatal("restoring an exact snapshot into an analytic world succeeded")
 	}
 }
@@ -194,22 +174,22 @@ func TestRestoreFidelityMismatch(t *testing.T) {
 // TestRestoreRequiresFreshWorld pins the restore-onto-used-world error.
 func TestRestoreRequiresFreshWorld(t *testing.T) {
 	a := build(t, 0, cache.FidelityExact)
-	a.w.RunTicks(3)
-	data, err := snapshot.CaptureWorld(a.w, a.oracle, "cfg")
+	a.World.RunTicks(3)
+	data, err := snapshot.CaptureWorld(a, "cfg")
 	if err != nil {
 		t.Fatal(err)
 	}
 	b := build(t, 0, cache.FidelityExact)
-	b.w.RunTicks(1)
-	if err := snapshot.RestoreWorld(b.w, b.oracle, "cfg", data); err == nil {
+	b.World.RunTicks(1)
+	if err := snapshot.RestoreWorld(b, "cfg", data); err == nil {
 		t.Fatal("restoring onto a world that already ran succeeded")
 	}
 }
 
 func TestDecodeValidation(t *testing.T) {
 	a := build(t, 0, cache.FidelityExact)
-	a.w.RunTicks(3)
-	data, err := snapshot.CaptureWorld(a.w, a.oracle, "cfg")
+	a.World.RunTicks(3)
+	data, err := snapshot.CaptureWorld(a, "cfg")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,17 +292,13 @@ func TestEncodeMatchesReference(t *testing.T) {
 		for scIdx := range scenarios {
 			t.Run(fmt.Sprintf("world/%s/%v", scenarios[scIdx].name, fid), func(t *testing.T) {
 				w := build(t, scIdx, fid)
-				w.w.RunTicks(17)
-				st, err := w.w.CaptureState()
+				w.World.RunTicks(17)
+				p, err := w.CaptureState()
 				if err != nil {
 					t.Fatal(err)
 				}
-				p := snapshot.WorldPayload{World: st}
-				if w.oracle != nil {
-					p.Oracle = w.oracle.CaptureState(w.w.VCPUs())
-				}
 				enc := requireReferenceEncoding(t, snapshot.KindWorld, "cfg", p)
-				captured, err := snapshot.CaptureWorld(w.w, w.oracle, "cfg")
+				captured, err := snapshot.CaptureWorld(w, "cfg")
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -36,11 +36,11 @@ import (
 	"fmt"
 
 	"kyoto/internal/cache"
+	"kyoto/internal/cluster"
 	"kyoto/internal/core"
 	"kyoto/internal/experiments"
 	"kyoto/internal/hv"
 	"kyoto/internal/machine"
-	"kyoto/internal/monitor"
 	"kyoto/internal/pmc"
 	"kyoto/internal/sched"
 	"kyoto/internal/vm"
@@ -179,18 +179,13 @@ const (
 
 // World is a running simulated host.
 type World struct {
-	inner *hv.World
-	kyoto *core.Kyoto
-
-	// oracle is the counter monitor when the config attached one; Snapshot
-	// captures its sampler state alongside the hypervisor's.
-	oracle *monitor.Oracle
+	node *cluster.Node
 	// cfg is the normalized construction config, retained so Snapshot can
 	// digest it into the envelope (Resume must match it exactly).
 	cfg WorldConfig
-	// shadow marks the trace-replay monitor, whose buffers Snapshot
-	// refuses to serialize.
-	shadow bool
+	// inCluster marks a Cluster's host, which checkpoints only with its
+	// fleet (SnapshotCluster).
+	inCluster bool
 }
 
 // TableOneMachine returns the scaled replica of the paper's Table 1
@@ -228,95 +223,87 @@ func normalizeWorldConfig(cfg WorldConfig) WorldConfig {
 	return cfg
 }
 
+// nodeConfig maps the public scheduler and monitor kinds onto the one
+// Kyoto host recipe; NewWorld and NewCluster both build from it.
+func nodeConfig(cfg WorldConfig) (cluster.NodeConfig, error) {
+	nc := cluster.NodeConfig{
+		Machine: cfg.Machine, Seed: cfg.Seed, Fidelity: cfg.Fidelity,
+		EnableKyoto: cfg.EnableKyoto, Indicator: cfg.Indicator,
+	}
+	switch cfg.Scheduler {
+	case 0, CreditScheduler: // nil NewSched: the credit scheduler
+	case CFSScheduler:
+		nc.NewSched = func(int) sched.Scheduler { return sched.NewCFS() }
+	case PiscesScheduler:
+		nc.NewSched = func(int) sched.Scheduler { return sched.NewPisces() }
+	default:
+		return nc, fmt.Errorf("kyoto: unknown scheduler kind %d", cfg.Scheduler)
+	}
+	switch cfg.Monitor {
+	case MonitorCounters:
+	case MonitorShadowSim:
+		nc.ShadowMonitor = true
+	default:
+		return nc, fmt.Errorf("kyoto: unknown monitor kind %d", cfg.Monitor)
+	}
+	return nc, nil
+}
+
 // NewWorld builds a simulated host from cfg.
 func NewWorld(cfg WorldConfig) (*World, error) {
 	cfg = normalizeWorldConfig(cfg)
-	cores := cfg.Machine.Sockets * cfg.Machine.CoresPerSocket
-
-	var base sched.Scheduler
-	switch cfg.Scheduler {
-	case 0, CreditScheduler:
-		base = sched.NewCredit(cores)
-	case CFSScheduler:
-		base = sched.NewCFS()
-	case PiscesScheduler:
-		base = sched.NewPisces()
-	default:
-		return nil, fmt.Errorf("kyoto: unknown scheduler kind %d", cfg.Scheduler)
-	}
-
-	if cfg.Fidelity == cache.FidelityAnalytic && cfg.EnableKyoto && cfg.Monitor == MonitorShadowSim {
-		return nil, fmt.Errorf("kyoto: the shadow-sim monitor replays per-access traces, which the analytic tier does not produce — use MonitorCounters or FidelityExact")
-	}
-
-	w := &World{cfg: cfg}
-	s := base
-	if cfg.EnableKyoto {
-		w.kyoto = core.New(base)
-		s = w.kyoto
-	}
-	inner, err := hv.New(hv.Config{Machine: cfg.Machine, Seed: cfg.Seed, Fidelity: cfg.Fidelity}, s)
+	nc, err := nodeConfig(cfg)
 	if err != nil {
 		return nil, err
 	}
-	w.inner = inner
-
-	if cfg.EnableKyoto {
-		switch cfg.Monitor {
-		case MonitorCounters:
-			w.oracle = monitor.NewOracle(w.kyoto, cfg.Indicator)
-			inner.AddHook(w.oracle)
-		case MonitorShadowSim:
-			w.shadow = true
-			inner.AddHook(monitor.NewShadowSim(w.kyoto, cfg.Machine, 0))
-		default:
-			return nil, fmt.Errorf("kyoto: unknown monitor kind %d", cfg.Monitor)
-		}
+	n, err := cluster.NewNode(nc)
+	if err != nil {
+		return nil, err
 	}
-	return w, nil
+	return &World{node: n, cfg: cfg}, nil
 }
 
 // AddVM instantiates a VM from spec.
-func (w *World) AddVM(spec VMSpec) (*VM, error) { return w.inner.AddVM(spec) }
+func (w *World) AddVM(spec VMSpec) (*VM, error) { return w.node.World.AddVM(spec) }
 
 // RemoveVM tears the named VM down: its vCPUs leave the scheduler, its
 // cache lines are evicted, and its Kyoto ledger (if any) is closed. The
 // VM's counters stay readable for lifetime statistics.
-func (w *World) RemoveVM(name string) error { return w.inner.RemoveVM(name) }
+func (w *World) RemoveVM(name string) error { return w.node.World.RemoveVM(name) }
 
 // RunTicks advances the host n scheduler ticks (10 ms of model time each).
-func (w *World) RunTicks(n int) { w.inner.RunTicks(n) }
+func (w *World) RunTicks(n int) { w.node.World.RunTicks(n) }
 
 // RunUntil advances until pred holds or maxTicks elapse; it returns the
 // ticks run.
 func (w *World) RunUntil(pred func(*World) bool, maxTicks int) int {
-	return w.inner.RunUntil(func(*hv.World) bool { return pred(w) }, maxTicks)
+	return w.node.World.RunUntil(func(*hv.World) bool { return pred(w) }, maxTicks)
 }
 
 // Now returns the completed tick count.
-func (w *World) Now() uint64 { return w.inner.Now() }
+func (w *World) Now() uint64 { return w.node.World.Now() }
 
 // NowMillis returns elapsed model time in milliseconds.
-func (w *World) NowMillis() float64 { return w.inner.NowMillis() }
+func (w *World) NowMillis() float64 { return w.node.World.NowMillis() }
 
 // VMs returns the VMs in creation order.
-func (w *World) VMs() []*VM { return w.inner.VMs() }
+func (w *World) VMs() []*VM { return w.node.World.VMs() }
 
 // FindVM returns the VM with the given name, or nil.
-func (w *World) FindVM(name string) *VM { return w.inner.FindVM(name) }
+func (w *World) FindVM(name string) *VM { return w.node.World.FindVM(name) }
 
 // AddHook attaches a per-tick observer.
-func (w *World) AddHook(h TickHook) { w.inner.AddHook(h) }
+func (w *World) AddHook(h TickHook) { w.node.World.AddHook(h) }
 
 // Kyoto returns the pollution ledger when EnableKyoto was set, else nil.
 // Use it to read quota balances and measured rates.
-func (w *World) Kyoto() *Kyoto { return w.kyoto }
+func (w *World) Kyoto() *Kyoto { return w.node.Kyoto() }
 
 // Fidelity returns the world's cache-model tier.
-func (w *World) Fidelity() Fidelity { return w.inner.Fidelity() }
+func (w *World) Fidelity() Fidelity { return w.node.World.Fidelity() }
 
 // MachineTable renders the machine description as the paper's Table 1.
-func (w *World) MachineTable() string { return w.inner.Machine().Config().TableString() }
+func (w *World) MachineTable() string { return w.node.World.Machine().Config().TableString() }
 
 // Equation1Value computes the paper's Equation 1 over a counter delta:
 // LLC misses per millisecond of unhalted execution.

@@ -21,16 +21,17 @@ import (
 // self-validating envelope. Call it between RunTicks calls; the world is
 // left untouched and keeps running. Worlds using MonitorShadowSim cannot
 // be checkpointed (the trace-replay monitor's buffers are not
-// serializable).
+// serializable), and a Cluster's host checkpoints only with its fleet,
+// through SnapshotCluster.
 func Snapshot(w *World) ([]byte, error) {
-	if w.shadow {
-		return nil, fmt.Errorf("kyoto: worlds using the shadow-sim monitor cannot be checkpointed — use MonitorCounters")
+	if w.inCluster {
+		return nil, fmt.Errorf("kyoto: a cluster host is checkpointed only with its fleet — use SnapshotCluster")
 	}
 	digest, err := snapshot.ConfigDigest(w.cfg)
 	if err != nil {
 		return nil, err
 	}
-	return snapshot.CaptureWorld(w.inner, w.oracle, digest)
+	return snapshot.CaptureWorld(w.node, digest)
 }
 
 // Resume rebuilds a world from a Snapshot. The config must be exactly
@@ -44,14 +45,11 @@ func Resume(cfg WorldConfig, data []byte) (*World, error) {
 	if err != nil {
 		return nil, err
 	}
-	if w.shadow {
-		return nil, fmt.Errorf("kyoto: worlds using the shadow-sim monitor cannot resume checkpoints — use MonitorCounters")
-	}
 	digest, err := snapshot.ConfigDigest(w.cfg)
 	if err != nil {
 		return nil, err
 	}
-	if err := snapshot.RestoreWorld(w.inner, w.oracle, digest, data); err != nil {
+	if err := snapshot.RestoreWorld(w.node, digest, data); err != nil {
 		return nil, err
 	}
 	return w, nil

@@ -172,6 +172,28 @@ func TestSnapshotShadowMonitor(t *testing.T) {
 	}
 }
 
+// TestSnapshotClusterHostRefused: a cluster host checkpoints only with
+// its fleet. A standalone snapshot of one would digest the wrong config,
+// and no Resume could accept it, so it must fail and name
+// SnapshotCluster, whichever monitor the hosts run.
+func TestSnapshotClusterHostRefused(t *testing.T) {
+	for _, mon := range []MonitorKind{MonitorCounters, MonitorShadowSim} {
+		c, err := NewCluster(ClusterConfig{Hosts: 2, World: WorldConfig{Seed: 3, EnableKyoto: true, Monitor: mon}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Place(ClusterVMSpec{VMSpec: VMSpec{Name: "sen", App: "gcc", LLCCap: 250}}); err != nil {
+			t.Fatal(err)
+		}
+		c.RunTicks(3)
+		for i := 0; i < c.Hosts(); i++ {
+			if _, err := Snapshot(c.Host(i)); err == nil || !strings.Contains(err.Error(), "SnapshotCluster") {
+				t.Fatalf("monitor %d: Snapshot(c.Host(%d)) = %v, want an error naming SnapshotCluster", mon, i, err)
+			}
+		}
+	}
+}
+
 func TestClusterSnapshotRoundTrip(t *testing.T) {
 	cfg := ClusterConfig{
 		Hosts:  2,
