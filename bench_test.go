@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"testing"
 
+	"kyoto/internal/cluster"
 	"kyoto/internal/experiments"
 	"kyoto/internal/vm"
 	"kyoto/internal/workload"
@@ -277,11 +278,11 @@ func BenchmarkRunnerParallel(b *testing.B) {
 	for i, app := range apps {
 		scenarios = append(scenarios,
 			experiments.Scenario{
-				Seed: uint64(i + 1),
-				VMs:  []vm.Spec{{Name: "solo", App: app, Pins: []int{0}}},
+				NodeConfig: cluster.NodeConfig{Seed: uint64(i + 1)},
+				VMs:        []vm.Spec{{Name: "solo", App: app, Pins: []int{0}}},
 			},
 			experiments.Scenario{
-				Seed: uint64(i + 1),
+				NodeConfig: cluster.NodeConfig{Seed: uint64(i + 1)},
 				VMs: []vm.Spec{
 					{Name: "victim", App: app, Pins: []int{0}},
 					{Name: "attacker", App: "lbm", Pins: []int{1}},

@@ -620,8 +620,9 @@ func loadScenario(path string, fid kyoto.Fidelity) (sc scenario, cfg kyoto.World
 	case sc.Warmup < 0 || sc.Ticks < 0:
 		return sc, cfg, nil, fmt.Errorf("scenario windows must be >= 0 ticks, got warmup %d, ticks %d", sc.Warmup, sc.Ticks)
 	}
-	// A VM books at most one vCPU per core (the fleet's admission rule);
-	// an unbounded count would allocate until memory runs out.
+	// A VM books at most one vCPU per core (the fleet's admission rule).
+	// A host refuses more too, but fleet mode would only report the VM as
+	// rejected and exit 0, so the scenario itself is refused here.
 	cores := cfg.Machine.Sockets * cfg.Machine.CoresPerSocket
 	for _, v := range sc.VMs {
 		if v.VCPUs > cores {

@@ -4,8 +4,8 @@ package cluster
 // each system's own scheduler (Xen, KVM, Pisces), so a host is one
 // recipe: a base scheduler, wrapped by the Kyoto ledger when enforcement
 // is on, plus the pollution monitor that feeds the ledger. The public
-// kyoto.World, every fleet Host and the warm-start sweep's worlds are
-// all a Node.
+// kyoto.World, every fleet Host, the warm-start sweep's worlds and every
+// paper figure's world (experiments.Scenario) are all a Node.
 
 import (
 	"cmp"
@@ -42,6 +42,13 @@ type NodeConfig struct {
 	// Indicator is the counter monitor's pollution metric; zero selects
 	// Equation 1.
 	Indicator core.Indicator
+	// CyclesPerTick overrides the tick length (hv.Config.CyclesPerTick;
+	// zero keeps machine.CyclesPerTick). Figure 12 sweeps it.
+	CyclesPerTick uint64
+	// BankSlices caps how many slices of unused pollution quota a VM may
+	// bank (core.WithBanking); zero keeps the paper's one slice. The
+	// banking ablation raises it.
+	BankSlices float64
 }
 
 // Node is one assembled Kyoto host: a World, its Kyoto ledger and the
@@ -74,10 +81,12 @@ func NewNode(c NodeConfig) (*Node, error) {
 	n := &Node{}
 	s := base
 	if c.EnableKyoto {
-		n.kyoto = core.New(base)
+		n.kyoto = core.New(base, core.WithBanking(cmp.Or(c.BankSlices, 1)))
 		s = n.kyoto
 	}
-	w, err := hv.New(hv.Config{Machine: c.Machine, Seed: c.Seed, Fidelity: c.Fidelity}, s)
+	w, err := hv.New(hv.Config{
+		Machine: c.Machine, CyclesPerTick: c.CyclesPerTick, Seed: c.Seed, Fidelity: c.Fidelity,
+	}, s)
 	if err != nil {
 		return nil, err
 	}

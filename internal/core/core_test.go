@@ -203,10 +203,6 @@ func TestOverheadConfigurable(t *testing.T) {
 	if k.TickOverheadCycles() != DefaultOverheadCycles {
 		t.Fatal("default overhead wrong")
 	}
-	k2 := New(sched.NewCredit(4), WithOverheadCycles(7))
-	if k2.TickOverheadCycles() != 7 {
-		t.Fatal("overhead option ignored")
-	}
 }
 
 func TestVMsReturnsCopy(t *testing.T) {

@@ -34,16 +34,10 @@ func WithBanking(maxSlices float64) Option {
 	return func(k *Kyoto) { k.bankSlices = maxSlices }
 }
 
-// WithOverheadCycles sets the per-tick monitoring cost charged to core 0,
-// modelling the perfctr collection path whose (negligible) cost §4.5 /
-// Figure 12 measures.
-func WithOverheadCycles(c uint64) Option {
-	return func(k *Kyoto) { k.overhead = c }
-}
-
-// DefaultOverheadCycles models the perfctr-xen sampling cost per tick.
-// ~500 cycles against a 1M-cycle tick is 0.05%: "near zero", matching
-// Figure 12.
+// DefaultOverheadCycles is the per-tick monitoring cost the Kyoto
+// scheduler charges to core 0, modelling the perfctr-xen collection path
+// whose (negligible) cost §4.5 / Figure 12 measures. ~500 cycles against
+// a 1M-cycle tick is 0.05%: "near zero", matching Figure 12.
 const DefaultOverheadCycles = 500
 
 // Kyoto is the pollution-enforcing scheduler: it delegates all CPU
@@ -66,7 +60,6 @@ type Kyoto struct {
 	vcpuCount  map[*vm.VM]int
 	pending    []Measurement
 	bankSlices float64
-	overhead   uint64
 }
 
 // ledger is one VM's pollution account.
@@ -90,7 +83,6 @@ func New(base sched.Scheduler, opts ...Option) *Kyoto {
 		registered: make(map[*vm.VCPU]bool),
 		vcpuCount:  make(map[*vm.VM]int),
 		bankSlices: 1,
-		overhead:   DefaultOverheadCycles,
 	}
 	for _, o := range opts {
 		o(k)
@@ -113,7 +105,7 @@ func (k *Kyoto) Base() sched.Scheduler { return k.base }
 func (k *Kyoto) IdleTickInvariant() {}
 
 // TickOverheadCycles implements hv.OverheadReporter.
-func (k *Kyoto) TickOverheadCycles() uint64 { return k.overhead }
+func (k *Kyoto) TickOverheadCycles() uint64 { return DefaultOverheadCycles }
 
 // Register implements sched.Scheduler.
 func (k *Kyoto) Register(v *vm.VCPU) {

@@ -5,10 +5,9 @@ import (
 	"fmt"
 
 	"kyoto/internal/cache"
+	"kyoto/internal/cluster"
 	"kyoto/internal/core"
-	"kyoto/internal/hv"
 	"kyoto/internal/machine"
-	"kyoto/internal/sched"
 	"kyoto/internal/sweep"
 	"kyoto/internal/vm"
 	"kyoto/internal/workload"
@@ -36,13 +35,10 @@ func AblationIndicator(seed uint64) (eq1Perf, llcmPerf float64, err error) {
 	soloIPC := solo.PerVM["solo"].IPC()
 
 	run := func(ind core.Indicator) (float64, error) {
-		k, hooks := ks4(sched.NewCredit(4), ind)
 		r, err := Run(Scenario{
-			Seed:     seed,
-			NewSched: func(int) sched.Scheduler { return k },
-			VMs:      fig5VMs(workload.VDis1),
-			Hooks:    hooks,
-			Measure:  45,
+			NodeConfig: cluster.NodeConfig{Seed: seed, EnableKyoto: true, Indicator: ind},
+			VMs:        fig5VMs(workload.VDis1),
+			Measure:    45,
 		})
 		if err != nil {
 			return 0, err
@@ -70,13 +66,10 @@ func AblationPartitioning(seed uint64) (kyotoPerf, partPerf float64, err error) 
 	soloIPC := solo.PerVM["solo"].IPC()
 
 	// Kyoto arm.
-	k, hooks := ks4(sched.NewCredit(4), core.Equation1)
 	kr, err := Run(Scenario{
-		Seed:     seed,
-		NewSched: func(int) sched.Scheduler { return k },
-		VMs:      fig5VMs(workload.VDis1),
-		Hooks:    hooks,
-		Measure:  45,
+		NodeConfig: cluster.NodeConfig{Seed: seed, EnableKyoto: true},
+		VMs:        fig5VMs(workload.VDis1),
+		Measure:    45,
 	})
 	if err != nil {
 		return 0, 0, err
@@ -86,29 +79,26 @@ func AblationPartitioning(seed uint64) (kyotoPerf, partPerf float64, err error) 
 	// Way-partitioned arm: plain XCS, but the LLC is split 10/10 ways.
 	mcfg := machine.TableOne(seed)
 	mcfg.LLC.Policy = cache.PartitionedLRU
-	w, err := hv.New(hv.Config{Machine: mcfg, Seed: seed}, sched.NewCredit(4))
-	if err != nil {
-		return 0, 0, err
+	s := Scenario{
+		NodeConfig: cluster.NodeConfig{Machine: mcfg, Seed: seed},
+		VMs: []vm.Spec{
+			{Name: "sen", App: workload.VSen1, Pins: []int{0}},
+			{Name: "dis", App: workload.VDis1, Pins: []int{1}},
+		},
+		Measure: 45,
 	}
-	sen, err := w.AddVM(vm.Spec{Name: "sen", App: workload.VSen1, Pins: []int{0}})
-	if err != nil {
-		return 0, 0, err
-	}
-	dis, err := w.AddVM(vm.Spec{Name: "dis", App: workload.VDis1, Pins: []int{1}})
+	w, err := s.build()
 	if err != nil {
 		return 0, 0, err
 	}
 	llc := w.Machine().Socket(0).LLC
-	if err := llc.SetPartition(sen.VCPUs[0].Owner(), 0x003FF); err != nil { // ways 0-9
+	if err := llc.SetPartition(w.FindVM("sen").VCPUs[0].Owner(), 0x003FF); err != nil { // ways 0-9
 		return 0, 0, err
 	}
-	if err := llc.SetPartition(dis.VCPUs[0].Owner(), 0xFFC00); err != nil { // ways 10-19
+	if err := llc.SetPartition(w.FindVM("dis").VCPUs[0].Owner(), 0xFFC00); err != nil { // ways 10-19
 		return 0, 0, err
 	}
-	w.RunTicks(DefaultWarmupTicks)
-	before := sen.Counters()
-	w.RunTicks(45)
-	partPerf = sen.Counters().Delta(before).IPC() / soloIPC
+	partPerf = s.measure(w).IPC("sen") / soloIPC
 	return kyotoPerf, partPerf, nil
 }
 
@@ -122,24 +112,21 @@ func AblationBanking(seed uint64) (noBank, bank float64, err error) {
 	}
 	soloIPC := solo.PerVM["solo"].IPC()
 
-	run := func(opts ...core.Option) (float64, error) {
-		k, hooks := ks4(sched.NewCredit(4), core.Equation1, opts...)
+	run := func(bankSlices float64) (float64, error) {
 		r, err := Run(Scenario{
-			Seed:     seed,
-			NewSched: func(int) sched.Scheduler { return k },
-			VMs:      fig5VMs(workload.VDis2), // blockie: the bursty wiper
-			Hooks:    hooks,
-			Measure:  60,
+			NodeConfig: cluster.NodeConfig{Seed: seed, EnableKyoto: true, BankSlices: bankSlices},
+			VMs:        fig5VMs(workload.VDis2), // blockie: the bursty wiper
+			Measure:    60,
 		})
 		if err != nil {
 			return 0, err
 		}
 		return r.IPC("sen") / soloIPC, nil
 	}
-	if noBank, err = run(); err != nil {
+	if noBank, err = run(0); err != nil {
 		return 0, 0, err
 	}
-	if bank, err = run(core.WithBanking(4)); err != nil {
+	if bank, err = run(4); err != nil {
 		return 0, 0, err
 	}
 	return noBank, bank, nil

@@ -24,6 +24,7 @@ import (
 
 	"kyoto/internal/arrivals"
 	"kyoto/internal/cache"
+	"kyoto/internal/cluster"
 	"kyoto/internal/stats"
 	"kyoto/internal/sweep"
 	"kyoto/internal/vm"
@@ -345,14 +346,13 @@ func crossValSweep(res *CrossValResult, figure string, sweepFn func(arrivals.Tra
 func crossValOccupancy(res *CrossValResult, seed uint64) error {
 	scenario := func(fid cache.Fidelity) Scenario {
 		return Scenario{
-			Seed: seed,
+			NodeConfig: cluster.NodeConfig{Seed: seed, Fidelity: fid},
 			VMs: []vm.Spec{
 				pinned("mcf", "mcf", 0),
 				pinned("gcc", "gcc", 1),
 				pinned("blockie", "blockie", 2),
 				pinned("astar", "astar", 3),
 			},
-			Fidelity: fid,
 		}
 	}
 	occupancy := func(fid cache.Fidelity) (map[string]float64, error) {

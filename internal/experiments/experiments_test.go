@@ -4,8 +4,10 @@ import (
 	"strings"
 	"testing"
 
+	"kyoto/internal/cluster"
 	"kyoto/internal/hv"
 	"kyoto/internal/machine"
+	"kyoto/internal/sched"
 	"kyoto/internal/vm"
 )
 
@@ -56,10 +58,10 @@ func TestTable2MapsPaperVMs(t *testing.T) {
 
 func TestRunProducesDeltas(t *testing.T) {
 	r, err := Run(Scenario{
-		Seed:    1,
-		VMs:     []vm.Spec{pinned("v", "povray", 0)},
-		Warmup:  2,
-		Measure: 3,
+		NodeConfig: cluster.NodeConfig{Seed: 1},
+		VMs:        []vm.Spec{pinned("v", "povray", 0)},
+		Warmup:     2,
+		Measure:    3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -83,8 +85,8 @@ func TestRunRejectsBadSpecs(t *testing.T) {
 
 func TestRunAllOrderAndParallelism(t *testing.T) {
 	scenarios := []Scenario{
-		{Seed: 1, VMs: []vm.Spec{pinned("v", "povray", 0)}, Warmup: 1, Measure: 2},
-		{Seed: 2, VMs: []vm.Spec{pinned("v", "hmmer", 0)}, Warmup: 1, Measure: 2},
+		{NodeConfig: cluster.NodeConfig{Seed: 1}, VMs: []vm.Spec{pinned("v", "povray", 0)}, Warmup: 1, Measure: 2},
+		{NodeConfig: cluster.NodeConfig{Seed: 2}, VMs: []vm.Spec{pinned("v", "hmmer", 0)}, Warmup: 1, Measure: 2},
 	}
 	rs, err := RunAll(scenarios)
 	if err != nil {
@@ -107,10 +109,10 @@ func TestRunAllPropagatesErrors(t *testing.T) {
 
 func TestRunDeterminism(t *testing.T) {
 	s := Scenario{
-		Seed:    9,
-		VMs:     []vm.Spec{pinned("a", "gcc", 0), pinned("b", "lbm", 1)},
-		Warmup:  3,
-		Measure: 6,
+		NodeConfig: cluster.NodeConfig{Seed: 9},
+		VMs:        []vm.Spec{pinned("a", "gcc", 0), pinned("b", "lbm", 1)},
+		Warmup:     3,
+		Measure:    6,
 	}
 	r1, err := Run(s)
 	if err != nil {
@@ -127,7 +129,7 @@ func TestRunDeterminism(t *testing.T) {
 
 func TestMigrationHookBounces(t *testing.T) {
 	mcfg := machine.R420(1)
-	w, err := hv.New(hv.Config{Machine: mcfg, Seed: 1}, newCreditSched(8))
+	w, err := hv.New(hv.Config{Machine: mcfg, Seed: 1}, sched.NewCredit(8))
 	if err != nil {
 		t.Fatal(err)
 	}

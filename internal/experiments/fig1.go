@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"kyoto/internal/cache"
+	"kyoto/internal/cluster"
 	"kyoto/internal/stats"
 	"kyoto/internal/vm"
 )
@@ -144,7 +145,7 @@ func fig1Scenario(mode ExecMode, rep, dis string, seed uint64) Scenario {
 			pinned("dis-par", dis, 1),
 		}
 	}
-	s := Scenario{Seed: seed, VMs: vms}
+	s := Scenario{NodeConfig: cluster.NodeConfig{Seed: seed}, VMs: vms}
 	// Alternative/combined time-share one core: keep the same measured
 	// window but longer warmup so both VMs settle into slice rotation.
 	s.Warmup = 15

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"kyoto/internal/cluster"
 	"kyoto/internal/core"
 	"kyoto/internal/vm"
 )
@@ -31,7 +32,7 @@ func Fig10(seed uint64) (Fig10Result, error) {
 
 	scenarios := []Scenario{
 		// hmmer among disruptors (in place).
-		{Seed: seed, VMs: []vm.Spec{
+		{NodeConfig: cluster.NodeConfig{Seed: seed}, VMs: []vm.Spec{
 			pinned("target", "hmmer", 0),
 			pinned("d1", "lbm", 1),
 			pinned("d2", "blockie", 2),
@@ -39,7 +40,7 @@ func Fig10(seed uint64) (Fig10Result, error) {
 		}},
 		soloScenario("hmmer", seed),
 		// bzip among hmmers (in place).
-		{Seed: seed, VMs: []vm.Spec{
+		{NodeConfig: cluster.NodeConfig{Seed: seed}, VMs: []vm.Spec{
 			pinned("target", "bzip", 0),
 			pinned("h1", "hmmer", 1),
 			pinned("h2", "hmmer", 2),
@@ -48,7 +49,7 @@ func Fig10(seed uint64) (Fig10Result, error) {
 		soloScenario("bzip", seed),
 		// Control: bzip among disruptors (what the heuristics must avoid
 		// treating as bzip's own pollution).
-		{Seed: seed, VMs: []vm.Spec{
+		{NodeConfig: cluster.NodeConfig{Seed: seed}, VMs: []vm.Spec{
 			pinned("target", "bzip", 0),
 			pinned("d1", "lbm", 1),
 			pinned("d2", "blockie", 2),

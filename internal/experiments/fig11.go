@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"kyoto/internal/cluster"
 	"kyoto/internal/core"
 	"kyoto/internal/hv"
 	"kyoto/internal/machine"
@@ -69,12 +70,11 @@ func Fig11(seed uint64) (Fig11Result, error) {
 		vms = append(vms, vm.Spec{Name: app, App: app, Pins: []int{i % 4}})
 	}
 	run, err := Run(Scenario{
-		Machine: mcfg,
-		Seed:    seed,
-		VMs:     vms,
-		Hooks:   []hv.TickHook{ded, shadow},
-		Warmup:  15,
-		Measure: 10 * 8 * 2, // two full dedication rotations
+		NodeConfig: cluster.NodeConfig{Machine: mcfg, Seed: seed},
+		VMs:        vms,
+		Hooks:      []hv.TickHook{ded, shadow},
+		Warmup:     15,
+		Measure:    10 * 8 * 2, // two full dedication rotations
 	})
 	if err != nil {
 		return res, err

@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"kyoto/internal/core"
-	"kyoto/internal/hv"
+	"kyoto/internal/cluster"
 	"kyoto/internal/machine"
-	"kyoto/internal/sched"
 	"kyoto/internal/vm"
 )
 
@@ -53,34 +51,17 @@ func Fig12(seed uint64) (Fig12Result, error) {
 
 // fig12Run measures VM "a"'s completion time with the given tick length.
 func fig12Run(seed uint64, tickMs int, kyoto bool) (float64, error) {
-	var s sched.Scheduler = sched.NewCredit(4)
-	var hooks []hv.TickHook
-	if kyoto {
-		s, hooks = ks4(s, core.Equation1)
-	}
-	w, err := hv.New(hv.Config{
-		Machine:       machine.TableOne(seed),
-		CyclesPerTick: uint64(tickMs) * machine.CPUFreqKHz,
+	s := Scenario{NodeConfig: cluster.NodeConfig{
 		Seed:          seed,
-	}, s)
-	if err != nil {
-		return 0, err
-	}
+		CyclesPerTick: uint64(tickMs) * machine.CPUFreqKHz,
+		EnableKyoto:   kyoto,
+	}}
 	for _, name := range []string{"a", "b"} {
-		spec := vm.Spec{Name: name, App: "povray", Pins: []int{0}, LLCCap: Fig5LLCCap}
-		if _, err := w.AddVM(spec); err != nil {
-			return 0, err
-		}
+		s.VMs = append(s.VMs, vm.Spec{Name: name, App: "povray", Pins: []int{0}, LLCCap: Fig5LLCCap})
 	}
-	for _, h := range hooks {
-		w.AddHook(h)
-	}
-	target := w.FindVM("a")
 	maxTicks := 4_000_000 / tickMs // bound total model time at 4000s/1000
-	ticks := w.RunUntil(func(*hv.World) bool {
-		return target.Counters().Instructions >= fig12Work
-	}, maxTicks)
-	return float64(ticks) * float64(tickMs), nil
+	ticks, err := runUntilRetired(s, "a", fig12Work, maxTicks)
+	return float64(ticks) * float64(tickMs), err
 }
 
 // Table renders the two curves.

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"kyoto/internal/cluster"
 	"kyoto/internal/hv"
 	"kyoto/internal/vm"
 )
@@ -44,11 +45,11 @@ func Fig2(seed uint64) (Fig2Result, error) {
 	err := ForEach(len(situations), 0, func(i int) error {
 		rec := NewLLCMissSeries()
 		_, err := Run(Scenario{
-			Seed:    seed,
-			VMs:     situations[i].vms,
-			Hooks:   []hv.TickHook{rec},
-			Warmup:  1, // snapshot boundary only; recording starts at tick 0
-			Measure: Fig2Ticks,
+			NodeConfig: cluster.NodeConfig{Seed: seed},
+			VMs:        situations[i].vms,
+			Hooks:      []hv.TickHook{rec},
+			Warmup:     1, // snapshot boundary only; recording starts at tick 0
+			Measure:    Fig2Ticks,
 		})
 		if err != nil {
 			return err

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"kyoto/internal/cluster"
 	"kyoto/internal/stats"
 	"kyoto/internal/vm"
 	"kyoto/internal/workload"
@@ -52,7 +53,7 @@ func Fig3(seed uint64) (Fig3Result, error) {
 		for _, c := range Fig3Caps {
 			keys = append(keys, key{app, c})
 			scenarios = append(scenarios, Scenario{
-				Seed: seed,
+				NodeConfig: cluster.NodeConfig{Seed: seed},
 				VMs: []vm.Spec{
 					pinned("sen", app, 0),
 					{Name: "dis", App: workload.VDis1, Pins: []int{1}, CapPercent: c},

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"kyoto/internal/cache"
+	"kyoto/internal/cluster"
 	"kyoto/internal/core"
 	"kyoto/internal/stats"
 	"kyoto/internal/sweep"
@@ -114,8 +115,7 @@ func fig4RunJob(job sweep.Job, seed uint64, fid cache.Fidelity) (json.RawMessage
 		return nil, fmt.Errorf("unknown job key %q", job.Key)
 	}
 	r, err := Run(Scenario{
-		Seed:     seed,
-		Fidelity: fid,
+		NodeConfig: cluster.NodeConfig{Seed: seed, Fidelity: fid},
 		VMs: []vm.Spec{
 			pinned("attacker", attacker, 0),
 			pinned("victim", victim, 1),

@@ -4,11 +4,10 @@ import (
 	"fmt"
 	"sync"
 
+	"kyoto/internal/cluster"
 	"kyoto/internal/core"
 	"kyoto/internal/hv"
-	"kyoto/internal/monitor"
 	"kyoto/internal/pmc"
-	"kyoto/internal/sched"
 	"kyoto/internal/vm"
 	"kyoto/internal/workload"
 )
@@ -21,14 +20,6 @@ const (
 	Fig5LLCCap    = 250
 	Fig6DisLLCCap = 50
 )
-
-// ks4 wraps base in the Kyoto ledger (KS4Xen over credit, KS4Linux over
-// CFS, KS4Pisces over Pisces) and returns it with the oracle monitor
-// that feeds it the given indicator. Each scenario needs a fresh pair.
-func ks4(base sched.Scheduler, ind core.Indicator, opts ...core.Option) (*core.Kyoto, []hv.TickHook) {
-	k := core.New(base, opts...)
-	return k, []hv.TickHook{monitor.NewOracle(k, ind)}
-}
 
 // Fig5Timeline is the per-tick trace of the vdis1 comparison (Fig 5
 // bottom): whether the disruptor ran, its measured llc_cap, and its
@@ -85,24 +76,15 @@ func Fig5(seed uint64) (Fig5Result, error) {
 	err = ForEach(len(disruptors), 0, func(i int) error {
 		dis := disruptors[i]
 		// Plain XCS.
-		xcs, err := Run(Scenario{
-			Seed:    seed,
-			VMs:     fig5VMs(dis),
-			Measure: 45,
-		})
+		s := Scenario{NodeConfig: cluster.NodeConfig{Seed: seed}, VMs: fig5VMs(dis), Measure: 45}
+		xcs, err := Run(s)
 		if err != nil {
 			return err
 		}
 
 		// KS4Xen.
-		k, hooks := ks4(sched.NewCredit(4), core.Equation1)
-		ks, err := Run(Scenario{
-			Seed:     seed,
-			NewSched: func(int) sched.Scheduler { return k },
-			VMs:      fig5VMs(dis),
-			Hooks:    hooks,
-			Measure:  45,
-		})
+		s.EnableKyoto = true
+		ks, err := Run(s)
 		if err != nil {
 			return err
 		}
@@ -145,21 +127,21 @@ func fig5Timeline(seed uint64) (Fig5Timeline, error) {
 		}
 		return 0
 	})
-	if _, err := Run(Scenario{
-		Seed:    seed,
-		VMs:     fig5VMs(workload.VDis1),
-		Hooks:   []hv.TickHook{xcsRec},
-		Warmup:  1,
-		Measure: fig5TimelineTicks,
-	}); err != nil {
+	s := Scenario{
+		NodeConfig: cluster.NodeConfig{Seed: seed},
+		VMs:        fig5VMs(workload.VDis1),
+		Hooks:      []hv.TickHook{xcsRec},
+		Warmup:     1,
+		Measure:    fig5TimelineTicks,
+	}
+	if _, err := Run(s); err != nil {
 		return tl, err
 	}
 	tl.RanXCS = xcsRec.Values["dis"]
 
 	// KS4Xen run trace: CPU usage, measured rate, quota ledger.
-	k, hooks := ks4(sched.NewCredit(4), core.Equation1)
 	var rate, quota, ran []float64
-	rec := NewTickSeries(func(domain *vm.VM, delta pmc.Counters, _ *hv.World) float64 {
+	rec := NewTickSeries(func(domain *vm.VM, delta pmc.Counters, w *hv.World) float64 {
 		if domain.Name != "dis" {
 			return 0
 		}
@@ -169,17 +151,12 @@ func fig5Timeline(seed uint64) (Fig5Timeline, error) {
 			ran = append(ran, 0)
 		}
 		rate = append(rate, core.Equation1Value(delta))
-		quota = append(quota, k.QuotaBalance(domain))
+		quota = append(quota, w.Scheduler().(*core.Kyoto).QuotaBalance(domain))
 		return 0
 	})
-	if _, err := Run(Scenario{
-		Seed:     seed,
-		NewSched: func(int) sched.Scheduler { return k },
-		VMs:      fig5VMs(workload.VDis1),
-		Hooks:    append(hooks, rec),
-		Warmup:   1,
-		Measure:  fig5TimelineTicks,
-	}); err != nil {
+	s.EnableKyoto = true
+	s.Hooks = []hv.TickHook{rec}
+	if _, err := Run(s); err != nil {
 		return tl, err
 	}
 	tl.RanKyoto, tl.Rate, tl.Quota = ran, rate, quota

@@ -3,8 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"kyoto/internal/core"
-	"kyoto/internal/sched"
+	"kyoto/internal/cluster"
 	"kyoto/internal/vm"
 	"kyoto/internal/workload"
 )
@@ -52,20 +51,15 @@ func Fig6(seed uint64) (Fig6Result, error) {
 			})
 		}
 
-		k, hooks := ks4(sched.NewCredit(4), core.Equation1)
-		ks, err := Run(Scenario{
-			Seed:     seed,
-			NewSched: func(int) sched.Scheduler { return k },
-			VMs:      vms,
-			Hooks:    hooks,
-			Measure:  45,
-		})
+		s := Scenario{NodeConfig: cluster.NodeConfig{Seed: seed, EnableKyoto: true}, VMs: vms, Measure: 45}
+		ks, err := Run(s)
 		if err != nil {
 			return err
 		}
 		res.NormPerf[i] = ks.IPC("sen") / soloIPC
 
-		xcs, err := Run(Scenario{Seed: seed, VMs: vms, Measure: 45})
+		s.EnableKyoto = false
+		xcs, err := Run(s)
 		if err != nil {
 			return err
 		}

@@ -1,8 +1,7 @@
 package experiments
 
 import (
-	"kyoto/internal/core"
-	"kyoto/internal/hv"
+	"kyoto/internal/cluster"
 	"kyoto/internal/machine"
 	"kyoto/internal/sched"
 	"kyoto/internal/vm"
@@ -55,33 +54,19 @@ func Fig8(seed uint64) (Fig8Result, error) {
 
 // fig8Run measures vsen1's completion time for fig8Work instructions.
 func fig8Run(seed uint64, colocated, kyoto bool) (float64, error) {
-	var s sched.Scheduler = sched.NewPisces()
-	var hooks []hv.TickHook
-	if kyoto {
-		s, hooks = ks4(s, core.Equation1)
-	}
-	w, err := hv.New(hv.Config{Machine: machine.TableOne(seed), Seed: seed}, s)
-	if err != nil {
-		return 0, err
-	}
-	sen := vm.Spec{Name: "sen", App: workload.VSen1, Pins: []int{0}, LLCCap: Fig5LLCCap}
-	if _, err := w.AddVM(sen); err != nil {
-		return 0, err
+	s := Scenario{
+		NodeConfig: cluster.NodeConfig{
+			Seed:        seed,
+			NewSched:    func(int) sched.Scheduler { return sched.NewPisces() },
+			EnableKyoto: kyoto,
+		},
+		VMs: []vm.Spec{{Name: "sen", App: workload.VSen1, Pins: []int{0}, LLCCap: Fig5LLCCap}},
 	}
 	if colocated {
-		dis := vm.Spec{Name: "dis", App: workload.VDis1, Pins: []int{1}, LLCCap: Fig5LLCCap}
-		if _, err := w.AddVM(dis); err != nil {
-			return 0, err
-		}
+		s.VMs = append(s.VMs, vm.Spec{Name: "dis", App: workload.VDis1, Pins: []int{1}, LLCCap: Fig5LLCCap})
 	}
-	for _, h := range hooks {
-		w.AddHook(h)
-	}
-	senVM := w.FindVM("sen")
-	ticks := w.RunUntil(func(w *hv.World) bool {
-		return senVM.Counters().Instructions >= fig8Work
-	}, fig8MaxTicks)
-	return float64(ticks) * machine.TickMillis, nil
+	ticks, err := runUntilRetired(s, "sen", fig8Work, fig8MaxTicks)
+	return float64(ticks) * machine.TickMillis, err
 }
 
 // Table renders the four bars.

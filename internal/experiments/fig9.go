@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"kyoto/internal/cluster"
 	"kyoto/internal/hv"
 	"kyoto/internal/machine"
 	"kyoto/internal/stats"
@@ -82,22 +83,24 @@ func Fig9(seed uint64) (Fig9Result, error) {
 	// Each app's base/migrated pair is independent: fan them out.
 	err := ForEach(len(Fig9Apps), 0, func(i int) error {
 		app := Fig9Apps[i]
-		base, err := Run(Scenario{
-			Machine: machine.R420(seed),
-			Seed:    seed,
-			VMs:     []vm.Spec{pinned("solo", app, 0)},
-			Measure: 60,
-		})
+		s := Scenario{
+			NodeConfig: cluster.NodeConfig{Machine: machine.R420(seed), Seed: seed},
+			VMs:        []vm.Spec{pinned("solo", app, 0)},
+			Measure:    60,
+		}
+		base, err := Run(s)
 		if err != nil {
 			return err
 		}
 
-		// Migrated run: build manually to wire the hook to the vCPU.
-		migrated, err := fig9MigratedRun(app, seed)
+		// Migrated run: the same world, with the hook wired to the vCPU.
+		w, err := s.build()
 		if err != nil {
 			return err
 		}
-		deg := stats.DegradationPercent(base.IPC("solo"), migrated)
+		awayCore := w.Machine().Socket(1).Cores[0].ID
+		w.AddHook(NewMigrationHook(w.FindVM("solo").VCPUs[0], 0, awayCore, 6, 3, seed))
+		deg := stats.DegradationPercent(base.IPC("solo"), s.measure(w).IPC("solo"))
 		if deg < 0 {
 			deg = 0
 		}
@@ -105,27 +108,6 @@ func Fig9(seed uint64) (Fig9Result, error) {
 		return nil
 	})
 	return res, err
-}
-
-// fig9MigratedRun returns the app's IPC under periodic migration.
-func fig9MigratedRun(app string, seed uint64) (float64, error) {
-	k := newCreditSched(8)
-	w, err := hv.New(hv.Config{Machine: machine.R420(seed), Seed: seed}, k)
-	if err != nil {
-		return 0, err
-	}
-	domain, err := w.AddVM(pinned("solo", app, 0))
-	if err != nil {
-		return 0, err
-	}
-	awayCore := w.Machine().Socket(1).Cores[0].ID
-	w.AddHook(NewMigrationHook(domain.VCPUs[0], 0, awayCore, 6, 3, seed))
-
-	w.RunTicks(DefaultWarmupTicks)
-	before := domain.Counters()
-	w.RunTicks(60)
-	delta := domain.Counters().Delta(before)
-	return delta.IPC(), nil
 }
 
 // Table renders the per-app overhead bars.

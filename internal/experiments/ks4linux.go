@@ -3,7 +3,7 @@ package experiments
 import (
 	"sync"
 
-	"kyoto/internal/core"
+	"kyoto/internal/cluster"
 	"kyoto/internal/sched"
 	"kyoto/internal/workload"
 )
@@ -37,36 +37,28 @@ func KS4Linux(seed uint64) (KS4LinuxResult, error) {
 	}
 	soloIPC := solo.PerVM["solo"].IPC()
 
-	bases := map[string]func() sched.Scheduler{
-		"KS4Xen (credit)":    func() sched.Scheduler { return sched.NewCredit(4) },
-		"KS4Linux (cfs)":     func() sched.Scheduler { return sched.NewCFS() },
-		"KS4Pisces (pisces)": func() sched.Scheduler { return sched.NewPisces() },
+	bases := map[string]func(int) sched.Scheduler{
+		"KS4Xen (credit)":    nil, // the credit scheduler
+		"KS4Linux (cfs)":     func(int) sched.Scheduler { return sched.NewCFS() },
+		"KS4Pisces (pisces)": func(int) sched.Scheduler { return sched.NewPisces() },
 	}
 	// The three systems are independent world pairs: fan them out. The
 	// result maps are pre-sized and each worker writes distinct keys.
 	var mu sync.Mutex
 	err = ForEach(len(res.Systems), 0, func(i int) error {
 		system := res.Systems[i]
-		mk := bases[system]
-
-		base, err := Run(Scenario{
-			Seed:     seed,
-			NewSched: func(int) sched.Scheduler { return mk() },
-			VMs:      fig5VMs(workload.VDis1),
-			Measure:  45,
-		})
+		s := Scenario{
+			NodeConfig: cluster.NodeConfig{Seed: seed, NewSched: bases[system]},
+			VMs:        fig5VMs(workload.VDis1),
+			Measure:    45,
+		}
+		base, err := Run(s)
 		if err != nil {
 			return err
 		}
 
-		k, hooks := ks4(mk(), core.Equation1)
-		ks, err := Run(Scenario{
-			Seed:     seed,
-			NewSched: func(int) sched.Scheduler { return k },
-			VMs:      fig5VMs(workload.VDis1),
-			Hooks:    hooks,
-			Measure:  45,
-		})
+		s.EnableKyoto = true
+		ks, err := Run(s)
 		if err != nil {
 			return err
 		}

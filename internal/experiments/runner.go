@@ -8,13 +8,13 @@
 package experiments
 
 import (
-	"fmt"
+	"cmp"
 
 	"kyoto/internal/cache"
+	"kyoto/internal/cluster"
 	"kyoto/internal/hv"
 	"kyoto/internal/machine"
 	"kyoto/internal/pmc"
-	"kyoto/internal/sched"
 	"kyoto/internal/sweep"
 	"kyoto/internal/vm"
 )
@@ -26,26 +26,23 @@ const (
 	DefaultMeasureTicks = 30
 )
 
-// Scenario describes one simulation run.
+// Scenario describes one simulation run: the host, the VMs placed on it
+// and the measurement window.
 type Scenario struct {
-	// Machine is the hardware; zero value selects machine.TableOne.
-	Machine machine.Config
-	// NewSched builds the scheduler; nil selects the credit scheduler
-	// (XCS), the paper's baseline.
-	NewSched func(cores int) sched.Scheduler
-	// CyclesPerTick optionally overrides the tick length (Fig 12).
-	CyclesPerTick uint64
-	// Seed drives all randomness (default 1).
-	Seed uint64
+	// NodeConfig is the host, built by cluster.NewNode like every other
+	// Kyoto host. A zero Machine selects machine.TableOne(Seed), a zero
+	// Seed selects 1, and a nil NewSched the credit scheduler (XCS), the
+	// paper's baseline; EnableKyoto makes it the KS4 variant of that
+	// scheduler, with the counter monitor attached.
+	cluster.NodeConfig
 	// VMs to instantiate, in order.
 	VMs []vm.Spec
-	// Hooks are attached before the run (monitors, recorders).
+	// Hooks are attached after the VMs, behind the host's own monitor
+	// (recorders, observing monitors).
 	Hooks []hv.TickHook
 	// Warmup/Measure override the default window lengths when non-zero.
 	Warmup  int
 	Measure int
-	// Fidelity selects the cache-model tier (default cache.FidelityExact).
-	Fidelity cache.Fidelity
 }
 
 // Result holds a scenario's measurement-window counters.
@@ -65,45 +62,47 @@ func (r Result) IPC(name string) float64 {
 	return r.PerVM[name].IPC()
 }
 
-// Run builds and executes the scenario.
+// Run builds the scenario's world and runs its warmup and measurement
+// windows.
 func Run(s Scenario) (Result, error) {
-	if s.Machine.Sockets == 0 {
-		s.Machine = machine.TableOne(s.Seed)
-	}
-	cores := s.Machine.Sockets * s.Machine.CoresPerSocket
-	newSched := s.NewSched
-	if newSched == nil {
-		newSched = func(n int) sched.Scheduler { return sched.NewCredit(n) }
-	}
-	seed := s.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	w, err := hv.New(hv.Config{
-		Machine:       s.Machine,
-		CyclesPerTick: s.CyclesPerTick,
-		Seed:          seed,
-		Fidelity:      s.Fidelity,
-	}, newSched(cores))
+	w, err := s.build()
 	if err != nil {
 		return Result{}, err
 	}
+	return s.measure(w), nil
+}
+
+// build assembles the scenario's world without running it: the host, its
+// VMs in order, then its hooks. Figures that must touch the built world
+// first (a migration hook on a vCPU, LLC partitions) call build, make
+// their change, then measure.
+func (s Scenario) build() (*hv.World, error) {
+	nc := s.NodeConfig
+	if nc.Machine.Sockets == 0 {
+		nc.Machine = machine.TableOne(nc.Seed)
+	}
+	nc.Seed = cmp.Or(nc.Seed, 1)
+	n, err := cluster.NewNode(nc)
+	if err != nil {
+		return nil, err
+	}
+	w := n.World
 	for _, spec := range s.VMs {
 		if _, err := w.AddVM(spec); err != nil {
-			return Result{}, err
+			return nil, err
 		}
 	}
 	for _, h := range s.Hooks {
 		w.AddHook(h)
 	}
-	warmup, measure := s.Warmup, s.Measure
-	if warmup == 0 {
-		warmup = DefaultWarmupTicks
-	}
-	if measure == 0 {
-		measure = DefaultMeasureTicks
-	}
-	w.RunTicks(warmup)
+	return w, nil
+}
+
+// measure runs the scenario's warmup then its measurement window on w and
+// returns each VM's counter delta over the window.
+func (s Scenario) measure(w *hv.World) Result {
+	measure := cmp.Or(s.Measure, DefaultMeasureTicks)
+	w.RunTicks(cmp.Or(s.Warmup, DefaultWarmupTicks))
 	before := w.SnapshotVMs()
 	w.RunTicks(measure)
 	after := w.SnapshotVMs()
@@ -112,17 +111,21 @@ func Run(s Scenario) (Result, error) {
 	for name, c := range after {
 		per[name] = c.Delta(before[name])
 	}
-	return Result{PerVM: per, World: w, MeasureTicks: measure}, nil
+	return Result{PerVM: per, World: w, MeasureTicks: measure}
 }
 
-// MustRun is Run but panics on error, for scenarios whose validity is
-// fixed at compile time.
-func MustRun(s Scenario) Result {
-	r, err := Run(s)
+// runUntilRetired builds s and runs it until the named VM has retired
+// work instructions or maxTicks elapse, returning the ticks run: the
+// completion-time measurement of Figures 8 and 12.
+func runUntilRetired(s Scenario, name string, work uint64, maxTicks int) (int, error) {
+	w, err := s.build()
 	if err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
+		return 0, err
 	}
-	return r
+	target := w.FindVM(name)
+	return w.RunUntil(func(*hv.World) bool {
+		return target.Counters().Instructions >= work
+	}, maxTicks), nil
 }
 
 // RunAll executes scenarios concurrently (each run is an independent,
@@ -168,9 +171,6 @@ func fidelityTag(f cache.Fidelity) string {
 	return f.String()
 }
 
-// newCreditSched builds the default XCS policy.
-func newCreditSched(cores int) sched.Scheduler { return sched.NewCredit(cores) }
-
 // pinned returns a single-vCPU spec for app pinned to core.
 func pinned(name, app string, core int) vm.Spec {
 	return vm.Spec{Name: name, App: app, Pins: []int{core}}
@@ -180,7 +180,7 @@ func pinned(name, app string, core int) vm.Spec {
 // machine.
 func soloScenario(app string, seed uint64) Scenario {
 	return Scenario{
-		Seed: seed,
-		VMs:  []vm.Spec{pinned("solo", app, 0)},
+		NodeConfig: cluster.NodeConfig{Seed: seed},
+		VMs:        []vm.Spec{pinned("solo", app, 0)},
 	}
 }

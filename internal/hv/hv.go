@@ -46,6 +46,7 @@
 package hv
 
 import (
+	"cmp"
 	"fmt"
 
 	"kyoto/internal/cache"
@@ -312,8 +313,46 @@ func schedIdleInvariant(s sched.Scheduler) bool {
 }
 
 // AddVM instantiates spec: resolves the workload profile, creates the
-// vCPUs, and registers them with the scheduler.
+// vCPUs, and registers them with the scheduler. A failed spec leaves the
+// world exactly as it was — cluster placement relies on AddVM being
+// atomic.
 func (w *World) AddVM(spec vm.Spec) (*vm.VM, error) {
+	// Owner tags come off the recycled list first (LIFO), then freshly
+	// minted past the high-water mark; the list only shrinks once the
+	// whole VM has built.
+	free := w.freeOwners
+	domain, err := w.newVM(spec, w.vmSeq+1, func(i int) (tag, seq int) {
+		if i < len(free) {
+			tag = free[len(free)-1-i]
+		} else {
+			tag = w.vcpuSeq + 1 + i - len(free)
+		}
+		return tag, w.vcpuTotal + 1 + i
+	})
+	if err != nil {
+		return nil, err
+	}
+	nv := len(domain.VCPUs)
+	recycled := min(nv, len(free))
+	w.vmSeq++
+	w.freeOwners = free[:len(free)-recycled]
+	w.vcpuSeq += nv - recycled
+	w.vcpuTotal += nv
+	for _, v := range domain.VCPUs {
+		w.vcpus = append(w.vcpus, v)
+		w.sch.Register(v)
+	}
+	w.vms = append(w.vms, domain)
+	return domain, nil
+}
+
+// newVM is the one VM construction recipe, shared by AddVM and
+// restoreVM. It resolves spec's profile and defaults, checks the spec
+// against the machine, and builds domain id with its vCPUs: each one's
+// workload generator, cache context and, on the analytic tier, analytic
+// context, with the owner tag and Seq that ident(i) supplies. It touches
+// no world or scheduler state.
+func (w *World) newVM(spec vm.Spec, id int, ident func(i int) (tag, seq int)) (*vm.VM, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -325,41 +364,30 @@ func (w *World) AddVM(spec vm.Spec) (*vm.VM, error) {
 		}
 		profile = p
 	}
-	nv := spec.VCPUs
-	if nv == 0 {
-		nv = 1
+	nv := max(spec.VCPUs, 1)
+	if nv > w.m.NumCores() {
+		// Each vCPU costs memory up front, so an unbounded count must
+		// fail here rather than allocate.
+		return nil, fmt.Errorf("hv: VM %q asks for %d vCPUs, more than the machine's %d cores", spec.Name, nv, w.m.NumCores())
 	}
 	if spec.HomeNode < 0 || spec.HomeNode >= w.m.NumSockets() {
 		return nil, fmt.Errorf("hv: VM %q home node %d out of range", spec.Name, spec.HomeNode)
 	}
-	weight := spec.Weight
-	if weight == 0 {
-		weight = vm.DefaultWeight
-	}
 	domain := &vm.VM{
-		ID:         w.vmSeq + 1,
+		ID:         id,
 		Name:       spec.Name,
 		App:        profile.Name,
-		Weight:     weight,
+		Weight:     cmp.Or(spec.Weight, vm.DefaultWeight),
 		CapPercent: spec.CapPercent,
 		LLCCap:     spec.LLCCap,
 		HomeNode:   spec.HomeNode,
 		Spec:       spec,
+		VCPUs:      make([]*vm.VCPU, 0, nv),
 	}
 	seed := spec.Seed
 	if seed == 0 {
-		seed = w.cfg.Seed ^ uint64(domain.ID)*0x9e3779b97f4a7c15
+		seed = w.cfg.Seed ^ uint64(id)*0x9e3779b97f4a7c15
 	}
-	// Plan the vCPU IDs without committing them: recycled owner tags first
-	// (LIFO off freeOwners), freshly minted ones past the high-water mark
-	// after. The free list is only shrunk once the whole VM builds.
-	recycled := nv
-	if recycled > len(w.freeOwners) {
-		recycled = len(w.freeOwners)
-	}
-	// Build every vCPU before mutating any world or scheduler state, so a
-	// failed spec (bad pin, unknown profile phase) leaves the world exactly
-	// as it was — cluster placement relies on AddVM being atomic.
 	for i := 0; i < nv; i++ {
 		gen, err := workload.New(profile, seed+uint64(i))
 		if err != nil {
@@ -372,16 +400,11 @@ func (w *World) AddVM(spec vm.Spec) (*vm.VM, error) {
 		if pin != vm.NoPin && (pin < 0 || pin >= w.m.NumCores()) {
 			return nil, fmt.Errorf("hv: VM %q vCPU %d pinned to invalid core %d", spec.Name, i, pin)
 		}
-		id := 0
-		if i < recycled {
-			id = w.freeOwners[len(w.freeOwners)-1-i]
-		} else {
-			id = w.vcpuSeq + 1 + (i - recycled)
-		}
+		tag, seq := ident(i)
 		v := &vm.VCPU{
 			VM:       domain,
-			ID:       id,
-			Seq:      w.vcpuTotal + 1 + i,
+			ID:       tag,
+			Seq:      seq,
 			Index:    i,
 			Gen:      gen,
 			Pin:      pin,
@@ -390,7 +413,7 @@ func (w *World) AddVM(spec vm.Spec) (*vm.VM, error) {
 		v.Ctx = cpu.Context{
 			Gen:      gen,
 			Owner:    v.Owner(),
-			AddrBase: uint64(domain.ID) << 36,
+			AddrBase: uint64(id) << 36,
 			Counters: &v.Counters,
 		}
 		if w.analytic != nil {
@@ -402,15 +425,6 @@ func (w *World) AddVM(spec vm.Spec) (*vm.VM, error) {
 		}
 		domain.VCPUs = append(domain.VCPUs, v)
 	}
-	w.vmSeq++
-	w.freeOwners = w.freeOwners[:len(w.freeOwners)-recycled]
-	w.vcpuSeq += nv - recycled
-	w.vcpuTotal += nv
-	for _, v := range domain.VCPUs {
-		w.vcpus = append(w.vcpus, v)
-		w.sch.Register(v)
-	}
-	w.vms = append(w.vms, domain)
 	return domain, nil
 }
 

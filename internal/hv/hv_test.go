@@ -32,6 +32,12 @@ func TestAddVMValidation(t *testing.T) {
 	if _, err := w.AddVM(vm.Spec{Name: "v", App: "gcc", HomeNode: 5}); err == nil {
 		t.Fatal("invalid home node must fail")
 	}
+	if _, err := w.AddVM(vm.Spec{Name: "v", App: "gcc", VCPUs: 5}); err == nil {
+		t.Fatal("more vCPUs than the machine's 4 cores must fail")
+	}
+	if _, err := w.AddVM(vm.Spec{Name: "v", App: "gcc", VCPUs: 4}); err != nil {
+		t.Fatalf("one vCPU per core failed: %v", err)
+	}
 	if _, err := w.AddVM(vm.Spec{Name: "ok", App: "gcc"}); err != nil {
 		t.Fatalf("valid spec failed: %v", err)
 	}

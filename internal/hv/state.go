@@ -279,93 +279,45 @@ func (w *World) RestoreState(st *WorldState) error {
 	return nil
 }
 
-// restoreVM rebuilds one VM from its state: the AddVM construction path
-// with explicit identities, followed by the state overlay. Registration
-// happens VM by VM in state order, which reproduces the original
-// registration order (ascending Seq) and with it every runqueue.
+// restoreVM rebuilds one VM from its state: AddVM's construction recipe
+// with the captured identities, followed by the state overlay.
+// Registration happens VM by VM in state order, which reproduces the
+// original registration order (ascending Seq) and with it every runqueue.
 func (w *World) restoreVM(vs *VMState) error {
 	spec := vs.Spec
-	if err := spec.Validate(); err != nil {
-		return fmt.Errorf("hv: restore VM: %w", err)
-	}
-	profile := spec.Profile
-	if len(profile.Phases) == 0 {
-		p, err := workload.Lookup(spec.App)
-		if err != nil {
-			return fmt.Errorf("hv: restore VM %q: %w", spec.Name, err)
-		}
-		profile = p
-	}
-	nv := spec.VCPUs
-	if nv == 0 {
-		nv = 1
-	}
-	if len(vs.VCPUs) != nv {
+	if nv := max(spec.VCPUs, 1); len(vs.VCPUs) != nv {
 		return fmt.Errorf("hv: restore VM %q: state has %d vCPUs, spec declares %d", spec.Name, len(vs.VCPUs), nv)
 	}
-	weight := spec.Weight
-	if weight == 0 {
-		weight = vm.DefaultWeight
+	domain, err := w.newVM(spec, vs.ID, func(i int) (tag, seq int) {
+		return vs.VCPUs[i].ID, vs.VCPUs[i].Seq
+	})
+	if err != nil {
+		return fmt.Errorf("hv: restore VM %q: %w", spec.Name, err)
 	}
-	domain := &vm.VM{
-		ID:         vs.ID,
-		Name:       spec.Name,
-		App:        profile.Name,
-		Weight:     weight,
-		CapPercent: spec.CapPercent,
-		LLCCap:     spec.LLCCap,
-		HomeNode:   spec.HomeNode,
-		Spec:       spec,
-
-		PollutionBlocked: vs.PollutionBlocked,
-		Down:             vs.Down,
-		Punishments:      vs.Punishments,
-		Carried:          vs.Carried,
-	}
-	seed := spec.Seed
-	if seed == 0 {
-		seed = w.cfg.Seed ^ uint64(domain.ID)*0x9e3779b97f4a7c15
-	}
-	for i := range vs.VCPUs {
+	domain.PollutionBlocked = vs.PollutionBlocked
+	domain.Down = vs.Down
+	domain.Punishments = vs.Punishments
+	domain.Carried = vs.Carried
+	for i, v := range domain.VCPUs {
 		cs := &vs.VCPUs[i]
 		if cs.Index != i {
 			return fmt.Errorf("hv: restore VM %q: vCPU %d has index %d", spec.Name, i, cs.Index)
 		}
-		gen, err := workload.New(profile, seed+uint64(i))
-		if err != nil {
-			return fmt.Errorf("hv: restore VM %q: %w", spec.Name, err)
-		}
-		if err := workload.RestoreGenState(gen, cs.Gen); err != nil {
+		v.Pin, v.LastCore, v.Counters = cs.Pin, cs.LastCore, cs.Counters
+		if err := workload.RestoreGenState(v.Gen, cs.Gen); err != nil {
 			return fmt.Errorf("hv: restore VM %q vCPU %d: %w", spec.Name, i, err)
-		}
-		v := &vm.VCPU{
-			VM: domain, ID: cs.ID, Seq: cs.Seq, Index: i,
-			Gen: gen, Pin: cs.Pin, LastCore: cs.LastCore,
-			Counters: cs.Counters,
-		}
-		v.Ctx = cpu.Context{
-			Gen:      gen,
-			Owner:    v.Owner(),
-			AddrBase: uint64(domain.ID) << 36,
-			Counters: &v.Counters,
 		}
 		if err := v.Ctx.RestoreState(cs.Ctx); err != nil {
 			return fmt.Errorf("hv: restore VM %q vCPU %d: %w", spec.Name, i, err)
 		}
-		if w.analytic != nil {
+		if v.ACtx != nil {
 			if cs.ACtx == nil {
 				return fmt.Errorf("hv: restore VM %q vCPU %d: state has no analytic context but the world runs the analytic tier", spec.Name, i)
 			}
-			actx, err := cpu.NewAnalyticContext(profile, w.aparams, v.Owner(), &v.Counters)
-			if err != nil {
+			if err := v.ACtx.RestoreState(*cs.ACtx); err != nil {
 				return fmt.Errorf("hv: restore VM %q vCPU %d: %w", spec.Name, i, err)
 			}
-			if err := actx.RestoreState(*cs.ACtx); err != nil {
-				return fmt.Errorf("hv: restore VM %q vCPU %d: %w", spec.Name, i, err)
-			}
-			v.ACtx = actx
 		}
-		domain.VCPUs = append(domain.VCPUs, v)
 	}
 	for _, v := range domain.VCPUs {
 		w.vcpus = append(w.vcpus, v)

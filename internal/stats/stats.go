@@ -110,16 +110,6 @@ func DegradationPercent(baseline, observed float64) float64 {
 	return 100 * (baseline - observed) / baseline
 }
 
-// SlowdownPercent returns the slowdown of observed relative to baseline for
-// "lower is better" metrics such as execution time:
-// 100 * (observed - baseline) / baseline.
-func SlowdownPercent(baseline, observed float64) float64 {
-	if baseline == 0 {
-		return 0
-	}
-	return 100 * (observed - baseline) / baseline
-}
-
 // KendallTau computes Kendall's rank correlation coefficient (tau-a)
 // between two orderings of the same item set.
 //
@@ -186,36 +176,6 @@ func RankByValue(values map[string]float64) []string {
 		return ids[i] < ids[j]
 	})
 	return ids
-}
-
-// Normalize divides every element of xs by base, returning a new slice.
-// A zero base yields a slice of zeros rather than Inf/NaN, since callers
-// render the result directly into report tables.
-func Normalize(xs []float64, base float64) []float64 {
-	out := make([]float64, len(xs))
-	if base == 0 {
-		return out
-	}
-	for i, x := range xs {
-		out[i] = x / base
-	}
-	return out
-}
-
-// GeoMean returns the geometric mean of xs. Non-positive inputs are
-// rejected with an error because they indicate a harness bug upstream.
-func GeoMean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	sum := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return 0, fmt.Errorf("stats: geometric mean requires positive values, got %v", x)
-		}
-		sum += math.Log(x)
-	}
-	return math.Exp(sum / float64(len(xs))), nil
 }
 
 // PearsonR returns the Pearson correlation coefficient between xs and ys.

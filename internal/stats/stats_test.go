@@ -55,15 +55,6 @@ func TestDegradationPercent(t *testing.T) {
 	}
 }
 
-func TestSlowdownPercent(t *testing.T) {
-	if !almost(SlowdownPercent(100, 124), 24) {
-		t.Fatal("24% slowdown expected")
-	}
-	if SlowdownPercent(0, 5) != 0 {
-		t.Fatal("zero baseline must not blow up")
-	}
-}
-
 func TestKendallTauIdentical(t *testing.T) {
 	o := []string{"a", "b", "c", "d"}
 	tau, err := KendallTau(o, o)
@@ -150,30 +141,6 @@ func TestRankByValue(t *testing.T) {
 	order = RankByValue(map[string]float64{"z": 1, "y": 1, "x": 1})
 	if order[0] != "x" || order[2] != "z" {
 		t.Fatalf("tie order = %v", order)
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	out := Normalize([]float64{2, 4}, 2)
-	if !almost(out[0], 1) || !almost(out[1], 2) {
-		t.Fatalf("normalize = %v", out)
-	}
-	out = Normalize([]float64{2, 4}, 0)
-	if out[0] != 0 || out[1] != 0 {
-		t.Fatal("zero base must yield zeros")
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	g, err := GeoMean([]float64{1, 4})
-	if err != nil || !almost(g, 2) {
-		t.Fatalf("geomean = %v err %v", g, err)
-	}
-	if _, err := GeoMean([]float64{1, 0}); err == nil {
-		t.Fatal("non-positive input must error")
-	}
-	if _, err := GeoMean(nil); err == nil {
-		t.Fatal("empty must error")
 	}
 }
 

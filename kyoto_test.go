@@ -1,6 +1,9 @@
 package kyoto
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 func TestNewWorldDefaults(t *testing.T) {
 	w, err := NewWorld(WorldConfig{Seed: 1})
@@ -15,6 +18,26 @@ func TestNewWorldDefaults(t *testing.T) {
 	}
 	if w.MachineTable() == "" {
 		t.Fatal("machine table empty")
+	}
+}
+
+func TestAddVMRejectsMoreVCPUsThanCores(t *testing.T) {
+	w, err := NewWorld(WorldConfig{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = w.AddVM(VMSpec{Name: "huge", App: "gcc", VCPUs: 1 << 30})
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a VM with more vCPUs than the machine has cores must be rejected")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("rejecting the spec allocated %d bytes", grew)
+	}
+	if len(w.VMs()) != 0 {
+		t.Fatal("a rejected spec must leave the world empty")
 	}
 }
 
