@@ -1,6 +1,7 @@
 package kyoto
 
 import (
+	"math"
 	"reflect"
 	"testing"
 )
@@ -77,6 +78,61 @@ func TestClusterPlaceAndRun(t *testing.T) {
 	}
 	if v, host := c.FindVM("nope"); v != nil || host != -1 {
 		t.Fatal("FindVM must miss cleanly")
+	}
+}
+
+func TestNonFinitePermitRejected(t *testing.T) {
+	c, err := NewCluster(ClusterConfig{
+		Hosts:         1,
+		World:         WorldConfig{Seed: 1, EnableKyoto: true},
+		Placer:        PlacerKyoto,
+		HostLLCBudget: 1000,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Place(ClusterVMSpec{VMSpec: VMSpec{Name: "nan", App: "gcc", LLCCap: math.NaN()}}); err == nil {
+		t.Fatal("a NaN llc_cap permit must be rejected")
+	}
+	// Had the NaN permit been booked, the host's booked permits would be
+	// NaN and every later permit would fit.
+	admitted := 0
+	for _, name := range []string{"a", "b", "c"} {
+		if _, err := c.Place(ClusterVMSpec{VMSpec: VMSpec{Name: name, App: "lbm", LLCCap: 900}}); err == nil {
+			admitted++
+		}
+	}
+	if admitted != 1 {
+		t.Fatalf("a 1000-permit host admitted %d 900-permit VMs, want 1", admitted)
+	}
+
+	w, err := NewWorld(WorldConfig{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cap := range []float64{math.NaN(), math.Inf(1)} {
+		if _, err := w.AddVM(VMSpec{Name: "x", App: "gcc", LLCCap: cap}); err == nil {
+			t.Fatalf("World.AddVM accepted llc_cap %v", cap)
+		}
+	}
+}
+
+func TestNewClusterRejectsBadCapacity(t *testing.T) {
+	for name, cfg := range map[string]ClusterConfig{
+		"NaN budget":               {HostLLCBudget: math.NaN()},
+		"+Inf budget":              {HostLLCBudget: math.Inf(1)},
+		"negative budget":          {HostLLCBudget: -100},
+		"negative memory":          {HostMemoryMB: -5},
+		"NaN override budget":      {HostOverrides: map[int]HostOverride{0: {LLCBudget: math.NaN()}}},
+		"+Inf override budget":     {HostOverrides: map[int]HostOverride{0: {LLCBudget: math.Inf(1)}}},
+		"negative override memory": {HostOverrides: map[int]HostOverride{0: {MemoryMB: -5}}},
+	} {
+		cfg.Hosts = 1
+		cfg.World = WorldConfig{Seed: 1, EnableKyoto: true}
+		cfg.Placer = PlacerKyoto
+		if _, err := NewCluster(cfg); err == nil {
+			t.Errorf("%s: NewCluster must fail", name)
+		}
 	}
 }
 

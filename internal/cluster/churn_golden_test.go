@@ -3,12 +3,13 @@ package cluster_test
 // Churn golden determinism guards, alongside the fixed-population fleet
 // golden: seeded synthetic arrivals traces replayed through Kyoto fleets
 // must produce the committed fingerprints — each run twice, serial and
-// parallel. Three scenarios are pinned: the plain lifecycle path (Place,
-// Remove, cache eviction on departure, monotonic ID assignment), and two
+// parallel. Four scenarios are pinned: the plain lifecycle path (Place,
+// Remove, cache eviction on departure, monotonic ID assignment), and three
 // migration scenarios exercising the full reactive stack (live migration
 // with downtime, pending queue, owner-tag recycling) — one reactive on a
 // homogeneous fleet, one topology-aware on a heterogeneous big-LLC
-// fleet. They live in an external test package because arrivals imports
+// fleet, and one change-point (Signature) batch plan on a fleet that
+// enforces permits, so the planner's permit headroom is pinned. They live in an external test package because arrivals imports
 // cluster.
 
 import (
@@ -20,6 +21,7 @@ import (
 
 	"kyoto/internal/arrivals"
 	"kyoto/internal/cluster"
+	"kyoto/internal/detect"
 	"kyoto/internal/machine"
 )
 
@@ -101,6 +103,24 @@ var churnScenarios = map[string]func(t *testing.T, workers int) string{
 		})
 		if err != nil {
 			t.Fatal(err)
+		}
+		return res.Fingerprint()
+	},
+	"kyoto-churn-migrate-signature": func(t *testing.T, workers int) string {
+		f := churnFleet(t, workers, nil)
+		res, err := arrivals.Replay(f, churnTrace(), arrivals.Options{
+			DrainTicks:        6,
+			Pending:           arrivals.PendingFIFO,
+			Rebalancer:        &cluster.Signature{Detector: detect.Config{Alpha: 0.2, Drift: 0.1, Threshold: 1, Warmup: 2}},
+			RebalanceEvery:    6,
+			MigrationDowntime: 2,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A golden that never migrates would pin nothing of the planner.
+		if len(res.Migrations) == 0 {
+			t.Fatal("signature churn scenario planned no migration")
 		}
 		return res.Fingerprint()
 	},

@@ -113,19 +113,7 @@ type Host struct {
 	// ID is the host's index in the fleet, fixed at construction.
 	ID int
 	*Node
-
-	// Capacity of the three first-class resources. CPUs counts vCPU
-	// slots (one per physical core: the paper's §2.2 assumption of
-	// unshared cores for admission purposes), MemMB main memory, and
-	// LLCBudget the total pollution permit the host will book.
-	CapacityCPUs  int
-	CapacityMemMB int
-	LLCBudget     float64
-
-	// Booked resources, updated by Fleet.Place.
-	BookedCPUs  int
-	BookedMemMB int
-	BookedLLC   float64
+	headroom
 
 	vms []Placement
 
@@ -139,24 +127,66 @@ type Host struct {
 	ran uint64
 }
 
+// headroom is the fleet's one admission and booking rule: a host's
+// capacity in the three first-class resources and what is booked
+// against it. Host embeds one as its live ledger (Place, Remove and
+// Migrate book through it); a batch rebalancing plan copies the hosts'
+// ledgers and books its moves against the copies, so a plan and the
+// live fleet apply the same rule by construction.
+type headroom struct {
+	// Capacity of the three first-class resources. CPUs counts vCPU
+	// slots (one per physical core: the paper's §2.2 assumption of
+	// unshared cores for admission purposes), MemMB main memory, and
+	// LLCBudget the total pollution permit the host will book.
+	CapacityCPUs  int
+	CapacityMemMB int
+	LLCBudget     float64
+
+	// Booked resources, updated by Fleet.Place, Remove and Migrate.
+	BookedCPUs  int
+	BookedMemMB int
+	BookedLLC   float64
+}
+
+// FreeCPUs returns the unbooked vCPU slots.
+func (r *headroom) FreeCPUs() int { return r.CapacityCPUs - r.BookedCPUs }
+
+// FreeMemMB returns the unbooked memory.
+func (r *headroom) FreeMemMB() int { return r.CapacityMemMB - r.BookedMemMB }
+
+// FreeLLC returns the unbooked pollution budget.
+func (r *headroom) FreeLLC() float64 { return r.LLCBudget - r.BookedLLC }
+
+// fits reports whether the request's vCPU and memory bookings fit and,
+// when permits is set, its llc_cap permit too.
+func (r *headroom) fits(req Request, permits bool) bool {
+	if req.CPUs() > r.FreeCPUs() || req.MemMB() > r.FreeMemMB() {
+		return false
+	}
+	return !permits || req.LLCCap <= r.FreeLLC()
+}
+
+// book charges the request's vCPUs, memory and llc_cap permit.
+func (r *headroom) book(req Request) {
+	r.BookedCPUs += req.CPUs()
+	r.BookedMemMB += req.MemMB()
+	r.BookedLLC += req.LLCCap
+}
+
+// release returns what book charged.
+func (r *headroom) release(req Request) {
+	r.BookedCPUs -= req.CPUs()
+	r.BookedMemMB -= req.MemMB()
+	r.BookedLLC -= req.LLCCap
+}
+
 // Placements returns the VMs currently placed on this host, in placement
 // order (departed VMs are pruned by Fleet.Remove). The slice is a copy:
 // it stays valid however the fleet churns afterwards.
 func (h *Host) Placements() []Placement { return append([]Placement(nil), h.vms...) }
 
-// FreeCPUs returns the unbooked vCPU slots.
-func (h *Host) FreeCPUs() int { return h.CapacityCPUs - h.BookedCPUs }
-
-// FreeMemMB returns the unbooked memory.
-func (h *Host) FreeMemMB() int { return h.CapacityMemMB - h.BookedMemMB }
-
-// FreeLLC returns the unbooked pollution budget.
-func (h *Host) FreeLLC() float64 { return h.LLCBudget - h.BookedLLC }
-
 // Fits reports whether the request's vCPU and memory bookings fit.
-func (h *Host) Fits(req Request) bool {
-	return req.CPUs() <= h.FreeCPUs() && req.MemMB() <= h.FreeMemMB()
-}
+func (h *Host) Fits(req Request) bool { return h.fits(req, false) }
 
 // Request asks the fleet for a VM. The embedded spec is handed verbatim
 // to the chosen host's World; MemoryMB is the booking the placement
@@ -269,12 +299,15 @@ func New(cfg Config) (*Fleet, error) {
 	if placer == nil {
 		placer = FirstFit{}
 	}
+	if err := checkCapacity(cfg.Template.MemoryMB, cfg.Template.LLCBudget); err != nil {
+		return nil, fmt.Errorf("cluster: host template: %w", err)
+	}
 	for id, o := range cfg.Overrides {
 		if id < 0 || id >= cfg.Hosts {
 			return nil, fmt.Errorf("cluster: override for host %d, but fleet has hosts 0..%d", id, cfg.Hosts-1)
 		}
-		if o.MemoryMB < 0 || o.LLCBudget < 0 {
-			return nil, fmt.Errorf("cluster: override for host %d: negative capacity (%d MB, %v permit)", id, o.MemoryMB, o.LLCBudget)
+		if err := checkCapacity(o.MemoryMB, o.LLCBudget); err != nil {
+			return nil, fmt.Errorf("cluster: override for host %d: %w", id, err)
 		}
 	}
 	f := &Fleet{placer: placer, workers: cfg.Workers}
@@ -307,6 +340,16 @@ func New(cfg Config) (*Fleet, error) {
 		runtime.SetFinalizer(f, func(f *Fleet) { close(f.sched.quit) })
 	}
 	return f, nil
+}
+
+// checkCapacity rejects a memory or permit-budget setting no host can
+// have: a negative one rejects every VM, and a NaN budget admits every
+// permit, since every comparison with NaN is false.
+func checkCapacity(memoryMB int, llcBudget float64) error {
+	if memoryMB < 0 || llcBudget < 0 || math.IsNaN(llcBudget) || math.IsInf(llcBudget, 0) {
+		return fmt.Errorf("bad capacity (%d MB, %v permit): want finite, non-negative values", memoryMB, llcBudget)
+	}
+	return nil
 }
 
 // resolveWorkers returns the effective advancement concurrency.
@@ -348,13 +391,11 @@ func newHost(id int, t HostTemplate) (*Host, error) {
 		return nil, err
 	}
 	cores := mcfg.Sockets * mcfg.CoresPerSocket
-	return &Host{
-		ID:            id,
-		Node:          n,
+	return &Host{ID: id, Node: n, headroom: headroom{
 		CapacityCPUs:  cores,
 		CapacityMemMB: cmp.Or(t.MemoryMB, mcfg.MainMemoryMB),
 		LLCBudget:     cmp.Or(t.LLCBudget, float64(cores)*DefaultLLCCapPerCore),
-	}, nil
+	}}, nil
 }
 
 // Hosts returns the fleet's hosts in ID order.
@@ -393,9 +434,7 @@ func (f *Fleet) Place(req Request) (Placement, error) {
 	if err != nil {
 		return Placement{}, fmt.Errorf("cluster: host %d: %w", hostID, err)
 	}
-	h.BookedCPUs += req.CPUs()
-	h.BookedMemMB += req.MemMB()
-	h.BookedLLC += req.LLCCap
+	h.book(req)
 	p := Placement{HostID: hostID, VM: domain, Request: req}
 	h.vms = append(h.vms, p)
 	f.placements = append(f.placements, p)
@@ -421,9 +460,7 @@ func (f *Fleet) Remove(name string) (Placement, error) {
 			if err := h.World.RemoveVM(name); err != nil {
 				return Placement{}, fmt.Errorf("cluster: host %d: %w", h.ID, err)
 			}
-			h.BookedCPUs -= p.Request.CPUs()
-			h.BookedMemMB -= p.Request.MemMB()
-			h.BookedLLC -= p.Request.LLCCap
+			h.release(p.Request)
 			h.vms = append(h.vms[:i], h.vms[i+1:]...)
 			for j, fp := range f.placements {
 				if fp.VM == p.VM {

@@ -42,7 +42,7 @@ func (f *Fleet) Migrate(name string, dstHost int, downtime int) (Placement, erro
 		return Placement{}, fmt.Errorf("cluster: migrate %q to host %d: %w (need %d vCPU, %d MB; host has %d vCPU, %d MB free)",
 			name, dstHost, ErrUnplaceable, p.Request.CPUs(), p.Request.MemMB(), dst.FreeCPUs(), dst.FreeMemMB())
 	}
-	if dst.kyoto != nil && p.Request.LLCCap > dst.FreeLLC() {
+	if !dst.fits(p.Request, dst.kyoto != nil) {
 		return Placement{}, fmt.Errorf("cluster: migrate %q to host %d: %w (llc_cap %.0f exceeds the host's free permit %.0f)",
 			name, dstHost, ErrUnplaceable, p.Request.LLCCap, dst.FreeLLC())
 	}
@@ -72,12 +72,8 @@ func (f *Fleet) Migrate(name string, dstHost int, downtime int) (Placement, erro
 	domain.Carried = carried
 	domain.Punishments = punishments
 
-	src.BookedCPUs -= p.Request.CPUs()
-	src.BookedMemMB -= p.Request.MemMB()
-	src.BookedLLC -= p.Request.LLCCap
-	dst.BookedCPUs += p.Request.CPUs()
-	dst.BookedMemMB += p.Request.MemMB()
-	dst.BookedLLC += p.Request.LLCCap
+	src.release(p.Request)
+	dst.book(p.Request)
 
 	moved := Placement{HostID: dstHost, VM: domain, Request: p.Request}
 	src.vms = append(src.vms[:idx], src.vms[idx+1:]...)

@@ -128,14 +128,10 @@ func (Admission) Place(hosts []*Host, req Request) (int, error) {
 	}
 	permitShort := false
 	for _, h := range hosts {
-		if !h.Fits(req) {
-			continue
+		if h.fits(req, true) {
+			return h.ID, nil
 		}
-		if req.LLCCap > h.FreeLLC() {
-			permitShort = true
-			continue
-		}
-		return h.ID, nil
+		permitShort = permitShort || h.Fits(req)
 	}
 	if permitShort {
 		return -1, fmt.Errorf("kyoto admission: llc_cap %.0f oversubscribes every host's permit budget: %w", req.LLCCap, ErrUnplaceable)
@@ -146,7 +142,7 @@ func (Admission) Place(hosts []*Host, req Request) (int, error) {
 // PlacerByName returns the built-in policy with the given CLI name.
 func PlacerByName(name string) (Placer, error) {
 	switch name {
-	case "", "first-fit", "firstfit":
+	case "", "first-fit":
 		return FirstFit{}, nil
 	case "spread":
 		return Spread{}, nil

@@ -170,8 +170,11 @@ func TestPlacerByName(t *testing.T) {
 			t.Fatalf("round trip: %q -> %q", name, p.Name())
 		}
 	}
-	if _, err := PlacerByName("nope"); err == nil {
-		t.Fatal("unknown placer must fail")
+	// One spelling per policy: the retired "firstfit" alias must fail.
+	for _, name := range []string{"nope", "firstfit"} {
+		if _, err := PlacerByName(name); err == nil {
+			t.Fatalf("placer name %q must fail", name)
+		}
 	}
 	if p, err := PlacerByName(""); err != nil || p.Name() != "first-fit" {
 		t.Fatalf("empty name must default to first-fit, got %v, %v", p, err)

@@ -134,6 +134,12 @@ type Migration struct {
 type migrationCooldown struct {
 	epoch     uint64
 	lastMoved map[string]uint64
+
+	// rates and room are the eviction planner's running copies of host
+	// heat and headroom, kept so an epoch's plan reuses the last one's
+	// buffers. They are scratch, not state: checkpoints omit them.
+	rates []float64
+	room  []headroom
 }
 
 // advance starts a new epoch and forgets departed VMs so long churn runs
@@ -167,15 +173,12 @@ func (c *migrationCooldown) moved(name string) { c.lastMoved[name] = c.epoch }
 // beginEpoch is the shared epoch prologue of every built-in rebalancer:
 // advance the cooldown bookkeeping, resolve the Threshold and
 // CooldownEpochs knobs to their defaults in one place, and return the
-// resolved threshold plus the eligibility predicate for this epoch.
-// Reactive, TopologyAware and Signature all start their Plan here, so
-// the knob-defaulting rules cannot drift between policies.
-func (c *migrationCooldown) beginEpoch(view RebalanceView, thresholdKnob float64, cooldownKnob int) (thr float64, eligible func(name string) bool) {
+// epoch's eviction planner. Reactive, TopologyAware and Signature all
+// start their Plan here, so the knob-defaulting rules cannot drift
+// between policies.
+func (c *migrationCooldown) beginEpoch(view RebalanceView, thresholdKnob float64, cooldownKnob int) evictionPlanner {
 	c.advance(view)
-	cool := cooldownEpochs(cooldownKnob)
-	return threshold(thresholdKnob), func(name string) bool {
-		return c.eligible(name, cool)
-	}
+	return evictionPlanner{cd: c, cooldown: cooldownEpochs(cooldownKnob), thr: threshold(thresholdKnob)}
 }
 
 // cooldownEpochs resolves the knob: 0 means the default, negative
@@ -218,30 +221,12 @@ func (*Reactive) Name() string { return "reactive" }
 // Plan implements Rebalancer: at most one migration per epoch, worst
 // eligible polluter of the hottest host to the coolest feasible host.
 func (r *Reactive) Plan(hosts []*Host, view RebalanceView) []Migration {
-	thr, eligible := r.cd.beginEpoch(view, r.Threshold, r.CooldownEpochs)
-	worst := worstPolluter(view, thr, eligible)
-	if worst == nil {
-		return nil
+	p := r.cd.beginEpoch(view, r.Threshold, r.CooldownEpochs)
+	p.maxMoves = 1
+	p.reason = func(v *VMLoad, dst int, _ bool) string {
+		return fmt.Sprintf("eq1 %.0f on hottest host %d, coolest fit %d", v.Rate, v.HostID, dst)
 	}
-	dst := -1
-	for _, h := range hosts {
-		if h.ID == worst.HostID || !canHost(h, worst.Request) {
-			continue
-		}
-		if dst == -1 || view.HostRates[h.ID] < view.HostRates[dst] {
-			dst = h.ID
-		}
-	}
-	// Only move toward strictly cooler hosts: migrating between equally
-	// hot hosts would ping-pong the polluter without relieving anything.
-	if dst == -1 || view.HostRates[dst] >= view.HostRates[worst.HostID] {
-		return nil
-	}
-	r.cd.moved(worst.Name)
-	return []Migration{{
-		VMName: worst.Name, SrcHost: worst.HostID, DstHost: dst,
-		Reason: fmt.Sprintf("eq1 %.0f on hottest host %d, coolest fit %d", worst.Rate, worst.HostID, dst),
-	}}
+	return p.plan(hosts, view, hottestHost(view))
 }
 
 // TopologyAware is the heterogeneity-exploiting rebalancer: the same
@@ -268,44 +253,20 @@ type TopologyAware struct {
 // Name implements Rebalancer.
 func (*TopologyAware) Name() string { return "topo" }
 
-// Plan implements Rebalancer.
+// Plan implements Rebalancer: Reactive's single eviction, but a
+// feasible bigger-LLC host wins over a cooler one.
 func (t *TopologyAware) Plan(hosts []*Host, view RebalanceView) []Migration {
-	thr, eligible := t.cd.beginEpoch(view, t.Threshold, t.CooldownEpochs)
-	worst := worstPolluter(view, thr, eligible)
-	if worst == nil {
-		return nil
-	}
-	srcLLC := hostLLCBytes(hosts[worst.HostID])
-	bigger, cooler := -1, -1
-	for _, h := range hosts {
-		if h.ID == worst.HostID || !canHost(h, worst.Request) {
-			continue
+	p := t.cd.beginEpoch(view, t.Threshold, t.CooldownEpochs)
+	p.maxMoves = 1
+	p.biggerLLC = true
+	p.reason = func(v *VMLoad, dst int, bigger bool) string {
+		if bigger {
+			return fmt.Sprintf("eq1 %.0f, bigger-LLC host %d (%d KB > %d KB)",
+				v.Rate, dst, hostLLCBytes(hosts[dst])/1024, hostLLCBytes(hosts[v.HostID])/1024)
 		}
-		if hostLLCBytes(h) > srcLLC {
-			if bigger == -1 || view.HostRates[h.ID] < view.HostRates[bigger] {
-				bigger = h.ID
-			}
-		}
-		if cooler == -1 || view.HostRates[h.ID] < view.HostRates[cooler] {
-			cooler = h.ID
-		}
+		return fmt.Sprintf("eq1 %.0f, no bigger LLC, coolest fit %d", v.Rate, dst)
 	}
-	if bigger != -1 {
-		t.cd.moved(worst.Name)
-		return []Migration{{
-			VMName: worst.Name, SrcHost: worst.HostID, DstHost: bigger,
-			Reason: fmt.Sprintf("eq1 %.0f, bigger-LLC host %d (%d KB > %d KB)",
-				worst.Rate, bigger, hostLLCBytes(hosts[bigger])/1024, srcLLC/1024),
-		}}
-	}
-	if cooler == -1 || view.HostRates[cooler] >= view.HostRates[worst.HostID] {
-		return nil
-	}
-	t.cd.moved(worst.Name)
-	return []Migration{{
-		VMName: worst.Name, SrcHost: worst.HostID, DstHost: cooler,
-		Reason: fmt.Sprintf("eq1 %.0f, no bigger LLC, coolest fit %d", worst.Rate, cooler),
-	}}
+	return p.plan(hosts, view, hottestHost(view))
 }
 
 // threshold resolves the zero value to the default.
@@ -316,13 +277,10 @@ func threshold(t float64) float64 {
 	return t
 }
 
-// worstPolluter returns the highest-rate eligible VM on the hottest host
-// when it exceeds thr, else nil. Ineligible VMs (on migration cooldown)
-// are invisible to the selection: if the hottest host's worst polluter is
-// cooling down, its next-worst eligible VM is considered instead. Ties
-// break toward the lowest host ID and the earliest placement, keeping
-// plans deterministic.
-func worstPolluter(view RebalanceView, thr float64, eligible func(name string) bool) *VMLoad {
+// hottestHost returns the source list of the hotspot-chasing policies:
+// the host with the highest summed rate (lowest ID on ties), or nothing
+// when no host pollutes at all.
+func hottestHost(view RebalanceView) []int {
 	src, srcRate := -1, 0.0
 	for id, rate := range view.HostRates {
 		if rate > srcRate {
@@ -332,29 +290,101 @@ func worstPolluter(view RebalanceView, thr float64, eligible func(name string) b
 	if src == -1 {
 		return nil
 	}
+	return []int{src}
+}
+
+// evictionPlanner is the one eviction loop every built-in rebalancer
+// plans through, and so the one place that decides why a VM moves
+// where. The policies differ only in the sources they pass, the move
+// cap, an extra candidate filter, the topology rule and their reason
+// strings.
+type evictionPlanner struct {
+	cd       *migrationCooldown
+	cooldown int
+	thr      float64
+	// maxMoves caps the plan's length; negative means no cap.
+	maxMoves int
+	// biggerLLC sends a VM to the coolest feasible host with a larger
+	// LLC than its source when there is one, hot or not (TopologyAware).
+	biggerLLC bool
+	// keep is an extra candidate filter; nil keeps every VM.
+	keep func(v *VMLoad) bool
+	// reason explains a move; bigger reports that the topology rule
+	// chose dst.
+	reason func(v *VMLoad, dst int, bigger bool) string
+}
+
+// plan visits the source hosts in order. On each it takes the worst
+// eligible VM at or above the threshold (ties toward the earliest
+// placement) and moves it to the coolest host with headroom, which must
+// be strictly cooler than the source unless the topology rule picked a
+// bigger-LLC host: moving between equally hot hosts would ping-pong the
+// polluter without relieving anything. Every move books against running
+// copies of the hosts' heat and headroom, so each move sees the fleet as
+// the previous ones leave it and applying the plan in order through
+// Fleet.Migrate stays feasible.
+func (p *evictionPlanner) plan(hosts []*Host, view RebalanceView, sources []int) []Migration {
+	rates := append(p.cd.rates[:0], view.HostRates...)
+	room := p.cd.room[:0]
+	for _, h := range hosts {
+		room = append(room, h.headroom)
+	}
+	p.cd.rates, p.cd.room = rates, room
+	var moves []Migration
+	for _, src := range sources {
+		if p.maxMoves >= 0 && len(moves) >= p.maxMoves {
+			break
+		}
+		v := p.worst(view, src)
+		if v == nil {
+			continue
+		}
+		srcLLC := hostLLCBytes(hosts[src])
+		dst, bigger := -1, -1
+		for _, h := range hosts {
+			if h.ID == src || !room[h.ID].fits(v.Request, h.kyoto != nil) {
+				continue
+			}
+			if p.biggerLLC && hostLLCBytes(h) > srcLLC && (bigger == -1 || rates[h.ID] < rates[bigger]) {
+				bigger = h.ID
+			}
+			if dst == -1 || rates[h.ID] < rates[dst] {
+				dst = h.ID
+			}
+		}
+		if bigger != -1 {
+			dst = bigger
+		} else if dst == -1 || rates[dst] >= rates[src] {
+			continue
+		}
+		p.cd.moved(v.Name)
+		moves = append(moves, Migration{
+			VMName: v.Name, SrcHost: src, DstHost: dst, Reason: p.reason(v, dst, bigger != -1),
+		})
+		rates[src] -= v.Rate
+		rates[dst] += v.Rate
+		room[src].release(v.Request)
+		room[dst].book(v.Request)
+	}
+	return moves
+}
+
+// worst returns the highest-rate VM on host src that clears the
+// threshold, is off cooldown and passes keep, or nil. VMs on cooldown
+// are invisible to the selection, so when a host's worst polluter is
+// cooling down its next-worst eligible VM is considered instead.
+func (p *evictionPlanner) worst(view RebalanceView, src int) *VMLoad {
 	var worst *VMLoad
 	for i := range view.VMs {
 		v := &view.VMs[i]
-		if v.HostID != src || !eligible(v.Name) {
+		if v.HostID != src || v.Rate < p.thr || !p.cd.eligible(v.Name, p.cooldown) || (p.keep != nil && !p.keep(v)) {
 			continue
 		}
 		if worst == nil || v.Rate > worst.Rate {
 			worst = v
 		}
 	}
-	if worst == nil || worst.Rate < thr {
-		return nil
-	}
 	return worst
-}
-
-// canHost reports whether h can take the migrated request: vCPU and
-// memory headroom always, permit headroom when the host enforces Kyoto.
-func canHost(h *Host, req Request) bool {
-	if !h.Fits(req) {
-		return false
-	}
-	return h.kyoto == nil || req.LLCCap <= h.FreeLLC()
 }
 
 // hostLLCBytes returns the host's total last-level cache capacity.
@@ -373,7 +403,7 @@ func RebalancerByName(name string) (Rebalancer, error) {
 		return nil, nil
 	case "reactive":
 		return &Reactive{}, nil
-	case "topo", "topology":
+	case "topo":
 		return &TopologyAware{}, nil
 	case "signature":
 		return &Signature{}, nil

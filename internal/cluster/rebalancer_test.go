@@ -213,14 +213,17 @@ func TestRebalancerByName(t *testing.T) {
 			t.Fatalf("%q: rb %v err %v, want nil/nil", name, rb, err)
 		}
 	}
-	for name, want := range map[string]string{"reactive": "reactive", "topo": "topo", "topology": "topo", "signature": "signature"} {
+	for name, want := range map[string]string{"reactive": "reactive", "topo": "topo", "signature": "signature"} {
 		rb, err := RebalancerByName(name)
 		if err != nil || rb.Name() != want {
 			t.Fatalf("%q: %v / %v", name, rb, err)
 		}
 	}
-	if _, err := RebalancerByName("bogus"); err == nil {
-		t.Fatal("bogus rebalancer name must fail")
+	// One spelling per policy: the retired "topology" alias must fail.
+	for _, name := range []string{"bogus", "topology"} {
+		if _, err := RebalancerByName(name); err == nil {
+			t.Fatalf("rebalancer name %q must fail", name)
+		}
 	}
 	for _, name := range RebalancerNames() {
 		if rb, err := RebalancerByName(name); err != nil {

@@ -150,7 +150,7 @@ func (g *Signature) newDetector() *detect.Detector {
 // first with capacity accounting across the whole batch, so applying
 // the plan in order through Fleet.Migrate stays feasible.
 func (g *Signature) Plan(hosts []*Host, view RebalanceView) []Migration {
-	thr, eligible := g.cd.beginEpoch(view, g.Threshold, g.CooldownEpochs)
+	p := g.cd.beginEpoch(view, g.Threshold, g.CooldownEpochs)
 	if g.det == nil {
 		g.det = make(map[string]*detect.Detector)
 		g.ages = make(map[string]uint64)
@@ -159,7 +159,6 @@ func (g *Signature) Plan(hosts []*Host, view RebalanceView) []Migration {
 	// Step the detectors; an upward change point on any VM marks its
 	// host as shifted this epoch.
 	shifted := make([]bool, len(view.HostRates))
-	any := false
 	live := make(map[string]bool, len(view.VMs))
 	for i := range view.VMs {
 		v := &view.VMs[i]
@@ -179,7 +178,6 @@ func (g *Signature) Plan(hosts []*Host, view RebalanceView) []Migration {
 		})
 		if dir == detect.Up && v.HostID >= 0 && v.HostID < len(shifted) {
 			shifted[v.HostID] = true
-			any = true
 		}
 	}
 	for name := range g.det {
@@ -187,9 +185,6 @@ func (g *Signature) Plan(hosts []*Host, view RebalanceView) []Migration {
 			delete(g.det, name)
 			delete(g.ages, name)
 		}
-	}
-	if !any {
-		return nil
 	}
 
 	// Order the shifted hosts hottest first (ties toward the lower ID),
@@ -207,67 +202,18 @@ func (g *Signature) Plan(hosts []*Host, view RebalanceView) []Migration {
 		return order[i] < order[j]
 	})
 
-	maxMoves := g.MaxMoves
-	if maxMoves == 0 {
-		maxMoves = DefaultSignatureMaxMoves
+	// The eviction candidate is each shifted host's worst eligible
+	// polluter — usually the newcomer whose arrival the victims'
+	// detectors just confirmed — provided its move amortizes.
+	p.maxMoves = g.MaxMoves
+	if p.maxMoves == 0 {
+		p.maxMoves = DefaultSignatureMaxMoves
 	}
-
-	// Batched destination selection: plan against running copies of the
-	// per-host heat and free capacity, so each move in the batch sees
-	// the fleet as the previous moves will leave it.
-	rates := append([]float64(nil), view.HostRates...)
-	free := make([]plannedFree, len(hosts))
-	for i, h := range hosts {
-		free[i] = plannedFree{
-			cpus: h.FreeCPUs(), mem: h.FreeMemMB(), llc: h.FreeLLC(), enforced: h.kyoto != nil,
-		}
+	p.keep = g.amortizes
+	p.reason = func(v *VMLoad, dst int, _ bool) string {
+		return fmt.Sprintf("change point on host %d, evicting eq1 %.0f to coolest fit %d", v.HostID, v.Rate, dst)
 	}
-	var moves []Migration
-	for _, src := range order {
-		if maxMoves >= 0 && len(moves) >= maxMoves {
-			break
-		}
-		// The eviction candidate is the shifted host's worst eligible
-		// polluter — usually the newcomer whose arrival the victims'
-		// detectors just confirmed. Ties break toward the earliest
-		// placement, keeping plans deterministic.
-		var v *VMLoad
-		for i := range view.VMs {
-			c := &view.VMs[i]
-			if c.HostID != src || c.Rate < thr || !eligible(c.Name) || !g.amortizes(c) {
-				continue
-			}
-			if v == nil || c.Rate > v.Rate {
-				v = c
-			}
-		}
-		if v == nil {
-			continue
-		}
-		dst := -1
-		for _, h := range hosts {
-			if h.ID == src || !free[h.ID].fits(v.Request) {
-				continue
-			}
-			if dst == -1 || rates[h.ID] < rates[dst] {
-				dst = h.ID
-			}
-		}
-		// Only move toward strictly cooler hosts, as Reactive does.
-		if dst == -1 || rates[dst] >= rates[src] {
-			continue
-		}
-		g.cd.moved(v.Name)
-		moves = append(moves, Migration{
-			VMName: v.Name, SrcHost: src, DstHost: dst,
-			Reason: fmt.Sprintf("change point on host %d, evicting eq1 %.0f to coolest fit %d", src, v.Rate, dst),
-		})
-		rates[src] -= v.Rate
-		rates[dst] += v.Rate
-		free[src].release(v.Request)
-		free[dst].book(v.Request)
-	}
-	return moves
+	return p.plan(hosts, view, order)
 }
 
 // amortizes reports whether migrating the VM is expected to pay for
@@ -295,33 +241,6 @@ func (g *Signature) amortizes(v *VMLoad) bool {
 	}
 	remaining := g.Lifetimes.ExpectedRemainingTicks(g.ages[v.Name] * epochTicks)
 	return remaining >= amortize*float64(epochTicks)*footprint
-}
-
-// plannedFree is one host's uncommitted capacity as a batch plan books
-// moves against it — the planning-time analogue of canHost.
-type plannedFree struct {
-	cpus, mem int
-	llc       float64
-	enforced  bool
-}
-
-func (p *plannedFree) fits(req Request) bool {
-	if req.CPUs() > p.cpus || req.MemMB() > p.mem {
-		return false
-	}
-	return !p.enforced || req.LLCCap <= p.llc
-}
-
-func (p *plannedFree) book(req Request) {
-	p.cpus -= req.CPUs()
-	p.mem -= req.MemMB()
-	p.llc -= req.LLCCap
-}
-
-func (p *plannedFree) release(req Request) {
-	p.cpus += req.CPUs()
-	p.mem += req.MemMB()
-	p.llc += req.LLCCap
 }
 
 // signatureVMState is one VM's detector state and age, name-sorted in

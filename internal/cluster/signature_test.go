@@ -12,34 +12,34 @@ import (
 func TestBeginEpochResolvesKnobsAndEligibility(t *testing.T) {
 	var cd migrationCooldown
 	view := RebalanceView{VMs: []VMLoad{{Name: "a"}}}
+	eligible := func(p evictionPlanner, name string) bool { return p.cd.eligible(name, p.cooldown) }
 
-	thr, eligible := cd.beginEpoch(view, 0, 0)
-	if thr != DefaultRebalanceThreshold {
-		t.Fatalf("zero threshold knob resolved to %v, want default %v", thr, DefaultRebalanceThreshold)
+	p := cd.beginEpoch(view, 0, 0)
+	if p.thr != DefaultRebalanceThreshold {
+		t.Fatalf("zero threshold knob resolved to %v, want default %v", p.thr, DefaultRebalanceThreshold)
 	}
-	if !eligible("a") || !eligible("never-seen") {
+	if !eligible(p, "a") || !eligible(p, "never-seen") {
 		t.Fatal("fresh VMs must be eligible")
 	}
 
 	cd.moved("a")
 	for i := 0; i < DefaultMigrationCooldown; i++ {
-		if _, eligible = cd.beginEpoch(view, 0, 0); eligible("a") {
+		if eligible(cd.beginEpoch(view, 0, 0), "a") {
 			t.Fatalf("epoch %d after a move: VM must still be cooling down", i+1)
 		}
 	}
-	if _, eligible = cd.beginEpoch(view, 0, 0); !eligible("a") {
+	if !eligible(cd.beginEpoch(view, 0, 0), "a") {
 		t.Fatal("cooldown must expire after DefaultMigrationCooldown epochs")
 	}
 
 	// Custom knobs pass through: explicit threshold, negative cooldown
 	// disables the hysteresis entirely.
 	var loose migrationCooldown
-	thr, _ = loose.beginEpoch(view, 123.5, -1)
-	if thr != 123.5 {
-		t.Fatalf("explicit threshold resolved to %v", thr)
+	if p := loose.beginEpoch(view, 123.5, -1); p.thr != 123.5 {
+		t.Fatalf("explicit threshold resolved to %v", p.thr)
 	}
 	loose.moved("a")
-	if _, eligible = loose.beginEpoch(view, 123.5, -1); !eligible("a") {
+	if !eligible(loose.beginEpoch(view, 123.5, -1), "a") {
 		t.Fatal("negative cooldown knob must disable hysteresis")
 	}
 

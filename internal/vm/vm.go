@@ -6,6 +6,7 @@ package vm
 
 import (
 	"fmt"
+	"math"
 
 	"kyoto/internal/cache"
 	"kyoto/internal/cpu"
@@ -66,6 +67,13 @@ func (s Spec) Validate() error {
 	}
 	if s.LLCCap < 0 {
 		return fmt.Errorf("vm %q: negative llc_cap", s.Name)
+	}
+	// A NaN permit slips past the sign check above (every comparison
+	// with NaN is false), and so past Kyoto admission, turning the
+	// host's booked permits into NaN; an infinite one books the host
+	// out forever.
+	if math.IsNaN(s.LLCCap) || math.IsInf(s.LLCCap, 1) {
+		return fmt.Errorf("vm %q: non-finite llc_cap", s.Name)
 	}
 	if s.Weight < 0 {
 		return fmt.Errorf("vm %q: negative weight", s.Name)

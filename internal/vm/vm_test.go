@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"math"
 	"testing"
 
 	"kyoto/internal/pmc"
@@ -19,6 +20,9 @@ func TestSpecValidate(t *testing.T) {
 		{"cap too big", Spec{Name: "v", App: "gcc", CapPercent: 150}, false},
 		{"negative cap", Spec{Name: "v", App: "gcc", CapPercent: -1}, false},
 		{"negative llccap", Spec{Name: "v", App: "gcc", LLCCap: -5}, false},
+		{"NaN llccap", Spec{Name: "v", App: "gcc", LLCCap: math.NaN()}, false},
+		{"+Inf llccap", Spec{Name: "v", App: "gcc", LLCCap: math.Inf(1)}, false},
+		{"-Inf llccap", Spec{Name: "v", App: "gcc", LLCCap: math.Inf(-1)}, false},
 		{"negative weight", Spec{Name: "v", App: "gcc", Weight: -1}, false},
 	}
 	for _, tc := range tests {
