@@ -114,6 +114,9 @@ type ClusterPlacement struct {
 
 // Cluster is a running simulated fleet.
 type Cluster struct {
+	// fleet never lags: RunTicks, Place and Remove end in a barrier, so
+	// every host's World, read through Host or a VM, sits at the fleet
+	// clock with every placement and removal applied.
 	fleet *cluster.Fleet
 	hosts []*World
 
@@ -167,6 +170,7 @@ func (c *Cluster) Place(spec ClusterVMSpec) (ClusterPlacement, error) {
 	if err != nil {
 		return ClusterPlacement{}, err
 	}
+	c.fleet.Barrier()
 	return ClusterPlacement{HostID: p.HostID, VM: p.VM}, nil
 }
 
@@ -179,6 +183,7 @@ func (c *Cluster) Remove(name string) (*VM, error) {
 	if err != nil {
 		return nil, err
 	}
+	c.fleet.Barrier()
 	return p.VM, nil
 }
 

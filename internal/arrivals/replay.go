@@ -257,12 +257,15 @@ const noTick = ^uint64(0)
 // arrivals are placed in trace order. Rejections are recorded, not fatal
 // — a rejection is the placement policy speaking.
 //
-// Execution is event-horizon: only the hosts a moment actually touches
-// are simulated up to it (the fleet's lazy per-host clocks; see the
-// arrivals README), while rebalance epochs, checkpoints and the end of
-// the run are global barriers. Because per-host simulation is
-// chunk-invariant, the results are bit-identical to ticking every host
-// every tick, and independent of the fleet's worker count.
+// Execution is event-horizon: placements and departures go on the
+// touched host's own timeline and the replay moves on without waiting
+// for the host to simulate up to them (the fleet's lazy per-host clocks;
+// see the arrivals README), while migrations seek their endpoints and
+// rebalance epochs, checkpoints and the end of the run are global
+// barriers. Because per-host simulation is chunk-invariant and every
+// operation applies at its issue tick, the results are bit-identical to
+// ticking every host every tick, and independent of the fleet's worker
+// count.
 //
 // The fleet should be freshly built; Replay assumes its clock starts at
 // the trace's epoch. Event order, the fixed same-tick ordering above, and
@@ -308,11 +311,11 @@ type replayRun struct {
 // differ in the last bit.
 //
 // The fleet's virtual clock moves with the replay clock, but hosts are
-// not simulated here: each one is fast-forwarded lazily by the fleet
-// when the moment being processed actually touches it (a placement, a
-// departure, a migration endpoint, a monitor observation or a
-// checkpoint/end-of-run barrier). BookedCPUFraction reads only booking
-// ledgers, so the utilization integral never forces a catch-up.
+// not simulated here: the drainers close their lags in the background,
+// and the replay waits on a host only at a migration endpoint, a
+// monitor observation or a checkpoint/end-of-run barrier.
+// BookedCPUFraction reads only booking ledgers, so the utilization
+// integral never forces a catch-up.
 func (r *replayRun) runTo(t uint64) {
 	if t <= r.now {
 		return
@@ -505,11 +508,11 @@ func (r *replayRun) step() error {
 	for r.deps.Len() > 0 && r.deps[0].tick == r.now {
 		d := heap.Pop(&r.deps).(departure)
 		rec := &r.res.Records[d.idx]
-		p, err := r.f.Remove(rec.Name)
-		if err != nil {
+		// The host writes the final counters into the record when it
+		// applies the removal; every read of them follows a barrier.
+		if _, err := r.f.RemoveInto(rec.Name, &rec.Counters); err != nil {
 			return fmt.Errorf("arrivals: departing %q at tick %d: %w", rec.Name, r.now, err)
 		}
-		rec.Counters = p.VM.Counters()
 		rec.Depart = r.now
 		rec.Departed = true
 		delete(r.active, rec.Name)
@@ -667,6 +670,9 @@ func (p *Replayer) Finish() (Result, error) {
 	r := p.run
 	for !r.done() {
 		if err := r.step(); err != nil {
+			// No host may write a departure's counters into the records
+			// once they are returned.
+			r.f.Barrier()
 			return r.res, err
 		}
 	}

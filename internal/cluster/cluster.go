@@ -20,16 +20,26 @@
 //
 // The fleet keeps a virtual clock (SkipTicks advances it without
 // simulating anything) and each host records how many ticks have
-// actually been driven into its World. A host is fast-forwarded to the
-// fleet clock only when an operation needs its simulated state: Place
-// and Remove seek the one host they touch, Migrate seeks both
-// endpoints, and whole-fleet reads (FleetMonitor.Observe, CaptureState,
-// SnapshotVMs) call Barrier first. Because hv.World.RunTicks(n) is
-// exactly n repetitions of one tick — chunk-invariant — advancing a
-// host in one large seek is bit-identical to the many small per-tick
-// advances it replaces; the churn goldens pin this. RunTicks keeps its
-// historical all-hosts semantics (SkipTicks then Barrier), so callers
-// that want whole-fleet advancement still get it.
+// actually been driven into its World. Each host also keeps a timeline:
+// a FIFO of lifecycle operations (admit a VM, remove one), each stamped
+// with the fleet tick it was issued at. Place and Remove do their
+// booking synchronously — the ledgers, the host's and the fleet's
+// placement lists, and for Place the construction of the VM, where
+// every bad spec fails — and put the World change on the host's
+// timeline instead of waiting for the host to reach the clock. Whoever
+// advances a host applies each operation when the World reaches its
+// tick. A host is fast-forwarded to the fleet clock only when an
+// operation needs its simulated state: Migrate seeks both endpoints, a
+// host whose timeline holds maxPendingOps operations is caught up
+// before it takes another, and whole-fleet reads
+// (FleetMonitor.Observe, CaptureState, SnapshotVMs) call Barrier
+// first. Because hv.World.RunTicks(n) is exactly n repetitions of one
+// tick — chunk-invariant — and operations apply at their issue ticks,
+// every World receives exactly the ticks and changes, in order, that
+// seeking it at every operation would give it; the churn goldens pin
+// this. RunTicks keeps its historical all-hosts semantics (SkipTicks
+// then Barrier), so callers that want whole-fleet advancement still
+// get it.
 //
 // Laziness pays twice. First, an idle host's deferred stretch collapses
 // to O(1): hv.World.FastForward elides the tick loop for a world that
@@ -37,12 +47,13 @@
 // nothing to catch up — work is eliminated, not merely postponed.
 // Second, busy lags close concurrently: fleets built with more than one
 // worker run background drainer goroutines (the due-host scheduler)
-// that sweep lagging hosts in DueChunkTicks-sized chunks while the
-// calling goroutine processes events, synchronizing per host through
-// Host.mu. Both mechanisms are schedule-only — every World still
-// receives exactly the tick sequence the clock deltas dictate — so a
-// drained, elided, concurrent run is bit-identical to RunTicksSerial's
-// eager serial schedule.
+// that sweep lagging hosts in DueChunkTicks-sized chunks, applying the
+// operations due within each, while the calling goroutine processes
+// events, synchronizing per host through Host.mu. Since the calling
+// goroutine no longer simulates the hosts its events touch, a dense
+// fleet's busy hosts simulate in parallel. Both mechanisms are
+// schedule-only, so a drained, elided, concurrent run is bit-identical
+// to RunTicksSerial's eager serial schedule.
 //
 // A whole-fleet stop costs only its own work. Barrier helps before it
 // waits: it first closes the lag of every host no drainer holds, then
@@ -121,10 +132,38 @@ type Host struct {
 	// fleet's calling goroutine and the background due-host drainers.
 	// ran counts the ticks actually driven into the World since fleet
 	// construction (or the last RestoreState); invariant: ran <= the
-	// fleet clock, and the gap is the host's lag, closed by seeks.
-	// Both are guarded by mu.
+	// fleet clock, and the gap is the host's lag, closed by seeks and
+	// drainers. Both are guarded by mu; so is the World, except that
+	// the calling goroutine builds VMs with hv.World.NewVM, which touches
+	// nothing the tick loop or an applied operation reads.
 	mu  sync.Mutex
 	ran uint64
+
+	// ops is the host's timeline of lifecycle operations issued but not
+	// yet applied to its World: a ring of nops entries from head, oldest
+	// first. opMu guards it instead of mu, so issuing an operation never
+	// waits behind a drainer's chunk.
+	opMu       sync.Mutex
+	ops        [maxPendingOps]hostOp
+	head, nops int
+}
+
+// maxPendingOps bounds a host's timeline. Place and Remove catch a host
+// holding this many pending operations up before issuing another, which
+// bounds the memory of the VMs a lagging host has yet to admit.
+const maxPendingOps = 64
+
+// hostOp is one lifecycle operation on a host's timeline: admit a VM
+// built by hv.World.NewVM, or remove one.
+type hostOp struct {
+	// at is the fleet tick the operation was issued at; it is applied
+	// once the host's World has run exactly that many ticks.
+	at     uint64
+	domain *vm.VM
+	remove bool
+	// final, when set on a removal, receives the departed VM's lifetime
+	// counters.
+	final *pmc.Counters
 }
 
 // headroom is the fleet's one admission and booking rule: a host's
@@ -217,7 +256,9 @@ func (r Request) MemMB() int {
 type Placement struct {
 	// HostID is the chosen host.
 	HostID int
-	// VM is the instantiated domain on that host's World.
+	// VM is the domain built for that host's World. It joins (or, once
+	// removed, leaves) the World on the host's timeline, so its counters
+	// are current only after a seek of the host or a Barrier.
 	VM *vm.VM
 	// Request echoes what was asked.
 	Request Request
@@ -361,8 +402,9 @@ func (f *Fleet) resolveWorkers() int {
 }
 
 // drainers returns how many background drainers the fleet runs: the
-// worker budget minus the calling goroutine (which drives the host its
-// event touches), bounded by the hosts that could lag concurrently.
+// worker budget minus the calling goroutine (which makes the decisions
+// and closes whatever lag a seek or barrier still finds), bounded by
+// the hosts that could lag concurrently.
 func (f *Fleet) drainers() int {
 	n := f.resolveWorkers()
 	if n > len(f.hosts) {
@@ -427,10 +469,9 @@ func (f *Fleet) Place(req Request) (Placement, error) {
 		return Placement{}, fmt.Errorf("cluster: placer %s chose invalid host %d", f.placer.Name(), hostID)
 	}
 	h := f.hosts[hostID]
-	// The placer only read booking ledgers; the chosen host's World is
-	// about to change, so it must reach the fleet clock first.
-	f.seek(h)
-	domain, err := h.World.AddVM(req.Spec)
+	// Building the VM is every check a spec can fail, so a bad spec fails
+	// here and books nothing; the World admits the VM on its timeline.
+	domain, err := h.World.NewVM(req.Spec)
 	if err != nil {
 		return Placement{}, fmt.Errorf("cluster: host %d: %w", hostID, err)
 	}
@@ -438,40 +479,41 @@ func (f *Fleet) Place(req Request) (Placement, error) {
 	p := Placement{HostID: hostID, VM: domain, Request: req}
 	h.vms = append(h.vms, p)
 	f.placements = append(f.placements, p)
+	f.issue(h, hostOp{domain: domain})
 	return p, nil
 }
 
-// Remove tears the named VM down wherever it landed: the VM leaves its
-// host's World (scheduler runqueues, cache footprint — see
-// hv.World.RemoveVM) and its booked vCPUs, memory and llc_cap permit are
-// freed for future placements. Removing a VM the fleet does not hold
-// returns an error and leaves every booking untouched. The removed
-// Placement is returned so callers can read the departed VM's lifetime
-// counters.
-func (f *Fleet) Remove(name string) (Placement, error) {
-	for _, h := range f.hosts {
-		for i, p := range h.vms {
-			if p.VM.Name != name {
-				continue
-			}
-			// The departing VM's lifetime counters are read by callers of
-			// the returned Placement; the host must be current first.
-			f.seek(h)
-			if err := h.World.RemoveVM(name); err != nil {
-				return Placement{}, fmt.Errorf("cluster: host %d: %w", h.ID, err)
-			}
-			h.release(p.Request)
-			h.vms = append(h.vms[:i], h.vms[i+1:]...)
-			for j, fp := range f.placements {
-				if fp.VM == p.VM {
-					f.placements = append(f.placements[:j], f.placements[j+1:]...)
-					break
-				}
-			}
-			return p, nil
+// Remove tears the named VM down wherever it landed: its booked vCPUs,
+// memory and llc_cap permit are freed for future placements at once, and
+// the VM leaves its host's World (scheduler runqueues, cache footprint —
+// see hv.World.RemoveVM) on the host's timeline. Removing a VM the fleet
+// does not hold returns an error and leaves every booking untouched. The
+// removed Placement is returned; its VM's lifetime counters are final
+// after the next seek of the host or Barrier.
+func (f *Fleet) Remove(name string) (Placement, error) { return f.RemoveInto(name, nil) }
+
+// RemoveInto is Remove that also delivers the departed VM's lifetime
+// counters: the host writes them to *final when it applies the removal,
+// so *final may be read after the next seek of that host or Barrier.
+func (f *Fleet) RemoveInto(name string, final *pmc.Counters) (Placement, error) {
+	h, i := f.findPlacement(name)
+	if h == nil {
+		return Placement{}, fmt.Errorf("cluster: remove %q: no such VM in the fleet", name)
+	}
+	if err := h.World.CheckRemovable(name); err != nil {
+		return Placement{}, fmt.Errorf("cluster: host %d: %w", h.ID, err)
+	}
+	p := h.vms[i]
+	h.release(p.Request)
+	h.vms = append(h.vms[:i], h.vms[i+1:]...)
+	for j, fp := range f.placements {
+		if fp.VM == p.VM {
+			f.placements = append(f.placements[:j], f.placements[j+1:]...)
+			break
 		}
 	}
-	return Placement{}, fmt.Errorf("cluster: remove %q: no such VM in the fleet", name)
+	f.issue(h, hostOp{domain: p.VM, remove: true, final: final})
+	return p, nil
 }
 
 // BookedCPUFraction returns the fleet-wide booked share of vCPU slots in
@@ -506,7 +548,8 @@ func (f *Fleet) PlaceAll(reqs []Request) ([]Placement, error) {
 // lock: lag is closed in contiguous chunks of at most this many ticks,
 // so the calling goroutine's seek of the same host blocks for at most
 // one chunk (and that blocked time is never wasted — the drainer is
-// doing exactly the catch-up the seek needs). Large enough to amortize
+// doing exactly the catch-up the seek needs); issuing an operation never
+// blocks on a chunk at all. Large enough to amortize
 // the lock traffic over real simulation work, small enough to keep
 // event-path latency bounded.
 const DueChunkTicks = 256
@@ -525,20 +568,18 @@ func (f *Fleet) RunTicks(n int) {
 func (f *Fleet) RunTicksSerial(n int) {
 	f.sched.clock.Add(uint64(n))
 	for _, h := range f.hosts {
-		h.mu.Lock()
-		f.sched.seekLocked(h)
-		h.mu.Unlock()
+		f.seek(h)
 	}
 }
 
 // SkipTicks advances the fleet's virtual clock by n ticks without
 // simulating anything on the calling goroutine. Hosts catch up lazily:
 // each one is fast-forwarded the moment an operation needs its
-// simulated state (Place, Remove, Migrate on that host; Barrier for all
-// of them), and the background drainers close lags concurrently in the
-// meantime. Bookkeeping reads — Fits, FreeLLC, BookedCPUFraction, the
-// placement ledgers — never force a catch-up, which is what makes
-// replaying a sparse event stream cheap.
+// simulated state (Migrate on that host; Barrier for all of them), and
+// the background drainers close lags concurrently in the meantime.
+// Bookkeeping reads — Fits, FreeLLC, BookedCPUFraction, the placement
+// ledgers — never force a catch-up, which is what makes replaying a
+// sparse event stream cheap.
 func (f *Fleet) SkipTicks(n uint64) {
 	f.sched.clock.Add(n)
 	f.sched.nudge()
@@ -558,11 +599,12 @@ func (f *Fleet) HostLag(i int) uint64 {
 	return lag
 }
 
-// Barrier fast-forwards every lagging host to the fleet clock, the
-// drainers helping concurrently. After it returns, every host's World
-// is at the same virtual time — the prerequisite for whole-fleet reads
-// (monitor observations, checkpoints, counter snapshots) — and no
-// drainer touches any World until the clock moves again.
+// Barrier fast-forwards every lagging host to the fleet clock and
+// applies every pending operation, the drainers helping concurrently.
+// After it returns, every host's World is at the same virtual time —
+// the prerequisite for whole-fleet reads (monitor observations,
+// checkpoints, counter snapshots) — and no drainer touches any World
+// until the clock moves again or an operation is issued.
 //
 // Barrier helps before it waits. A first sweep TryLocks each host and
 // closes the lag of every host no drainer holds; only then does it
@@ -570,37 +612,125 @@ func (f *Fleet) HostLag(i int) uint64 {
 // is already advancing. Locking in ID order instead would trail the
 // drainers (they sweep from host 0 too) and wait out their chunks
 // while free hosts sat behind them. Which goroutine closes a lag never
-// matters: each World's tick sequence is fixed by the clock deltas.
+// matters: each World's tick and operation sequence is fixed by the
+// clock deltas and issue ticks.
 func (f *Fleet) Barrier() {
-	s := f.sched
-	s.nudge()
+	f.sched.nudge()
+	// Only the calling goroutine moves the clock, so it cannot move
+	// during the barrier.
+	c := f.sched.clock.Load()
 	held := f.held[:0]
 	for _, h := range f.hosts {
 		if !h.mu.TryLock() {
 			held = append(held, h)
 			continue
 		}
-		s.seekLocked(h)
+		h.advanceLocked(c)
 		h.mu.Unlock()
 	}
 	for _, h := range held {
 		h.mu.Lock()
-		s.seekLocked(h)
+		h.advanceLocked(c)
 		h.mu.Unlock()
 	}
 	f.held = held[:0]
 }
 
-// seek fast-forwards one host to the fleet clock because an event needs
-// its simulated state. Acquiring the host lock also establishes the
-// happens-before edge with whichever drainer last advanced the World,
-// so the caller may read and mutate it freely afterwards (no drainer
-// touches a caught-up host until the clock moves again, and only the
-// calling goroutine moves it).
+// seek brings one host to the fleet clock, applying its pending
+// operations on the way, because an event needs its simulated state.
+// Acquiring the host lock also establishes the happens-before edge with
+// whichever drainer last advanced the World, so the caller may read and
+// mutate it freely afterwards (no drainer touches a caught-up host with
+// an empty timeline until the calling goroutine moves the clock or
+// issues an operation).
 func (f *Fleet) seek(h *Host) {
 	h.mu.Lock()
-	f.sched.seekLocked(h)
+	h.advanceLocked(f.sched.clock.Load())
 	h.mu.Unlock()
+}
+
+// issue puts op on h's timeline, stamped with the fleet clock, and wakes
+// the drainers to apply it. A host whose timeline is full is caught up
+// first; that empties the timeline, since every pending operation was
+// issued at or before the clock.
+func (f *Fleet) issue(h *Host, op hostOp) {
+	if h.pending() == maxPendingOps {
+		f.seek(h)
+	}
+	op.at = f.sched.clock.Load()
+	h.opMu.Lock()
+	h.ops[(h.head+h.nops)%maxPendingOps] = op
+	h.nops++
+	h.opMu.Unlock()
+	f.sched.nudge()
+}
+
+// pending returns how many operations wait on h's timeline.
+func (h *Host) pending() int {
+	h.opMu.Lock()
+	defer h.opMu.Unlock()
+	return h.nops
+}
+
+// nextOp pops h's oldest pending operation if it was issued at or before
+// fleet tick t.
+func (h *Host) nextOp(t uint64) (hostOp, bool) {
+	h.opMu.Lock()
+	defer h.opMu.Unlock()
+	if h.nops == 0 || h.ops[h.head].at > t {
+		return hostOp{}, false
+	}
+	op := h.ops[h.head]
+	h.ops[h.head] = hostOp{}
+	h.head = (h.head + 1) % maxPendingOps
+	h.nops--
+	return op, true
+}
+
+// advanceLocked runs h's World to fleet tick target (h.mu held), applying
+// each pending operation issued by then once the World reaches the tick
+// it was issued at. The World thus receives exactly the ticks and
+// changes, in order, that applying every operation when it was issued
+// would have given it. Ticks run through World.FastForward, which elides
+// the tick loop in O(1) while the host is empty — an untouched host's
+// idle stretch costs nothing to close, the lazy engine's headline saving.
+func (h *Host) advanceLocked(target uint64) {
+	for {
+		op, ok := h.nextOp(target)
+		if !ok {
+			break
+		}
+		h.runLocked(op.at)
+		h.apply(op)
+	}
+	h.runLocked(target)
+}
+
+// runLocked fast-forwards h's World to fleet tick t, in int-sized chunks
+// so the uint64 delta cannot truncate on 32-bit platforms.
+func (h *Host) runLocked(t uint64) {
+	for h.ran < t {
+		step := min(t-h.ran, math.MaxInt32)
+		h.World.FastForward(int(step))
+		h.ran += step
+	}
+}
+
+// apply performs one operation on h's World.
+func (h *Host) apply(op hostOp) {
+	if !op.remove {
+		h.World.Admit(op.domain)
+		return
+	}
+	// RemoveInto found the VM in the host's ledger and checked the
+	// scheduler can remove it, and the timeline applies operations in
+	// issue order, so the World holds the VM by now.
+	if err := h.World.RemoveVM(op.domain.Name); err != nil {
+		panic(fmt.Sprintf("cluster: host %d: %v", h.ID, err))
+	}
+	if op.final != nil {
+		*op.final = op.domain.Counters()
+	}
 }
 
 // start spawns n background drainers. Each one sweeps the host list
@@ -629,13 +759,15 @@ func (s *dueScheduler) nudge() {
 }
 
 // drain is one background drainer: sweep every host, close up to
-// DueChunkTicks of lag per lock hold, park when a whole sweep finds no
-// work. A host whose lock is held is skipped rather than waited on: the
-// holder is another drainer or the calling goroutine, which closes that
-// lag itself when it needs the host. Which goroutine runs a host's
-// ticks can never matter — each World's tick sequence is fixed by the
-// clock deltas alone — so the drainers accelerate the replay without
-// touching its results.
+// DueChunkTicks of lag per lock hold (applying the pending operations
+// due within it), park when a whole sweep finds no work; a caught-up
+// host with pending operations is work too. A host whose lock is held
+// is skipped rather than waited on: the holder is another drainer or
+// the calling goroutine, which closes that lag itself when it needs the
+// host. Which goroutine runs a host's
+// ticks can never matter — each World's tick and operation sequence is
+// fixed by the clock deltas and issue ticks alone — so the drainers
+// accelerate the replay without touching its results.
 func (s *dueScheduler) drain(start int) {
 	n := len(s.hosts)
 	for {
@@ -650,13 +782,8 @@ func (s *dueScheduler) drain(start int) {
 			if !h.mu.TryLock() {
 				continue
 			}
-			if c := s.clock.Load(); h.ran < c {
-				step := c - h.ran
-				if step > DueChunkTicks {
-					step = DueChunkTicks
-				}
-				h.World.FastForward(int(step))
-				h.ran += step
+			if c := s.clock.Load(); h.ran < c || h.pending() > 0 {
+				h.advanceLocked(min(c, h.ran+DueChunkTicks))
 				worked = true
 			}
 			h.mu.Unlock()
@@ -671,34 +798,12 @@ func (s *dueScheduler) drain(start int) {
 	}
 }
 
-// seekLocked closes h's lag on the calling goroutine (h.mu held), in
-// int-sized chunks so the uint64 delta cannot truncate on 32-bit
-// platforms. World.FastForward elides the tick loop in O(1) while the
-// host is empty — an untouched host's idle stretch costs nothing to
-// close, which is the lazy engine's headline saving.
-func (s *dueScheduler) seekLocked(h *Host) {
-	for {
-		c := s.clock.Load()
-		if h.ran >= c {
-			return
-		}
-		step := c - h.ran
-		if step > math.MaxInt32 {
-			step = math.MaxInt32
-		}
-		h.World.FastForward(int(step))
-		h.ran += step
-	}
-}
-
 // FindVM returns the live VM with the given name and its host's ID, or
-// (nil, -1). Hosts are scanned in ID order, so duplicated names resolve
-// to the lowest host.
+// (nil, -1). It reads the placement ledgers, never a World; hosts are
+// scanned in ID order, so duplicated names resolve to the lowest host.
 func (f *Fleet) FindVM(name string) (*vm.VM, int) {
-	for _, h := range f.hosts {
-		if v := h.World.FindVM(name); v != nil {
-			return v, h.ID
-		}
+	if h, i := f.findPlacement(name); h != nil {
+		return h.vms[i].VM, h.ID
 	}
 	return nil, -1
 }

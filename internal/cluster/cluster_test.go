@@ -240,6 +240,7 @@ func TestRejectedRequestLeavesAccountingUntouched(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := [...][3]float64{bookings(f.Host(0)), bookings(f.Host(1))}
+	f.Barrier() // the hosts admit placed VMs on their own timelines
 	vmsBefore := len(f.Host(0).World.VMs()) + len(f.Host(1).World.VMs())
 
 	// Policy rejection: no permit booked under Kyoto admission.
@@ -258,6 +259,7 @@ func TestRejectedRequestLeavesAccountingUntouched(t *testing.T) {
 			t.Fatalf("host %d bookings changed by rejected requests: %v -> %v", i, before[i], got)
 		}
 	}
+	f.Barrier()
 	if got := len(f.Host(0).World.VMs()) + len(f.Host(1).World.VMs()); got != vmsBefore {
 		t.Fatalf("rejected requests leaked VMs into a world: %d -> %d", vmsBefore, got)
 	}
@@ -299,6 +301,7 @@ func TestRemoveFreesBookings(t *testing.T) {
 	if p.VM.Name != "vm2" || p.VM.Counters().Instructions == 0 {
 		t.Fatalf("removed placement must carry the departed VM's lifetime counters, got %+v", p.VM)
 	}
+	f.Barrier() // the host applies the removal on its own timeline
 	if h.World.FindVM("vm2") != nil {
 		t.Fatal("removed VM still present in the world")
 	}

@@ -49,7 +49,8 @@ func (f *Fleet) Migrate(name string, dstHost int, downtime int) (Placement, erro
 
 	// Both endpoints are about to be read and mutated (the source's
 	// lifetime counters are carried over; the destination's world clock
-	// anchors the suspend window), so both must reach the fleet clock.
+	// anchors the suspend window), so both must reach the fleet clock
+	// with their timelines applied.
 	f.seek(src)
 	f.seek(dst)
 

@@ -10,6 +10,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 
 	"kyoto/internal/core"
 	"kyoto/internal/pmc"
@@ -64,30 +65,39 @@ type RebalanceView struct {
 // rate.
 type FleetMonitor struct {
 	prev map[string]pmc.Counters
+
+	// view and live are Observe's buffers, reused across epochs so a
+	// steady-state observation allocates nothing.
+	view RebalanceView
+	live map[string]bool
 }
 
 // NewFleetMonitor returns a monitor whose first Observe covers each VM's
 // whole residency so far.
 func NewFleetMonitor() *FleetMonitor {
-	return &FleetMonitor{prev: make(map[string]pmc.Counters)}
+	return &FleetMonitor{prev: make(map[string]pmc.Counters), live: make(map[string]bool)}
 }
 
 // Observe builds the epoch view and advances the per-VM snapshots.
-// Departed VMs are forgotten, so long churn runs do not leak state.
+// Departed VMs are forgotten, so long churn runs do not leak state. The
+// view shares the monitor's buffers: it is valid until the next Observe.
 // An observation reads every VM's counters — simulated state — so it is
 // a global barrier: every lagging host is fast-forwarded to the fleet
 // clock first. This is what makes a rebalance epoch the synchronization
 // point of a lazily advanced replay.
 func (m *FleetMonitor) Observe(f *Fleet) RebalanceView {
 	f.Barrier()
-	view := RebalanceView{HostRates: make([]float64, len(f.hosts))}
-	live := make(map[string]bool, len(f.placements))
+	view := &m.view
+	view.VMs = view.VMs[:0]
+	view.HostRates = slices.Grow(view.HostRates[:0], len(f.hosts))[:len(f.hosts)]
+	clear(view.HostRates)
+	clear(m.live)
 	for _, h := range f.hosts {
 		for _, p := range h.vms {
 			cur := p.VM.Counters()
 			rate := core.Equation1Value(cur.Delta(m.prev[p.VM.Name]))
 			m.prev[p.VM.Name] = cur
-			live[p.VM.Name] = true
+			m.live[p.VM.Name] = true
 			view.VMs = append(view.VMs, VMLoad{
 				Name: p.VM.Name, App: p.VM.App, HostID: h.ID,
 				Rate: rate, Request: p.Request,
@@ -96,11 +106,11 @@ func (m *FleetMonitor) Observe(f *Fleet) RebalanceView {
 		}
 	}
 	for name := range m.prev {
-		if !live[name] {
+		if !m.live[name] {
 			delete(m.prev, name)
 		}
 	}
-	return view
+	return *view
 }
 
 // Rebalancer plans live migrations from an epoch's fleet view.

@@ -93,6 +93,9 @@ func (f *Fleet) RestoreState(st *FleetState) error {
 			return fmt.Errorf("cluster: state holds host clocks at ticks %d and %d — a fleet snapshot must be captured at a barrier", st.Hosts[0].World.Now, st.Hosts[i].World.Now)
 		}
 	}
+	// Operations still on the hosts' timelines would otherwise land on
+	// the restored worlds.
+	f.Barrier()
 	for i, h := range f.hosts {
 		hs := &st.Hosts[i]
 		if err := h.Node.RestoreState(&hs.NodeState); err != nil {

@@ -30,7 +30,7 @@
 //     is pre-allocated in New and reused, so steady-state ticks report
 //     0 allocs/op (BenchmarkWorldTick enforces this).
 //
-// The analytic tier must not pay for exact-tier work. AddVM still builds
+// The analytic tier must not pay for exact-tier work. NewVM still builds
 // each vCPU's generator there, because its cursor is part of a
 // checkpoint, but a Chase phase's permutation is built on the phase's
 // first access, so analytic VMs never build one. RemoveVM's flush skips
@@ -119,12 +119,15 @@ type World struct {
 	// vmSeq is a monotonic ID counter. VM IDs are never reused after
 	// RemoveVM: the VM ID seeds workloads and address spaces, so recycling
 	// one would alias a live VM's memory behaviour with a departed one's.
+	// Only NewVM and checkpointing touch it — never Admit, RemoveVM or
+	// the tick loop — which is what lets a fleet build a VM on one
+	// goroutine while another advances the world.
 	vmSeq int
 	// vcpuSeq is the high-water mark of vCPU IDs. Unlike VM IDs, vCPU IDs
 	// (the cache attribution owner tags) ARE recycled: RemoveVM releases
 	// each departed vCPU's tag — after evicting every line it owns and
 	// zeroing its per-cache stats row (cache.ReleaseOwner) — onto
-	// freeOwners, and AddVM reuses released tags before minting new ones.
+	// freeOwners, and Admit reuses released tags before minting new ones.
 	// This keeps the dense per-owner stats slices in every cache bounded
 	// by the peak concurrent vCPU population instead of growing with
 	// total arrivals, which is what makes million-arrival churn runs
@@ -312,29 +315,48 @@ func schedIdleInvariant(s sched.Scheduler) bool {
 	return true
 }
 
-// AddVM instantiates spec: resolves the workload profile, creates the
-// vCPUs, and registers them with the scheduler. A failed spec leaves the
-// world exactly as it was — cluster placement relies on AddVM being
-// atomic.
+// AddVM instantiates spec: NewVM followed at once by Admit. A failed
+// spec leaves the world exactly as it was.
 func (w *World) AddVM(spec vm.Spec) (*vm.VM, error) {
-	// Owner tags come off the recycled list first (LIFO), then freshly
-	// minted past the high-water mark; the list only shrinks once the
-	// whole VM has built.
-	free := w.freeOwners
-	domain, err := w.newVM(spec, w.vmSeq+1, func(i int) (tag, seq int) {
-		if i < len(free) {
-			tag = free[len(free)-1-i]
-		} else {
-			tag = w.vcpuSeq + 1 + i - len(free)
-		}
-		return tag, w.vcpuTotal + 1 + i
-	})
+	domain, err := w.NewVM(spec)
 	if err != nil {
 		return nil, err
 	}
+	w.Admit(domain)
+	return domain, nil
+}
+
+// NewVM builds spec's VM without admitting it: it resolves the workload
+// profile, checks the spec against the machine and allocates the vCPUs,
+// taking the world's next VM ID (which fixes the VM's seed and address
+// space). Every way a spec can fail, it fails here. The VM does not run
+// until Admit registers it. NewVM touches nothing the tick loop reads,
+// so a fleet builds a VM while a drainer advances the same world and
+// admits it later, on the host's own timeline.
+func (w *World) NewVM(spec vm.Spec) (*vm.VM, error) {
+	domain, err := w.newVM(spec, w.vmSeq+1)
+	if err != nil {
+		return nil, err
+	}
+	w.vmSeq++
+	return domain, nil
+}
+
+// Admit registers a VM built by this world's NewVM with the scheduler.
+// Each vCPU takes its owner tag now, off the recycled list first (LIFO)
+// and then freshly minted past the high-water mark, and its Seq from the
+// creation count, so tags and Seqs follow admission order.
+func (w *World) Admit(domain *vm.VM) {
+	free := w.freeOwners
 	nv := len(domain.VCPUs)
 	recycled := min(nv, len(free))
-	w.vmSeq++
+	for i, v := range domain.VCPUs {
+		tag := w.vcpuSeq + 1 + i - len(free)
+		if i < len(free) {
+			tag = free[len(free)-1-i]
+		}
+		identify(v, tag, w.vcpuTotal+1+i)
+	}
 	w.freeOwners = free[:len(free)-recycled]
 	w.vcpuSeq += nv - recycled
 	w.vcpuTotal += nv
@@ -343,16 +365,25 @@ func (w *World) AddVM(spec vm.Spec) (*vm.VM, error) {
 		w.sch.Register(v)
 	}
 	w.vms = append(w.vms, domain)
-	return domain, nil
 }
 
-// newVM is the one VM construction recipe, shared by AddVM and
+// identify gives a vCPU its owner tag (its ID, which attributes cache
+// lines) and its never-recycled scheduler Seq.
+func identify(v *vm.VCPU, tag, seq int) {
+	v.ID, v.Seq = tag, seq
+	v.Ctx.Owner = v.Owner()
+	if v.ACtx != nil {
+		v.ACtx.Owner = v.Owner()
+	}
+}
+
+// newVM is the one VM construction recipe, shared by NewVM and
 // restoreVM. It resolves spec's profile and defaults, checks the spec
 // against the machine, and builds domain id with its vCPUs: each one's
 // workload generator, cache context and, on the analytic tier, analytic
-// context, with the owner tag and Seq that ident(i) supplies. It touches
-// no world or scheduler state.
-func (w *World) newVM(spec vm.Spec, id int, ident func(i int) (tag, seq int)) (*vm.VM, error) {
+// context. The vCPUs carry no owner tag or Seq yet (identify sets them).
+// It touches no world or scheduler state.
+func (w *World) newVM(spec vm.Spec, id int) (*vm.VM, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -400,11 +431,8 @@ func (w *World) newVM(spec vm.Spec, id int, ident func(i int) (tag, seq int)) (*
 		if pin != vm.NoPin && (pin < 0 || pin >= w.m.NumCores()) {
 			return nil, fmt.Errorf("hv: VM %q vCPU %d pinned to invalid core %d", spec.Name, i, pin)
 		}
-		tag, seq := ident(i)
 		v := &vm.VCPU{
 			VM:       domain,
-			ID:       tag,
-			Seq:      seq,
 			Index:    i,
 			Gen:      gen,
 			Pin:      pin,
@@ -412,12 +440,11 @@ func (w *World) newVM(spec vm.Spec, id int, ident func(i int) (tag, seq int)) (*
 		}
 		v.Ctx = cpu.Context{
 			Gen:      gen,
-			Owner:    v.Owner(),
 			AddrBase: uint64(id) << 36,
 			Counters: &v.Counters,
 		}
 		if w.analytic != nil {
-			actx, err := cpu.NewAnalyticContext(profile, w.aparams, v.Owner(), &v.Counters)
+			actx, err := cpu.NewAnalyticContext(profile, w.aparams, 0, &v.Counters)
 			if err != nil {
 				return nil, err
 			}
@@ -449,18 +476,10 @@ func (w *World) RemoveVM(name string) error {
 	if domain == nil {
 		return fmt.Errorf("hv: remove %q: no such VM", name)
 	}
-	remover, ok := w.sch.(sched.Remover)
-	if !ok {
-		return fmt.Errorf("hv: remove %q: scheduler %s does not support removal", name, w.sch.Name())
+	if err := w.CheckRemovable(name); err != nil {
+		return err
 	}
-	// A decorator (core.Kyoto) implements Remover by delegating to its
-	// base; check the wrapped policy too, so an unremovable base surfaces
-	// here as a clean error instead of a panic mid-removal.
-	if d, ok := w.sch.(interface{ Base() sched.Scheduler }); ok {
-		if _, ok := d.Base().(sched.Remover); !ok {
-			return fmt.Errorf("hv: remove %q: base scheduler %s does not support removal", name, d.Base().Name())
-		}
-	}
+	remover := w.sch.(sched.Remover)
 	for _, v := range domain.VCPUs {
 		remover.Unregister(v)
 		for coreID, cur := range w.current {
@@ -509,6 +528,25 @@ func (w *World) RemoveVM(name string) error {
 	for _, h := range w.hooks {
 		if rh, ok := h.(VMRemovalHook); ok {
 			rh.OnRemoveVM(domain)
+		}
+	}
+	return nil
+}
+
+// CheckRemovable returns the error RemoveVM(name) would give for a VM
+// the world holds: its scheduler, or the base a decorator (core.Kyoto)
+// delegates to, cannot unregister vCPUs. It reads only the scheduler's
+// type, never simulated state, so a fleet checks a removal when it is
+// issued and applies it later on the host's timeline.
+func (w *World) CheckRemovable(name string) error {
+	if _, ok := w.sch.(sched.Remover); !ok {
+		return fmt.Errorf("hv: remove %q: scheduler %s does not support removal", name, w.sch.Name())
+	}
+	// Check the wrapped policy too, so an unremovable base surfaces as a
+	// clean error instead of a panic mid-removal.
+	if d, ok := w.sch.(interface{ Base() sched.Scheduler }); ok {
+		if _, ok := d.Base().(sched.Remover); !ok {
+			return fmt.Errorf("hv: remove %q: base scheduler %s does not support removal", name, d.Base().Name())
 		}
 	}
 	return nil
@@ -607,7 +645,7 @@ func (w *World) FastForward(n int) {
 
 // idleEligible reports whether every one of the next ticks would be a
 // provable no-op beyond the closed-form mutations FastForward applies.
-// No VM can appear mid-run (AddVM happens between RunTicks calls), so
+// No VM can appear mid-run (Admit happens between RunTicks calls), so
 // checking at entry covers the whole window.
 func (w *World) idleEligible() bool {
 	if !w.idleSafe || len(w.vms) != 0 || len(w.wakes) != 0 {

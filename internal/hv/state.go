@@ -279,7 +279,7 @@ func (w *World) RestoreState(st *WorldState) error {
 	return nil
 }
 
-// restoreVM rebuilds one VM from its state: AddVM's construction recipe
+// restoreVM rebuilds one VM from its state: NewVM's construction recipe
 // with the captured identities, followed by the state overlay.
 // Registration happens VM by VM in state order, which reproduces the
 // original registration order (ascending Seq) and with it every runqueue.
@@ -288,9 +288,7 @@ func (w *World) restoreVM(vs *VMState) error {
 	if nv := max(spec.VCPUs, 1); len(vs.VCPUs) != nv {
 		return fmt.Errorf("hv: restore VM %q: state has %d vCPUs, spec declares %d", spec.Name, len(vs.VCPUs), nv)
 	}
-	domain, err := w.newVM(spec, vs.ID, func(i int) (tag, seq int) {
-		return vs.VCPUs[i].ID, vs.VCPUs[i].Seq
-	})
+	domain, err := w.newVM(spec, vs.ID)
 	if err != nil {
 		return fmt.Errorf("hv: restore VM %q: %w", spec.Name, err)
 	}
@@ -303,6 +301,7 @@ func (w *World) restoreVM(vs *VMState) error {
 		if cs.Index != i {
 			return fmt.Errorf("hv: restore VM %q: vCPU %d has index %d", spec.Name, i, cs.Index)
 		}
+		identify(v, cs.ID, cs.Seq)
 		v.Pin, v.LastCore, v.Counters = cs.Pin, cs.LastCore, cs.Counters
 		if err := workload.RestoreGenState(v.Gen, cs.Gen); err != nil {
 			return fmt.Errorf("hv: restore VM %q vCPU %d: %w", spec.Name, i, err)
