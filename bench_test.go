@@ -13,10 +13,8 @@ import (
 	"fmt"
 	"testing"
 
-	"kyoto/internal/cluster"
 	"kyoto/internal/experiments"
-	"kyoto/internal/vm"
-	"kyoto/internal/workload"
+	"kyoto/internal/sweep"
 )
 
 // BenchmarkTable1Machine renders the experimental machine description.
@@ -269,26 +267,10 @@ func BenchmarkClusterRun(b *testing.B) {
 	}
 }
 
-// BenchmarkRunnerParallel runs an independent-scenario batch (the shape
-// of every FigNN regeneration) through the experiment runner serially vs
-// fanned out across GOMAXPROCS workers.
+// BenchmarkRunnerParallel runs one figure's sweep (Figure 3: 3 solo
+// baselines and 15 co-location cells, each an independent world)
+// through sweep.Engine serially vs fanned out across GOMAXPROCS workers.
 func BenchmarkRunnerParallel(b *testing.B) {
-	apps := workload.Figure4Apps()
-	scenarios := make([]experiments.Scenario, 0, 2*len(apps))
-	for i, app := range apps {
-		scenarios = append(scenarios,
-			experiments.Scenario{
-				NodeConfig: cluster.NodeConfig{Seed: uint64(i + 1)},
-				VMs:        []vm.Spec{{Name: "solo", App: app, Pins: []int{0}}},
-			},
-			experiments.Scenario{
-				NodeConfig: cluster.NodeConfig{Seed: uint64(i + 1)},
-				VMs: []vm.Spec{
-					{Name: "victim", App: app, Pins: []int{0}},
-					{Name: "attacker", App: "lbm", Pins: []int{1}},
-				},
-			})
-	}
 	for _, bc := range []struct {
 		name    string
 		workers int
@@ -297,12 +279,15 @@ func BenchmarkRunnerParallel(b *testing.B) {
 		{"parallel", 0}, // GOMAXPROCS workers
 	} {
 		b.Run(bc.name, func(b *testing.B) {
+			var jobs int
 			for i := 0; i < b.N; i++ {
-				if _, err := experiments.RunAllWorkers(scenarios, bc.workers); err != nil {
+				s := experiments.Fig3Sweep(1)
+				if err := (sweep.Engine{Workers: bc.workers}).Run(s); err != nil {
 					b.Fatal(err)
 				}
+				jobs = len(s.Plan())
 			}
-			b.ReportMetric(float64(len(scenarios)), "scenarios/op")
+			b.ReportMetric(float64(jobs), "scenarios/op")
 		})
 	}
 }

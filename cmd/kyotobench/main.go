@@ -7,19 +7,19 @@
 //	kyotobench -run fig4,fig5 -seed 7
 //	kyotobench -list
 //
-// -list and -list-shardable print experiment ids and exit; each runs
-// alone, with at most -cpuprofile and -memprofile.
+// -list prints the experiment ids and exits; it runs alone, with at
+// most -cpuprofile and -memprofile.
 //
 // Each experiment prints an ASCII table whose rows correspond to the
 // paper's bars/series; README's "Reproducing the paper's figures" walks
 // through the runs.
 //
-// The sweep-shaped experiments (fig4, fig4matrix, ablations, detection — see
-// -list-shardable) can be fanned out across processes: -shard k/n runs
-// the k-th of n shards of one experiment's job plan and writes a JSON
-// shard envelope, and -merge folds the envelopes of all n shards back
-// into the experiment's tables, bit-identically to the unsharded run.
-// The merge invocation must repeat the shard runs' flags (-run, -seed):
+// Every experiment is a sweep of independent jobs, so any one can be
+// fanned out across processes: -shard k/n runs the k-th of n shards of
+// one experiment's job plan and writes a JSON shard envelope, and -merge
+// folds the envelopes of all n shards back into the experiment's tables,
+// bit-identically to the unsharded run. The merge invocation must repeat
+// the shard runs' flags (-run, -seed):
 //
 //	kyotobench -run fig4 -shard 0/2 -shard-out fig4-0.json
 //	kyotobench -run fig4 -shard 1/2 -shard-out fig4-1.json
@@ -83,87 +83,54 @@ func main() {
 	}
 }
 
-// runFunc renders one plain experiment's tables.
-type runFunc func(seed uint64, fid cache.Fidelity) ([]experiments.Table, error)
-
-// experiment is one kyotobench id. Exactly one of run and sweep is set.
+// experiment is one kyotobench id. Exactly one of sweep and tiered is
+// set; either builds a fresh sweep from flags alone, so shard and merge
+// processes plan identical job lists. It runs in-process through the
+// same sweep, -shard/-merge can distribute it, and -seeds can replicate
+// it when it reports seed metrics.
 type experiment struct {
-	// run renders a plain experiment.
-	run runFunc
-	// sweep builds a fresh sweep-shaped experiment with its renderer, so
-	// shard and merge processes plan identical job lists from flags
-	// alone. It runs in-process through the same sweep, and -shard/-merge
-	// can distribute it; -seeds can replicate it when it is a
-	// sweep.Seedable.
-	sweep func(seed uint64, fid cache.Fidelity) shardableSweep
-	// fidelity marks the experiments -fidelity analytic can accelerate.
-	// The rest either measure cache micro-behaviour the analytic tier
-	// deliberately does not simulate (ablations partition the exact LLC)
-	// or are cheap enough that two tiers would be noise.
-	fidelity bool
+	// sweep builds an experiment that runs on the exact tier only: it
+	// measures cache micro-behaviour the analytic tier deliberately does
+	// not simulate (the ablations partition the exact LLC), or is cheap
+	// enough that two tiers would be noise.
+	sweep func(seed uint64) experiments.Experiment
+	// tiered builds an experiment -fidelity analytic can accelerate.
+	tiered func(seed uint64, fid cache.Fidelity) experiments.Experiment
 	// twoTier runs -fidelity two-tier, for the experiments whose broad
 	// pass ranks arms for exact confirmation.
 	twoTier func(seed uint64, topK int) ([]experiments.Table, error)
 }
 
-// table adapts an experiment that renders one table.
-func table[R interface{ Table() experiments.Table }](f func(uint64) (R, error)) runFunc {
-	return func(seed uint64, _ cache.Fidelity) ([]experiments.Table, error) {
-		r, err := f(seed)
-		if err != nil {
-			return nil, err
-		}
-		return []experiments.Table{r.Table()}, nil
+// build returns the experiment's sweep on tier fid.
+func (e experiment) build(seed uint64, fid cache.Fidelity) experiments.Experiment {
+	if e.tiered != nil {
+		return e.tiered(seed, fid)
 	}
-}
-
-// tables adapts an experiment that renders several tables.
-func tables[R interface{ Tables() []experiments.Table }](f func(uint64) (R, error)) runFunc {
-	return func(seed uint64, _ cache.Fidelity) ([]experiments.Table, error) {
-		r, err := f(seed)
-		if err != nil {
-			return nil, err
-		}
-		return r.Tables(), nil
-	}
+	return e.sweep(seed)
 }
 
 // registry maps experiment ids to their entries. README's "Reproducing
 // the paper's figures" shows how to run them.
 var registry = map[string]experiment{
-	"table1": {run: func(uint64, cache.Fidelity) ([]experiments.Table, error) {
-		return []experiments.Table{experiments.Table1()}, nil
-	}},
-	"table2": {run: func(uint64, cache.Fidelity) ([]experiments.Table, error) {
-		return []experiments.Table{experiments.Table2()}, nil
-	}},
-	"fig1":     {run: tables(experiments.Fig1)},
-	"fig2":     {run: table(experiments.Fig2)},
-	"fig3":     {run: table(experiments.Fig3)},
-	"fig5":     {run: tables(experiments.Fig5)},
-	"fig6":     {run: table(experiments.Fig6)},
-	"fig8":     {run: table(experiments.Fig8)},
-	"fig9":     {run: table(experiments.Fig9)},
-	"fig10":    {run: table(experiments.Fig10)},
-	"fig11":    {run: table(experiments.Fig11)},
-	"fig12":    {run: table(experiments.Fig12)},
-	"ks4linux": {run: table(experiments.KS4Linux)},
-	"crossval": {run: table(func(seed uint64) (*experiments.CrossValResult, error) {
-		return experiments.CrossValidate(seed)
-	})},
-	"warmstart": {fidelity: true, run: func(seed uint64, fid cache.Fidelity) ([]experiments.Table, error) {
-		r, err := experiments.WarmStartSweep(experiments.WarmStartConfig{Seed: seed, Fidelity: fid})
-		if err != nil {
-			return nil, err
-		}
-		return []experiments.Table{r.Table()}, nil
-	}},
+	"table1":     {sweep: experiments.Table1Sweep},
+	"table2":     {sweep: experiments.Table2Sweep},
+	"fig1":       {sweep: experiments.Fig1Sweep},
+	"fig2":       {sweep: experiments.Fig2Sweep},
+	"fig3":       {sweep: experiments.Fig3Sweep},
+	"fig5":       {sweep: experiments.Fig5Sweep},
+	"fig6":       {sweep: experiments.Fig6Sweep},
+	"fig8":       {sweep: experiments.Fig8Sweep},
+	"fig9":       {sweep: experiments.Fig9Sweep},
+	"fig10":      {sweep: experiments.Fig10Sweep},
+	"fig11":      {sweep: experiments.Fig11Sweep},
+	"fig12":      {sweep: experiments.Fig12Sweep},
+	"ks4linux":   {sweep: experiments.KS4LinuxSweep},
+	"crossval":   {sweep: experiments.CrossValSweep},
+	"warmstart":  {tiered: experiments.WarmStartExperiment},
+	"fig4matrix": {sweep: experiments.Fig4MatrixSweep},
+	"ablations":  {sweep: experiments.AblationsSweep},
 	"fig4": {
-		fidelity: true,
-		sweep: func(seed uint64, fid cache.Fidelity) shardableSweep {
-			s := experiments.NewFig4SweeperFidelity(seed, fid)
-			return shardableSweep{s, func() (experiments.Table, error) { return s.Result().Table(), nil }}
-		},
+		tiered: experiments.Fig4Sweep,
 		twoTier: func(seed uint64, topK int) ([]experiments.Table, error) {
 			r, err := experiments.TwoTierFig4(seed, topK)
 			if err != nil {
@@ -172,17 +139,8 @@ var registry = map[string]experiment{
 			return r.Tables(), nil
 		},
 	},
-	"fig4matrix": {sweep: func(seed uint64, _ cache.Fidelity) shardableSweep {
-		s := experiments.NewFig4MatrixSweeper(seed)
-		return shardableSweep{s, func() (experiments.Table, error) { return *s.Result(), nil }}
-	}},
-	"ablations": {sweep: func(seed uint64, _ cache.Fidelity) shardableSweep {
-		s := experiments.NewAblationSweeper(seed)
-		return shardableSweep{s, func() (experiments.Table, error) { return *s.Result(), nil }}
-	}},
-	"detection": {fidelity: true, sweep: func(seed uint64, fid cache.Fidelity) shardableSweep {
-		s := experiments.NewDetectionBenchSweeper(seed, fid)
-		return shardableSweep{s, func() (experiments.Table, error) { return s.Result().Table(), nil }}
+	"detection": {tiered: func(seed uint64, fid cache.Fidelity) experiments.Experiment {
+		return experiments.NewDetectionBenchSweeper(seed, fid)
 	}},
 }
 
@@ -237,40 +195,13 @@ func runWarmstartJSON(seed uint64, fid cache.Fidelity, path string, out io.Write
 	return os.WriteFile(path, data, 0o644)
 }
 
-// shardableSweep pairs a sweep with the renderer of its merged result.
-type shardableSweep struct {
-	s     sweep.Sweep
-	table func() (experiments.Table, error)
-}
-
-// runIn runs the sweep in-process with the given job parallelism and
-// renders its merged result.
-func (ss shardableSweep) runIn(workers int) ([]experiments.Table, error) {
-	if err := (sweep.Engine{Workers: workers}).Run(ss.s); err != nil {
-		return nil, err
-	}
-	t, err := ss.table()
-	if err != nil {
-		return nil, err
-	}
-	return []experiments.Table{t}, nil
-}
-
-// execute runs the experiment in-process and renders its tables.
-func (e experiment) execute(seed uint64, fid cache.Fidelity) ([]experiments.Table, error) {
-	if e.run != nil {
-		return e.run(seed, fid)
-	}
-	return e.sweep(seed, fid).runIn(0)
-}
-
 // seedProto returns the experiment's sweep as a sweep.Seedable, or nil
 // when -seeds cannot replicate it.
 func (e experiment) seedProto(seed uint64, fid cache.Fidelity) sweep.Seedable {
-	if e.sweep == nil {
+	s, _ := e.build(seed, fid).(sweep.Seedable)
+	if s == nil || len(s.MetricNames()) == 0 {
 		return nil
 	}
-	s, _ := e.sweep(seed, fid).s.(sweep.Seedable)
 	return s
 }
 
@@ -286,27 +217,46 @@ func ids(keep func(experiment) bool) []string {
 	return out
 }
 
-// Filters for ids: every experiment, the ones -shard/-merge can
-// distribute, and the ones -seeds can replicate.
+// Filters for ids: every experiment, and the ones -seeds can replicate.
 func everyExperiment(experiment) bool { return true }
-
-func shardable(e experiment) bool { return e.sweep != nil }
 
 func seedable(e experiment) bool { return e.seedProto(1, cache.FidelityExact) != nil }
 
-// seedSweepEntry wraps a seedable experiment in a seed sweep paired
-// with the statistics-table renderer, so seed sweeps flow through the
-// same run/shard/merge paths as any other sweep.
-func seedSweepEntry(id string, seed uint64, seeds int, fid cache.Fidelity) (shardableSweep, error) {
+// seedSweep is a seedable experiment wrapped in a seed sweep whose
+// table is the statistics table, so seed sweeps flow through the same
+// run/shard/merge paths as any other sweep.
+type seedSweep struct {
+	*sweep.SeedSweeper
+	tables []experiments.Table
+}
+
+// Merge implements sweep.Sweep: merge the seeds, then render.
+func (s *seedSweep) Merge(payloads []json.RawMessage) error {
+	if err := s.SeedSweeper.Merge(payloads); err != nil {
+		return err
+	}
+	t, err := experiments.SeedSweepTable(s.Result())
+	if err != nil {
+		return err
+	}
+	s.tables = []experiments.Table{t}
+	return nil
+}
+
+// Tables implements experiments.Experiment.
+func (s *seedSweep) Tables() []experiments.Table { return s.tables }
+
+// seedSweepEntry builds the seed sweep of experiment id.
+func seedSweepEntry(id string, seed uint64, seeds int, fid cache.Fidelity) (experiments.Experiment, error) {
 	proto := registry[id].seedProto(seed, fid)
 	if proto == nil {
-		return shardableSweep{}, fmt.Errorf("experiment %q does not support -seeds (seedable: %s)", id, strings.Join(ids(seedable), ", "))
+		return nil, fmt.Errorf("experiment %q does not support -seeds (seedable: %s)", id, strings.Join(ids(seedable), ", "))
 	}
 	ss, err := sweep.NewSeedSweeper(proto, sweep.SeedSweepConfig{Seeds: seeds, BaseSeed: seed})
 	if err != nil {
-		return shardableSweep{}, err
+		return nil, err
 	}
-	return shardableSweep{ss, func() (experiments.Table, error) { return experiments.SeedSweepTable(ss.Result()) }}, nil
+	return &seedSweep{SeedSweeper: ss}, nil
 }
 
 func run(args []string) (err error) {
@@ -315,11 +265,10 @@ func run(args []string) (err error) {
 		runList    = fs.String("run", "all", "comma-separated experiment ids, or 'all'")
 		seed       = fs.Uint64("seed", 1, "simulation seed")
 		list       = fs.Bool("list", false, "list experiment ids and exit")
-		workers    = fs.Int("workers", 0, "experiment-level parallelism (0 = GOMAXPROCS, 1 = serial); with -shard, caps job parallelism within the shard")
-		shardSpec  = fs.String("shard", "", "run one shard (k/n) of a single shardable experiment's job plan and write its envelope")
+		workers    = fs.Int("workers", 0, "experiment-level parallelism (0 = GOMAXPROCS, 1 = serial); with -shard or -seeds, caps job parallelism within the one sweep")
+		shardSpec  = fs.String("shard", "", "run one shard (k/n) of a single experiment's job plan and write its envelope")
 		shardOut   = fs.String("shard-out", "-", "shard envelope output path ('-' = stdout)")
 		mergeGlobs = fs.String("merge", "", "comma-separated shard envelope files/globs to merge into the experiment's tables")
-		listShard  = fs.Bool("list-shardable", false, "list experiment ids that support -shard/-merge and exit")
 		seeds      = fs.Int("seeds", 0, "statistical mode: replicate a seedable experiment under this many consecutive seeds (starting at -seed) and report per-metric means, percentiles and 95% confidence intervals")
 		fidelity   = fs.String("fidelity", "exact", "cache-model tier for fidelity-capable experiments (fig4, warmstart, detection): exact, analytic, or two-tier (fig4 only: broad analytic pass, top attackers confirmed exact)")
 		confirmTop = fs.Int("confirm-top", 1, "attackers the two-tier mode re-runs on the exact tier")
@@ -332,7 +281,7 @@ func run(args []string) (err error) {
 	}
 	set := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if *list || *listShard {
+	if *list {
 		// Listing prints and exits: any other flag would be ignored.
 		var given []string
 		fs.Visit(func(f *flag.Flag) {
@@ -341,7 +290,7 @@ func run(args []string) (err error) {
 			}
 		})
 		if len(given) > 1 {
-			return fmt.Errorf("-list and -list-shardable each run alone, with at most the profile flags; got %s", strings.Join(given, " "))
+			return fmt.Errorf("-list must run alone, with at most the profile flags; got %s", strings.Join(given, " "))
 		}
 	}
 	if set["seeds"] && *seeds < 1 {
@@ -368,12 +317,6 @@ func run(args []string) (err error) {
 		return err
 	}
 	defer profiling.StopInto(stopProf, &err)
-	if *listShard {
-		for _, id := range ids(shardable) {
-			fmt.Println(id)
-		}
-		return nil
-	}
 	if *wsJSON != "" {
 		if twoTier {
 			return fmt.Errorf("-warmstart-json runs on one tier; use -fidelity exact or analytic")
@@ -413,43 +356,71 @@ func run(args []string) (err error) {
 		if twoTier && e.twoTier == nil {
 			return fmt.Errorf("experiment %q does not support -fidelity two-tier (two-tier applies to: fig4)", selected[i])
 		}
-		if !twoTier && fid != cache.FidelityExact && !e.fidelity {
-			return fmt.Errorf("experiment %q runs on the exact tier only (-fidelity applies to: fig4, warmstart, detection)", selected[i])
+		if err := checkTier(selected[i], fid); err != nil {
+			return err
 		}
 	}
 
-	if twoTier {
-		if *seeds > 0 {
-			return fmt.Errorf("-fidelity two-tier does not compose with -seeds; replicate each tier separately with -fidelity analytic/exact")
-		}
-		return runEach(selected, os.Stdout, func(i int) ([]experiments.Table, error) {
-			return registry[selected[i]].twoTier(*seed, *confirmTop)
-		})
+	// Plain experiments are independent: fan them out across workers
+	// (each one also fans its own jobs out). The two-tier and -seeds
+	// modes run one experiment at a time, whose jobs fan out.
+	exec := func(i int) ([]experiments.Table, error) {
+		return runIn(registry[selected[i]].build(*seed, fid), 0)
 	}
-	if *seeds > 0 {
-		entries := make([]shardableSweep, len(selected))
+	parallel := *workers
+	switch {
+	case twoTier && *seeds > 0:
+		return fmt.Errorf("-fidelity two-tier does not compose with -seeds; replicate each tier separately with -fidelity analytic/exact")
+	case twoTier:
+		exec = func(i int) ([]experiments.Table, error) {
+			return registry[selected[i]].twoTier(*seed, *confirmTop)
+		}
+		parallel = 1
+	case *seeds > 0:
+		entries := make([]experiments.Experiment, len(selected))
 		for i, id := range selected {
 			if entries[i], err = seedSweepEntry(id, *seed, *seeds, fid); err != nil {
 				return err
 			}
 		}
-		return runEach(selected, os.Stdout, func(i int) ([]experiments.Table, error) {
-			return entries[i].runIn(*workers)
-		})
+		exec = func(i int) ([]experiments.Table, error) { return runIn(entries[i], *workers) }
+		parallel = 1
 	}
+	return runEach(selected, parallel, os.Stdout, exec)
+}
 
-	// Experiments are independent: fan them out across workers (each one
-	// also fans its own scenarios out) and print in selection order.
+// checkTier rejects a non-exact tier for an experiment that runs on the
+// exact tier only.
+func checkTier(id string, fid cache.Fidelity) error {
+	if fid != cache.FidelityExact && registry[id].tiered == nil {
+		return fmt.Errorf("experiment %q runs on the exact tier only (-fidelity applies to: %s)", id, strings.Join(ids(func(e experiment) bool { return e.tiered != nil }), ", "))
+	}
+	return nil
+}
+
+// runIn runs the experiment's sweep in-process with the given job
+// parallelism and renders its merged result.
+func runIn(e experiments.Experiment, workers int) ([]experiments.Table, error) {
+	if err := (sweep.Engine{Workers: workers}).Run(e); err != nil {
+		return nil, err
+	}
+	return e.Tables(), nil
+}
+
+// runEach runs the selected experiments across workers (1 = one after
+// another), exec(i) running ids[i], and prints each one's tables and
+// completion line in selection order.
+func runEach(ids []string, workers int, out io.Writer, exec func(i int) ([]experiments.Table, error)) error {
 	type outcome struct {
 		tables  []experiments.Table
 		elapsed time.Duration
 	}
-	outcomes := make([]outcome, len(selected))
-	err = experiments.ForEach(len(selected), *workers, func(i int) error {
+	outcomes := make([]outcome, len(ids))
+	err := sweep.ForEach(len(ids), workers, func(i int) error {
 		start := time.Now()
-		tables, err := registry[selected[i]].execute(*seed, fid)
+		tables, err := exec(i)
 		if err != nil {
-			return fmt.Errorf("%s: %w", selected[i], err)
+			return fmt.Errorf("%s: %w", ids[i], err)
 		}
 		outcomes[i] = outcome{tables: tables, elapsed: time.Since(start)}
 		return nil
@@ -457,68 +428,46 @@ func run(args []string) (err error) {
 	if err != nil {
 		return err
 	}
-	for i, id := range selected {
-		printTables(os.Stdout, id, outcomes[i].tables, outcomes[i].elapsed)
-	}
-	return nil
-}
-
-// printTables prints one experiment's tables and its completion line.
-func printTables(out io.Writer, id string, tables []experiments.Table, elapsed time.Duration) {
-	for _, t := range tables {
-		fmt.Fprintln(out, t.String())
-	}
-	fmt.Fprintf(out, "[%s completed in %v]\n\n", id, elapsed.Round(time.Millisecond))
-}
-
-// runEach runs the selected experiments one after another, exec(i)
-// running ids[i] (the -seeds and two-tier modes, whose experiments fan
-// their own jobs out), and prints each one's tables.
-func runEach(ids []string, out io.Writer, exec func(i int) ([]experiments.Table, error)) error {
 	for i, id := range ids {
-		start := time.Now()
-		tables, err := exec(i)
-		if err != nil {
-			return fmt.Errorf("%s: %w", id, err)
+		for _, t := range outcomes[i].tables {
+			fmt.Fprintln(out, t.String())
 		}
-		printTables(out, id, tables, time.Since(start))
+		fmt.Fprintf(out, "[%s completed in %v]\n\n", id, outcomes[i].elapsed.Round(time.Millisecond))
 	}
 	return nil
 }
 
-// runSharded handles the -shard / -merge modes: exactly one shardable
-// experiment, either executing one shard of its job plan or folding the
-// shard envelopes into its tables. With seeds > 0 the experiment is
-// wrapped in a seed sweep first, so the shards partition the
-// seed-replicated job plan.
+// runSharded handles the -shard / -merge modes: exactly one experiment,
+// either executing one shard of its job plan or folding the shard
+// envelopes into its tables. With seeds > 0 the experiment is wrapped in
+// a seed sweep first, so the shards partition the seed-replicated job
+// plan.
 func runSharded(runList string, seed uint64, seeds, workers int, fid cache.Fidelity, shardSpec, shardOut, mergeGlobs string, out io.Writer) error {
 	if strings.Contains(runList, ",") || runList == "all" {
-		return fmt.Errorf("-shard/-merge need exactly one experiment in -run (shardable: %s)", strings.Join(ids(shardable), ", "))
+		return fmt.Errorf("-shard/-merge need exactly one experiment in -run")
 	}
 	id := strings.TrimSpace(runList)
-	if fid != cache.FidelityExact && !registry[id].fidelity {
-		return fmt.Errorf("experiment %q runs on the exact tier only (-fidelity applies to: fig4, warmstart, detection)", id)
+	e, ok := registry[id]
+	if !ok {
+		return fmt.Errorf("unknown experiment %q (use -list)", id)
 	}
-	var entry shardableSweep
+	if err := checkTier(id, fid); err != nil {
+		return err
+	}
+	entry := e.build(seed, fid)
 	if seeds > 0 {
 		var err error
 		if entry, err = seedSweepEntry(id, seed, seeds, fid); err != nil {
 			return err
 		}
-	} else if e := registry[id]; e.sweep != nil {
-		entry = e.sweep(seed, fid)
-	} else {
-		return fmt.Errorf("experiment %q is not shardable (shardable: %s)", id, strings.Join(ids(shardable), ", "))
 	}
-	envs, err := sweep.Dispatch{Shard: shardSpec, ShardOut: shardOut, Merge: mergeGlobs, Workers: workers}.Run(entry.s, out)
+	envs, err := sweep.Dispatch{Shard: shardSpec, ShardOut: shardOut, Merge: mergeGlobs, Workers: workers}.Run(entry, out)
 	if err != nil || envs == nil {
 		return err
 	}
-	t, err := entry.table()
-	if err != nil {
-		return err
+	for _, t := range entry.Tables() {
+		fmt.Fprintln(out, t.String())
 	}
-	fmt.Fprintln(out, t.String())
 	fp, err := sweep.MergedFingerprint(envs)
 	if err != nil {
 		return err

@@ -4,9 +4,13 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
+
+	"kyoto/internal/cache"
+	"kyoto/internal/sweep"
 )
 
 func TestRegistryCoversPaperArtefacts(t *testing.T) {
@@ -34,12 +38,11 @@ func TestListFlag(t *testing.T) {
 	if err := run([]string{"-list"}); err != nil {
 		t.Fatal(err)
 	}
-	// -list and -list-shardable print and exit, so any other flag but
-	// the profile flags would be silently ignored.
+	// -list prints and exits, so any other flag but the profile flags
+	// would be silently ignored.
 	for _, args := range [][]string{
 		{"-list", "-seeds", "3", "-run", "fig4"},
-		{"-list-shardable", "-workers", "4", "-fidelity", "analytic"},
-		{"-list", "-list-shardable"},
+		{"-list", "-workers", "4", "-fidelity", "analytic"},
 		{"-seed", "2", "-list"},
 	} {
 		if err := run(args); err == nil || !strings.Contains(err.Error(), "run alone") {
@@ -49,7 +52,7 @@ func TestListFlag(t *testing.T) {
 	dir := t.TempDir()
 	for _, args := range [][]string{
 		{"-list", "-cpuprofile", filepath.Join(dir, "list.cpu")},
-		{"-list-shardable", "-memprofile", filepath.Join(dir, "shardable.mem")},
+		{"-list", "-memprofile", filepath.Join(dir, "list.mem")},
 	} {
 		if err := run(args); err != nil {
 			t.Errorf("%v: %v", args, err)
@@ -68,19 +71,30 @@ func TestQuickExperimentsExecute(t *testing.T) {
 	}
 }
 
+// TestShardableIDsAreRegistryMembers pins that every registry id
+// shards: it builds a sweep with a non-empty plan, named after the id
+// (so envelopes of one experiment never merge into another), and, where
+// the entry is tiered, an analytic sweep with a distinct config digest.
 func TestShardableIDsAreRegistryMembers(t *testing.T) {
-	reg := registry
-	shardIDs := ids(shardable)
-	if len(shardIDs) < 3 {
-		t.Fatalf("shardable set shrank: %v", shardIDs)
-	}
-	for _, id := range shardIDs {
-		if _, ok := reg[id]; !ok {
-			t.Errorf("shardable id %q missing from registry", id)
+	for _, id := range ids(everyExperiment) {
+		e := registry[id]
+		if (e.sweep == nil) == (e.tiered == nil) {
+			t.Errorf("%s: exactly one of sweep and tiered must be set", id)
+			continue
 		}
-	}
-	if err := run([]string{"-list-shardable"}); err != nil {
-		t.Fatal(err)
+		s := e.build(1, cache.FidelityExact)
+		if len(s.Plan()) == 0 {
+			t.Errorf("%s: empty plan", id)
+		}
+		if s.Name() != id && id != "detection" {
+			t.Errorf("%s: sweep is named %q", id, s.Name())
+		}
+		if e.tiered != nil {
+			a := e.build(1, cache.FidelityAnalytic)
+			if a.(sweep.ConfigFingerprinter).ConfigFingerprint() == s.(sweep.ConfigFingerprinter).ConfigFingerprint() {
+				t.Errorf("%s: analytic and exact config digests agree", id)
+			}
+		}
 	}
 }
 
@@ -89,7 +103,8 @@ func TestShardFlagValidation(t *testing.T) {
 		"shard+merge":          {"-run", "ablations", "-shard", "0/2", "-merge", "x.json"},
 		"multiple experiments": {"-run", "fig4,ablations", "-shard", "0/2"},
 		"all experiments":      {"-run", "all", "-shard", "0/2"},
-		"unshardable":          {"-run", "table1", "-shard", "0/2"},
+		"unknown experiment":   {"-run", "fig99", "-shard", "0/2"},
+		"exact-only analytic":  {"-run", "table1", "-fidelity", "analytic", "-shard", "0/2"},
 		"bad spec":             {"-run", "ablations", "-shard", "2/2"},
 		"missing shards":       {"-run", "ablations", "-merge", "no-such-file-*.json"},
 		"shard-out alone":      {"-run", "ablations", "-shard-out", "x.json"},
@@ -115,29 +130,58 @@ func TestWarmstartJSONWritesCPUProfile(t *testing.T) {
 	}
 }
 
+// TestShardMergeRoundTrip is the -shard/-merge acceptance lock for
+// every experiment: two shard envelopes must merge to the tables a
+// serial run prints. Short mode covers the cheap ids.
 func TestShardMergeRoundTrip(t *testing.T) {
+	all := ids(everyExperiment)
 	if testing.Short() {
-		t.Skip("runs the three ablation studies twice")
+		all = []string{"table1", "table2", "fig2", "ks4linux"}
 	}
 	dir := t.TempDir()
-	for _, spec := range []string{"0/2", "1/2"} {
-		outPath := filepath.Join(dir, "shard-"+spec[:1]+".json")
-		if err := run([]string{"-run", "ablations", "-shard", spec, "-shard-out", outPath}); err != nil {
-			t.Fatal(err)
-		}
-		if fi, err := os.Stat(outPath); err != nil || fi.Size() == 0 {
-			t.Fatalf("shard %s wrote nothing: %v", spec, err)
-		}
-	}
-	if err := run([]string{"-run", "ablations", "-merge", filepath.Join(dir, "shard-*.json")}); err != nil {
-		t.Fatal(err)
+	for _, id := range all {
+		t.Run(id, func(t *testing.T) {
+			for _, k := range []string{"0", "1"} {
+				outPath := filepath.Join(dir, id+"-"+k+".json")
+				if err := run([]string{"-run", id, "-shard", k + "/2", "-shard-out", outPath}); err != nil {
+					t.Fatal(err)
+				}
+				if fi, err := os.Stat(outPath); err != nil || fi.Size() == 0 {
+					t.Fatalf("shard %s/2 wrote nothing: %v", k, err)
+				}
+			}
+			serial, err := captureRun([]string{"-run", id})
+			if err != nil {
+				t.Fatal(err)
+			}
+			merged, err := captureRun([]string{"-run", id, "-merge", filepath.Join(dir, id+"-*.json")})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tablesOf(serial) != tablesOf(merged) {
+				t.Fatalf("merged tables differ from serial:\n--- serial\n%s\n--- merged\n%s", serial, merged)
+			}
+		})
 	}
 	// Merging under the wrong experiment id must be caught by the
 	// envelope's sweep name.
-	if err := run([]string{"-run", "fig4", "-merge", filepath.Join(dir, "shard-*.json")}); err == nil ||
+	if err := run([]string{"-run", "table2", "-merge", filepath.Join(dir, "table1-*.json")}); err == nil ||
 		!strings.Contains(err.Error(), "belongs to sweep") {
 		t.Fatalf("foreign envelopes merged silently: %v", err)
 	}
+}
+
+// tablesOf drops what may differ between two runs of one experiment:
+// the bracketed status lines ("completed in" vs "merged from") and the
+// warm-start note, which carries a measured wall-clock speedup.
+func tablesOf(out string) string {
+	var keep []string
+	for _, line := range strings.Split(out, "\n") {
+		if !strings.HasPrefix(line, "[") && !strings.Contains(line, "wall speedup") {
+			keep = append(keep, line)
+		}
+	}
+	return strings.Join(keep, "\n")
 }
 
 func TestSeedsFlagValidation(t *testing.T) {
@@ -155,15 +199,11 @@ func TestSeedsFlagValidation(t *testing.T) {
 	}
 }
 
+// TestSeedableIDsAreShardable pins the -seeds reach: exactly the
+// experiments whose sweeps report seed metrics (every id shards).
 func TestSeedableIDsAreShardable(t *testing.T) {
-	seedIDs := ids(seedable)
-	if len(seedIDs) < 2 {
-		t.Fatalf("seedable set shrank: %v", seedIDs)
-	}
-	for _, id := range seedIDs {
-		if !shardable(registry[id]) {
-			t.Errorf("seedable id %q is not shardable", id)
-		}
+	if got, want := ids(seedable), []string{"ablations", "detection", "fig4"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("seedable ids = %v, want %v", got, want)
 	}
 }
 

@@ -145,9 +145,12 @@ type migrationCooldown struct {
 	epoch     uint64
 	lastMoved map[string]uint64
 
-	// rates and room are the eviction planner's running copies of host
-	// heat and headroom, kept so an epoch's plan reuses the last one's
-	// buffers. They are scratch, not state: checkpoints omit them.
+	// live is the set of the epoch's VMs, which Signature also reads to
+	// forget departed VMs' detectors. rates and room are the eviction
+	// planner's running copies of host heat and headroom. All three are
+	// kept so an epoch reuses the last one's buffers; they are scratch,
+	// not state: checkpoints omit them.
+	live  map[string]bool
 	rates []float64
 	room  []headroom
 }
@@ -158,14 +161,16 @@ func (c *migrationCooldown) advance(view RebalanceView) {
 	c.epoch++
 	if c.lastMoved == nil {
 		c.lastMoved = make(map[string]uint64)
-		return
 	}
-	live := make(map[string]bool, len(view.VMs))
+	if c.live == nil {
+		c.live = make(map[string]bool, len(view.VMs))
+	}
+	clear(c.live)
 	for i := range view.VMs {
-		live[view.VMs[i].Name] = true
+		c.live[view.VMs[i].Name] = true
 	}
 	for name := range c.lastMoved {
-		if !live[name] {
+		if !c.live[name] {
 			delete(c.lastMoved, name)
 		}
 	}

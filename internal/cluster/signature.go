@@ -11,6 +11,7 @@ package cluster
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 
 	"kyoto/internal/detect"
@@ -111,6 +112,9 @@ type Signature struct {
 	ages   map[string]uint64
 	log    []ChangePoint
 	detErr error
+	// shifted marks the epoch's regime-shifted hosts; it is scratch,
+	// reused across epochs, and checkpoints omit it.
+	shifted []bool
 }
 
 // Name implements Rebalancer.
@@ -158,11 +162,11 @@ func (g *Signature) Plan(hosts []*Host, view RebalanceView) []Migration {
 
 	// Step the detectors; an upward change point on any VM marks its
 	// host as shifted this epoch.
-	shifted := make([]bool, len(view.HostRates))
-	live := make(map[string]bool, len(view.VMs))
+	shifted := slices.Grow(g.shifted[:0], len(view.HostRates))[:len(view.HostRates)]
+	clear(shifted)
+	g.shifted = shifted
 	for i := range view.VMs {
 		v := &view.VMs[i]
-		live[v.Name] = true
 		g.ages[v.Name]++
 		d := g.det[v.Name]
 		if d == nil {
@@ -181,7 +185,7 @@ func (g *Signature) Plan(hosts []*Host, view RebalanceView) []Migration {
 		}
 	}
 	for name := range g.det {
-		if !live[name] {
+		if !g.cd.live[name] {
 			delete(g.det, name)
 			delete(g.ages, name)
 		}

@@ -177,8 +177,9 @@ func TestTimelineBoundAndScheduleIndependence(t *testing.T) {
 	}
 }
 
-// TestObserveSteadyStateAllocatesNothing: a rebalance observation on a
-// fleet whose VMs do not change reuses the monitor's buffers.
+// TestObserveSteadyStateAllocatesNothing: a rebalance observation, and
+// the cooldown bookkeeping every built-in rebalancer's epoch starts
+// with, reuse their buffers on a fleet whose VMs do not change.
 func TestObserveSteadyStateAllocatesNothing(t *testing.T) {
 	f, err := New(Config{Hosts: 3, Template: HostTemplate{Seed: 2, Fidelity: cache.FidelityAnalytic}, Workers: 1})
 	if err != nil {
@@ -193,13 +194,14 @@ func TestObserveSteadyStateAllocatesNothing(t *testing.T) {
 	// Warm up past the analytic tier's first-epoch transients, as the
 	// lazy-advancement gate in internal/arrivals does.
 	f.RunTicks(512)
-	mon.Observe(f)
+	var cd migrationCooldown
+	cd.advance(mon.Observe(f))
 	allocs := testing.AllocsPerRun(20, func() {
 		f.RunTicks(3)
-		mon.Observe(f)
+		cd.advance(mon.Observe(f))
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state Observe allocates %v times per epoch, want 0", allocs)
+		t.Fatalf("steady-state Observe and cooldown advance allocate %v times per epoch, want 0", allocs)
 	}
 	if view := mon.Observe(f); len(view.VMs) != 6 || len(view.HostRates) != 3 || !strings.HasPrefix(view.VMs[0].Name, "v") {
 		t.Fatalf("view after reuse: %d VMs, %d hosts", len(view.VMs), len(view.HostRates))

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"kyoto/internal/cache"
@@ -15,9 +14,8 @@ import (
 
 // This file holds the design-choice ablations (kyotobench's "ablations"
 // experiment; README, "Scaling sweeps") — extensions beyond the paper that quantify the alternatives its related
-// work section argues against. The three studies are independent, so the
-// fan-out is expressed as a sweep.Sweep (AblationSweeper) and shards like
-// every other sweep.
+// work section argues against. The three studies are independent, so each
+// is one job of the suite's sweep (AblationsSweep).
 
 // AblationIndicator reruns the Fig 5 vsen1-vs-vdis1 scenario with the
 // oracle monitor measuring by each indicator, returning vsen1's
@@ -138,19 +136,20 @@ var ablationArms = []struct {
 	key  string
 	run  func(seed uint64) (a, b float64, err error)
 	rows [2][2]string // {ablation, arm} labels for the A and B values
+	arms [2]string    // seed-sweep arm names of the A and B values
 }{
 	{"indicator", AblationIndicator, [2][2]string{
 		{"quota indicator", "equation 1 (paper)"},
 		{"quota indicator", "raw LLCM"},
-	}},
+	}, [2]string{"indicator/eq1", "indicator/llcm"}},
 	{"partitioning", AblationPartitioning, [2][2]string{
 		{"vs hardware partitioning", "KS4Xen (software)"},
 		{"vs hardware partitioning", "UCP-style 10/10 ways"},
-	}},
+	}, [2]string{"partitioning/ks4xen", "partitioning/ucp"}},
 	{"banking", AblationBanking, [2][2]string{
 		{"quota banking (vs blockie)", "no banking (paper)"},
 		{"quota banking (vs blockie)", "bank 4 slices"},
-	}},
+	}, [2]string{"banking/none", "banking/bank4"}},
 }
 
 // ablationPayload is one study's pair of outcomes.
@@ -159,70 +158,47 @@ type ablationPayload struct {
 	B float64 `json:"b"`
 }
 
-// AblationSweeper is the ablation suite as a shardable sweep: one job
-// per design-choice study, merged into one table.
-type AblationSweeper struct {
-	seed uint64
-	res  *Table
-	// vals keeps the merged study outcomes in ablationArms order, for
-	// the Seedable metric rows.
-	vals []ablationPayload
-}
+// AblationsSweep is the ablation suite as a sweep: one job per
+// design-choice study, merged into one table.
+func AblationsSweep(seed uint64) Experiment { return newAblations(seed) }
 
-// NewAblationSweeper returns the shardable ablation suite.
-func NewAblationSweeper(seed uint64) *AblationSweeper { return &AblationSweeper{seed: seed} }
-
-// Name implements sweep.Sweep.
-func (s *AblationSweeper) Name() string { return "ablations" }
-
-// ConfigFingerprint implements sweep.ConfigFingerprinter.
-func (s *AblationSweeper) ConfigFingerprint() string {
-	return sweep.FingerprintPayload([]byte(fmt.Sprintf(`{"seed":%d}`, s.seed)))
-}
-
-// Plan implements sweep.Sweep.
-func (s *AblationSweeper) Plan() []sweep.Job {
-	jobs := make([]sweep.Job, len(ablationArms))
-	for i, arm := range ablationArms {
-		jobs[i] = sweep.Job{Sweep: s.Name(), Key: "ablation/" + arm.key, Index: i, Seed: s.seed}
-	}
-	return jobs
-}
-
-// Run implements sweep.Sweep.
-func (s *AblationSweeper) Run(job sweep.Job) (json.RawMessage, error) {
+// newAblations plans one job per study of ablationArms. Its seed
+// metrics split each study's A and B outcomes into separate arms
+// sharing the one normalized-performance metric.
+func newAblations(seed uint64) *figSweep[ablationPayload, []ablationPayload] {
+	s := &figSweep[ablationPayload, []ablationPayload]{name: "ablations", seed: seed}
 	for _, arm := range ablationArms {
-		if job.Key == "ablation/"+arm.key {
-			a, b, err := arm.run(s.seed)
+		s.arms = append(s.arms, figArm[ablationPayload]{"ablation/" + arm.key, func() (ablationPayload, error) {
+			a, b, err := arm.run(seed)
 			if err != nil {
-				return nil, fmt.Errorf("%s ablation: %w", arm.key, err)
+				return ablationPayload{}, fmt.Errorf("%s ablation: %w", arm.key, err)
 			}
-			return json.Marshal(ablationPayload{A: a, B: b})
+			return ablationPayload{A: a, B: b}, nil
+		}})
+	}
+	s.fold = func(ps []ablationPayload) ([]ablationPayload, []Table, error) {
+		t := Table{
+			Title:   "Ablations: design choices around the Kyoto mechanism",
+			Note:    "vsen1 normalized performance on the Figure 5 scenario unless stated",
+			Columns: []string{"ablation", "arm", "vsen1 norm perf"},
 		}
-	}
-	return nil, fmt.Errorf("unknown job key %q", job.Key)
-}
-
-// Merge implements sweep.Sweep: add the rows in presentation order.
-func (s *AblationSweeper) Merge(payloads []json.RawMessage) error {
-	t := Table{
-		Title:   "Ablations: design choices around the Kyoto mechanism",
-		Note:    "vsen1 normalized performance on the Figure 5 scenario unless stated",
-		Columns: []string{"ablation", "arm", "vsen1 norm perf"},
-	}
-	s.vals = make([]ablationPayload, len(ablationArms))
-	for i, arm := range ablationArms {
-		var p ablationPayload
-		if err := json.Unmarshal(payloads[i], &p); err != nil {
-			return fmt.Errorf("%s payload: %w", arm.key, err)
+		for i, arm := range ablationArms {
+			t.AddRow(arm.rows[0][0], arm.rows[0][1], ps[i].A)
+			t.AddRow(arm.rows[1][0], arm.rows[1][1], ps[i].B)
 		}
-		t.AddRow(arm.rows[0][0], arm.rows[0][1], p.A)
-		t.AddRow(arm.rows[1][0], arm.rows[1][1], p.B)
-		s.vals[i] = p
+		return ps, []Table{t}, nil
 	}
-	s.res = &t
-	return nil
+	s.metrics = []string{"vsen1_norm"}
+	s.metricRows = func(ps []ablationPayload) []sweep.MetricRow {
+		rows := make([]sweep.MetricRow, 0, 2*len(ablationArms))
+		for i, arm := range ablationArms {
+			rows = append(rows,
+				sweep.MetricRow{Arm: arm.arms[0], Values: []float64{ps[i].A}},
+				sweep.MetricRow{Arm: arm.arms[1], Values: []float64{ps[i].B}},
+			)
+		}
+		return rows
+	}
+	s.reseed = newAblations
+	return s
 }
-
-// Result returns the merged table; it is nil until Merge ran.
-func (s *AblationSweeper) Result() *Table { return s.res }

@@ -26,7 +26,6 @@ import (
 	"kyoto/internal/cache"
 	"kyoto/internal/cluster"
 	"kyoto/internal/stats"
-	"kyoto/internal/sweep"
 	"kyoto/internal/vm"
 )
 
@@ -184,50 +183,77 @@ func CrossValidate(seed uint64, figures ...string) (*CrossValResult, error) {
 	if len(figures) == 0 {
 		figures = CrossValFigures
 	}
-	res := &CrossValResult{}
+	s, err := newCrossVal(seed, figures)
+	if err != nil {
+		return nil, err
+	}
+	return s.result()
+}
+
+// CrossValSweep is the whole cross-validation as a sweep.
+func CrossValSweep(seed uint64) Experiment {
+	s, _ := newCrossVal(seed, CrossValFigures) // every CrossValFigures entry is known
+	return s
+}
+
+// crossValChecks maps each cross-validated figure to its checks.
+var crossValChecks = map[string]func(seed uint64) ([]CrossValCheck, error){
+	"fig1": crossValFig1,
+	"fig4": crossValFig4,
+	"trace": crossValSweep("trace-sweep-2h", TraceSweep, GoldenTraceSweepConfig(),
+		BudgetTraceP99, BudgetTraceRejectionPts),
+	"migration": crossValSweep("migration-sweep-2h", MigrationSweep, GoldenMigrationSweepConfig(),
+		BudgetMigrationP99, BudgetMigrationRejectionPts),
+	"occupancy": crossValOccupancy,
+}
+
+// newCrossVal plans one job per requested figure, whose payload is its
+// checks.
+func newCrossVal(seed uint64, figures []string) (*figSweep[[]CrossValCheck, *CrossValResult], error) {
+	s := &figSweep[[]CrossValCheck, *CrossValResult]{name: "crossval", seed: seed}
 	for _, fig := range figures {
-		var err error
-		switch fig {
-		case "fig1":
-			err = crossValFig1(res, seed)
-		case "fig4":
-			err = crossValFig4(res, seed)
-		case "trace":
-			err = crossValSweep(res, "trace-sweep-2h", TraceSweep, GoldenTraceSweepConfig(),
-				BudgetTraceP99, BudgetTraceRejectionPts)
-		case "migration":
-			err = crossValSweep(res, "migration-sweep-2h", MigrationSweep, GoldenMigrationSweepConfig(),
-				BudgetMigrationP99, BudgetMigrationRejectionPts)
-		case "occupancy":
-			err = crossValOccupancy(res, seed)
-		default:
+		check, ok := crossValChecks[fig]
+		if !ok {
 			return nil, fmt.Errorf("crossval: unknown figure %q (have %v)", fig, CrossValFigures)
 		}
-		if err != nil {
-			return nil, fmt.Errorf("crossval %s: %w", fig, err)
-		}
+		s.arms = append(s.arms, figArm[[]CrossValCheck]{fig, func() ([]CrossValCheck, error) {
+			checks, err := check(seed)
+			if err != nil {
+				return nil, fmt.Errorf("crossval %s: %w", fig, err)
+			}
+			return checks, nil
+		}})
 	}
-	return res, nil
+	s.fold = func(checks [][]CrossValCheck) (*CrossValResult, []Table, error) {
+		res := &CrossValResult{}
+		for _, c := range checks {
+			res.Checks = append(res.Checks, c...)
+		}
+		return res, []Table{res.Table()}, nil
+	}
+	return s, nil
 }
 
 // crossValFig1 compares the 27 degradation cells of the Figure 1
-// contention grid: mean and worst-cell absolute error in points.
-func crossValFig1(res *CrossValResult, seed uint64) error {
+// contention grid: mean and worst-cell absolute error in points. Cells
+// are visited in the grid's presentation order, so the sum and the
+// worst cell reported on a tie do not depend on map order.
+func crossValFig1(seed uint64) ([]CrossValCheck, error) {
 	exact, err := Fig1Fidelity(seed, cache.FidelityExact)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	analytic, err := Fig1Fidelity(seed, cache.FidelityAnalytic)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	var sum, worst float64
 	var n int
 	var worstE, worstA float64
-	for mode, reps := range exact.Degradation {
-		for rep, diss := range reps {
-			for dis, e := range diss {
-				a := analytic.Degradation[mode][rep][dis]
+	for _, mode := range fig1Modes {
+		for _, rep := range exact.Reps {
+			for _, dis := range exact.Dis {
+				e, a := exact.Degradation[mode][rep][dis], analytic.Degradation[mode][rep][dis]
 				d := math.Abs(a - e)
 				sum += d
 				n++
@@ -237,36 +263,29 @@ func crossValFig1(res *CrossValResult, seed uint64) error {
 			}
 		}
 	}
-	res.Checks = append(res.Checks,
-		CrossValCheck{
+	return []CrossValCheck{
+		{
 			Figure: "fig1", Metric: "degradation mean |err| (pts)",
 			Exact: worstE, Analytic: worstA, Err: sum / float64(n), Budget: BudgetFig1MeanPts,
 		},
-		CrossValCheck{
+		{
 			Figure: "fig1", Metric: "degradation max |err| (pts)",
 			Exact: worstE, Analytic: worstA, Err: worst, Budget: BudgetFig1MaxPts,
-		})
-	return nil
+		},
+	}, nil
 }
 
 // crossValFig4 compares aggressiveness magnitudes and, separately, the
 // aggressiveness ranking (what the two-tier sweep trusts the fast tier
 // for) between the tiers.
-func crossValFig4(res *CrossValResult, seed uint64) error {
-	run := func(fid cache.Fidelity) (*Fig4Result, error) {
-		s := NewFig4SweeperFidelity(seed, fid)
-		if err := (sweep.Engine{}).Run(s); err != nil {
-			return nil, err
-		}
-		return s.Result(), nil
-	}
-	exact, err := run(cache.FidelityExact)
+func crossValFig4(seed uint64) ([]CrossValCheck, error) {
+	exact, err := newFig4(seed, cache.FidelityExact).result()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	analytic, err := run(cache.FidelityAnalytic)
+	analytic, err := newFig4(seed, cache.FidelityAnalytic).result()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	var sum, worst, worstE, worstA float64
 	for _, app := range exact.Apps {
@@ -280,72 +299,75 @@ func crossValFig4(res *CrossValResult, seed uint64) error {
 	tau, err := stats.KendallTau(stats.RankByValue(analytic.Aggressiveness),
 		stats.RankByValue(exact.Aggressiveness))
 	if err != nil {
-		return err
+		return nil, err
 	}
-	res.Checks = append(res.Checks,
-		CrossValCheck{
+	return []CrossValCheck{
+		{
 			Figure: "fig4", Metric: "aggressiveness mean |err| (pts)",
 			Exact: worstE, Analytic: worstA, Err: sum / float64(len(exact.Apps)), Budget: BudgetFig4MeanPts,
 		},
-		CrossValCheck{
+		{
 			Figure: "fig4", Metric: "ranking disagreement (1 - Kendall tau)",
 			Exact: 1, Analytic: tau, Err: 1 - tau, Budget: BudgetFig4RankDisagreement,
-		})
-	return nil
+		},
+	}, nil
 }
 
-// crossValSweep compares the arms of a committed fleet-sweep golden
-// (run on GoldenSweepTrace at cfg): worst per-arm p99
+// crossValSweep returns the checks of a committed fleet-sweep golden
+// (run on GoldenSweepTrace at cfg, whatever the seed): worst per-arm p99
 // normalized-performance error and worst rejection-rate error.
-func crossValSweep(res *CrossValResult, figure string, sweepFn func(arrivals.Trace, FleetSweepConfig) (*FleetSweepResult, error),
-	cfg FleetSweepConfig, p99Budget, rejBudget float64) error {
-	run := func(fid cache.Fidelity) (*FleetSweepResult, error) {
-		c := cfg
-		c.Fidelity = fid
-		return sweepFn(GoldenSweepTrace(), c)
-	}
-	exact, err := run(cache.FidelityExact)
-	if err != nil {
-		return err
-	}
-	analytic, err := run(cache.FidelityAnalytic)
-	if err != nil {
-		return err
-	}
-	type armID struct{ placer, rebalancer string }
-	byArm := make(map[armID]FleetSweepRow, len(analytic.Rows))
-	for _, row := range analytic.Rows {
-		byArm[armID{row.Placer, row.Rebalancer}] = row
-	}
-	var worstP99, p99E, p99A, worstRej, rejE, rejA float64
-	for _, e := range exact.Rows {
-		a := byArm[armID{e.Placer, e.Rebalancer}]
-		if d := math.Abs(a.P99 - e.P99); d > worstP99 {
-			worstP99, p99E, p99A = d, e.P99, a.P99
+func crossValSweep(figure string, sweepFn func(arrivals.Trace, FleetSweepConfig) (*FleetSweepResult, error),
+	cfg FleetSweepConfig, p99Budget, rejBudget float64) func(uint64) ([]CrossValCheck, error) {
+	return func(uint64) ([]CrossValCheck, error) {
+		run := func(fid cache.Fidelity) (*FleetSweepResult, error) {
+			c := cfg
+			c.Fidelity = fid
+			return sweepFn(GoldenSweepTrace(), c)
 		}
-		if d := 100 * math.Abs(a.RejectionRate-e.RejectionRate); d > worstRej {
-			worstRej, rejE, rejA = d, 100*e.RejectionRate, 100*a.RejectionRate
+		exact, err := run(cache.FidelityExact)
+		if err != nil {
+			return nil, err
 		}
+		analytic, err := run(cache.FidelityAnalytic)
+		if err != nil {
+			return nil, err
+		}
+		type armID struct{ placer, rebalancer string }
+		byArm := make(map[armID]FleetSweepRow, len(analytic.Rows))
+		for _, row := range analytic.Rows {
+			byArm[armID{row.Placer, row.Rebalancer}] = row
+		}
+		var worstP99, p99E, p99A, worstRej, rejE, rejA float64
+		for _, e := range exact.Rows {
+			a := byArm[armID{e.Placer, e.Rebalancer}]
+			if d := math.Abs(a.P99 - e.P99); d > worstP99 {
+				worstP99, p99E, p99A = d, e.P99, a.P99
+			}
+			if d := 100 * math.Abs(a.RejectionRate-e.RejectionRate); d > worstRej {
+				worstRej, rejE, rejA = d, 100*e.RejectionRate, 100*a.RejectionRate
+			}
+		}
+		return []CrossValCheck{
+			{
+				Figure: figure, Metric: "p99 normalized perf max |err|",
+				Exact: p99E, Analytic: p99A, Err: worstP99, Budget: p99Budget,
+			},
+			{
+				Figure: figure, Metric: "rejection rate max |err| (pts)",
+				Exact: rejE, Analytic: rejA, Err: worstRej, Budget: rejBudget,
+			},
+		}, nil
 	}
-	res.Checks = append(res.Checks,
-		CrossValCheck{
-			Figure: figure, Metric: "p99 normalized perf max |err|",
-			Exact: p99E, Analytic: p99A, Err: worstP99, Budget: p99Budget,
-		},
-		CrossValCheck{
-			Figure: figure, Metric: "rejection rate max |err| (pts)",
-			Exact: rejE, Analytic: rejA, Err: worstRej, Budget: rejBudget,
-		})
-	return nil
 }
 
 // crossValOccupancy contends four Figure 4 applications on one machine
 // and compares each VM's end-of-run LLC occupancy fraction between the
 // tiers — the most direct check of the Markov occupancy recurrence,
-// with no performance model in between.
-func crossValOccupancy(res *CrossValResult, seed uint64) error {
-	scenario := func(fid cache.Fidelity) Scenario {
-		return Scenario{
+// with no performance model in between. VMs are compared in placement
+// order, so the worst VM reported on a tie is fixed.
+func crossValOccupancy(seed uint64) ([]CrossValCheck, error) {
+	occupancy := func(fid cache.Fidelity) ([]float64, error) {
+		r, err := Run(Scenario{
 			NodeConfig: cluster.NodeConfig{Seed: seed, Fidelity: fid},
 			VMs: []vm.Spec{
 				pinned("mcf", "mcf", 0),
@@ -353,41 +375,37 @@ func crossValOccupancy(res *CrossValResult, seed uint64) error {
 				pinned("blockie", "blockie", 2),
 				pinned("astar", "astar", 3),
 			},
-		}
-	}
-	occupancy := func(fid cache.Fidelity) (map[string]float64, error) {
-		r, err := Run(scenario(fid))
+		})
 		if err != nil {
 			return nil, err
 		}
-		out := make(map[string]float64, len(r.World.VMs()))
+		var out []float64
 		for _, m := range r.World.VMs() {
 			var frac float64
 			for _, v := range m.VCPUs {
 				frac += r.World.LLCOccupancyFraction(v)
 			}
-			out[m.Name] = frac
+			out = append(out, frac)
 		}
 		return out, nil
 	}
 	exact, err := occupancy(cache.FidelityExact)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	analytic, err := occupancy(cache.FidelityAnalytic)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	var worst, worstE, worstA float64
-	for name, e := range exact {
-		a := analytic[name]
+	for i, e := range exact {
+		a := analytic[i]
 		if d := math.Abs(a - e); d > worst {
 			worst, worstE, worstA = d, e, a
 		}
 	}
-	res.Checks = append(res.Checks, CrossValCheck{
+	return []CrossValCheck{{
 		Figure: "occupancy", Metric: "LLC occupancy fraction max |err|",
 		Exact: worstE, Analytic: worstA, Err: worst, Budget: BudgetOccupancyFraction,
-	})
-	return nil
+	}}, nil
 }

@@ -83,30 +83,6 @@ func TestRunRejectsBadSpecs(t *testing.T) {
 	}
 }
 
-func TestRunAllOrderAndParallelism(t *testing.T) {
-	scenarios := []Scenario{
-		{NodeConfig: cluster.NodeConfig{Seed: 1}, VMs: []vm.Spec{pinned("v", "povray", 0)}, Warmup: 1, Measure: 2},
-		{NodeConfig: cluster.NodeConfig{Seed: 2}, VMs: []vm.Spec{pinned("v", "hmmer", 0)}, Warmup: 1, Measure: 2},
-	}
-	rs, err := RunAll(scenarios)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rs) != 2 {
-		t.Fatalf("results = %d", len(rs))
-	}
-	if rs[0].World.FindVM("v").App != "povray" || rs[1].World.FindVM("v").App != "hmmer" {
-		t.Fatal("result order scrambled")
-	}
-}
-
-func TestRunAllPropagatesErrors(t *testing.T) {
-	_, err := RunAll([]Scenario{{VMs: []vm.Spec{{Name: "x", App: "nope"}}}})
-	if err == nil {
-		t.Fatal("error lost")
-	}
-}
-
 func TestRunDeterminism(t *testing.T) {
 	s := Scenario{
 		NodeConfig: cluster.NodeConfig{Seed: 9},

@@ -5,7 +5,6 @@ import (
 
 	"kyoto/internal/cache"
 	"kyoto/internal/cluster"
-	"kyoto/internal/stats"
 	"kyoto/internal/vm"
 )
 
@@ -56,6 +55,9 @@ var (
 	microDis  = []string{"micro-c1-dis", "micro-c2-dis", "micro-c3-dis"}
 )
 
+// fig1Modes lists the execution modes in presentation order.
+var fig1Modes = []ExecMode{Alternative, Parallel, Combined}
+
 // Fig1 runs the 3 reps x (1 alone + 3 modes x 3 disruptors) grid.
 func Fig1(seed uint64) (Fig1Result, error) {
 	return Fig1Fidelity(seed, cache.FidelityExact)
@@ -64,64 +66,51 @@ func Fig1(seed uint64) (Fig1Result, error) {
 // Fig1Fidelity is Fig1 with an explicit cache-model tier; the
 // cross-validation harness runs the grid on both tiers and compares.
 func Fig1Fidelity(seed uint64, fid cache.Fidelity) (Fig1Result, error) {
-	modes := []ExecMode{Alternative, Parallel, Combined}
+	return newFig1(seed, fid).result()
+}
 
-	// Baselines: each rep alone on core 0.
-	solos := make([]Scenario, len(microReps))
-	for i, rep := range microReps {
-		solos[i] = soloScenario(rep, seed)
-		solos[i].Fidelity = fid
-	}
-	soloRes, err := RunAll(solos)
-	if err != nil {
-		return Fig1Result{}, err
-	}
-	soloIPC := make(map[string]float64, len(microReps))
-	for i, rep := range microReps {
-		soloIPC[rep] = soloRes[i].PerVM["solo"].IPC()
-	}
+// Fig1Sweep is Figure 1 as a sweep.
+func Fig1Sweep(seed uint64) Experiment { return newFig1(seed, cache.FidelityExact) }
 
-	type key struct {
-		mode ExecMode
-		rep  string
-		dis  string
+// newFig1 plans each rep's solo baseline, then every (mode, rep, dis)
+// cell; each payload is the rep's IPC.
+func newFig1(seed uint64, fid cache.Fidelity) *figSweep[float64, Fig1Result] {
+	s := &figSweep[float64, Fig1Result]{name: "fig1", seed: seed, fid: fid}
+	for _, rep := range microReps {
+		sc := soloScenario(rep, seed)
+		sc.Fidelity = fid
+		s.arms = append(s.arms, ipcArm("solo/"+rep, sc, "solo"))
 	}
-	var keys []key
-	var scenarios []Scenario
-	for _, mode := range modes {
+	for _, mode := range fig1Modes {
 		for _, rep := range microReps {
 			for _, dis := range microDis {
-				keys = append(keys, key{mode, rep, dis})
 				sc := fig1Scenario(mode, rep, dis, seed)
 				sc.Fidelity = fid
-				scenarios = append(scenarios, sc)
+				s.arms = append(s.arms, ipcArm(mode.String()+"/"+rep+"/"+dis, sc, "rep"))
 			}
 		}
 	}
-	results, err := RunAll(scenarios)
-	if err != nil {
-		return Fig1Result{}, err
-	}
-
-	out := Fig1Result{
-		Degradation: make(map[ExecMode]map[string]map[string]float64, len(modes)),
-		Reps:        microReps,
-		Dis:         microDis,
-	}
-	for _, mode := range modes {
-		out.Degradation[mode] = make(map[string]map[string]float64, len(microReps))
-		for _, rep := range microReps {
-			out.Degradation[mode][rep] = make(map[string]float64, len(microDis))
+	s.fold = func(ipc []float64) (Fig1Result, []Table, error) {
+		solo, cells := ipc[:len(microReps)], ipc[len(microReps):]
+		out := Fig1Result{
+			Degradation: make(map[ExecMode]map[string]map[string]float64, len(fig1Modes)),
+			Reps:        microReps,
+			Dis:         microDis,
 		}
-	}
-	for i, k := range keys {
-		deg := stats.DegradationPercent(soloIPC[k.rep], results[i].IPC("rep"))
-		if deg < 0 {
-			deg = 0
+		for _, mode := range fig1Modes {
+			out.Degradation[mode] = make(map[string]map[string]float64, len(microReps))
+			for ri, rep := range microReps {
+				row := make(map[string]float64, len(microDis))
+				for _, dis := range microDis {
+					row[dis] = degradation(solo[ri], cells[0])
+					cells = cells[1:]
+				}
+				out.Degradation[mode][rep] = row
+			}
 		}
-		out.Degradation[k.mode][k.rep][k.dis] = deg
+		return out, out.Tables(), nil
 	}
-	return out, nil
+	return s
 }
 
 // fig1Scenario builds one cell's scenario.
@@ -156,7 +145,7 @@ func fig1Scenario(mode ExecMode, rep, dis string, seed uint64) Scenario {
 // Tables renders the three panels of Figure 1.
 func (r Fig1Result) Tables() []Table {
 	out := make([]Table, 0, 3)
-	for _, mode := range []ExecMode{Alternative, Parallel, Combined} {
+	for _, mode := range fig1Modes {
 		t := Table{
 			Title:   fmt.Sprintf("Figure 1 (%s execution): %% degradation of representative VMs", mode),
 			Columns: []string{"rep \\ dis", "v1dis (C1)", "v2dis (C2)", "v3dis (C3)"},

@@ -25,50 +25,55 @@ type Fig10Result struct {
 	BzipWithDisruptors float64
 }
 
-// Fig10 runs the five measurements concurrently (each is an independent
-// world).
-func Fig10(seed uint64) (Fig10Result, error) {
-	var res Fig10Result
+// Fig10 runs the five measurements, each an independent world.
+func Fig10(seed uint64) (Fig10Result, error) { return newFig10(seed).result() }
 
-	scenarios := []Scenario{
+// Fig10Sweep is Figure 10 as a sweep.
+func Fig10Sweep(seed uint64) Experiment { return newFig10(seed) }
+
+// newFig10 plans one job per measurement, whose payload is the measured
+// VM's Equation-1 value.
+func newFig10(seed uint64) *figSweep[float64, Fig10Result] {
+	eq1 := func(key string, sc Scenario, name string) figArm[float64] {
+		return scenarioArm(key, sc, func(r Result) float64 { return core.Equation1Value(r.PerVM[name]) })
+	}
+	s := &figSweep[float64, Fig10Result]{name: "fig10", seed: seed, arms: []figArm[float64]{
 		// hmmer among disruptors (in place).
-		{NodeConfig: cluster.NodeConfig{Seed: seed}, VMs: []vm.Spec{
+		eq1("hmmer/in-place", Scenario{NodeConfig: cluster.NodeConfig{Seed: seed}, VMs: []vm.Spec{
 			pinned("target", "hmmer", 0),
 			pinned("d1", "lbm", 1),
 			pinned("d2", "blockie", 2),
 			pinned("d3", "mcf", 3),
-		}},
-		soloScenario("hmmer", seed),
+		}}, "target"),
+		eq1("hmmer/isolated", soloScenario("hmmer", seed), "solo"),
 		// bzip among hmmers (in place).
-		{NodeConfig: cluster.NodeConfig{Seed: seed}, VMs: []vm.Spec{
+		eq1("bzip/in-place", Scenario{NodeConfig: cluster.NodeConfig{Seed: seed}, VMs: []vm.Spec{
 			pinned("target", "bzip", 0),
 			pinned("h1", "hmmer", 1),
 			pinned("h2", "hmmer", 2),
 			pinned("h3", "hmmer", 3),
-		}},
-		soloScenario("bzip", seed),
+		}}, "target"),
+		eq1("bzip/isolated", soloScenario("bzip", seed), "solo"),
 		// Control: bzip among disruptors (what the heuristics must avoid
 		// treating as bzip's own pollution).
-		{NodeConfig: cluster.NodeConfig{Seed: seed}, VMs: []vm.Spec{
+		eq1("bzip/control", Scenario{NodeConfig: cluster.NodeConfig{Seed: seed}, VMs: []vm.Spec{
 			pinned("target", "bzip", 0),
 			pinned("d1", "lbm", 1),
 			pinned("d2", "blockie", 2),
 			pinned("d3", "mcf", 3),
-		}},
+		}}, "target"),
+	}}
+	s.fold = func(v []float64) (Fig10Result, []Table, error) {
+		res := Fig10Result{
+			HmmerNotIsolated:   v[0],
+			HmmerIsolated:      v[1],
+			BzipNotIsolated:    v[2],
+			BzipIsolated:       v[3],
+			BzipWithDisruptors: v[4],
+		}
+		return res, []Table{res.Table()}, nil
 	}
-	rs, err := RunAll(scenarios)
-	if err != nil {
-		return res, err
-	}
-	eq1 := func(r Result, name string) float64 {
-		return core.Equation1Value(r.PerVM[name])
-	}
-	res.HmmerNotIsolated = eq1(rs[0], "target")
-	res.HmmerIsolated = eq1(rs[1], "solo")
-	res.BzipNotIsolated = eq1(rs[2], "target")
-	res.BzipIsolated = eq1(rs[3], "solo")
-	res.BzipWithDisruptors = eq1(rs[4], "target")
-	return res, nil
+	return s
 }
 
 // Table renders the bars.

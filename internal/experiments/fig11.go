@@ -34,70 +34,79 @@ type Fig11Result struct {
 }
 
 // Fig11 runs the colocated measurement studies on the R420.
-func Fig11(seed uint64) (Fig11Result, error) {
+func Fig11(seed uint64) (Fig11Result, error) { return newFig11(seed).result() }
+
+// Fig11Sweep is Figure 11 as a sweep.
+func Fig11Sweep(seed uint64) Experiment { return newFig11(seed) }
+
+// newFig11 plans each app's solo ground truth, then the contended host:
+// all ten apps pinned round-robin onto socket 0 of the R420, with the
+// Dedication and ShadowSim monitors observing. Each payload is a
+// partial result: the solo jobs fill Solo, the contended job the three
+// estimates.
+func newFig11(seed uint64) *figSweep[Fig11Result, Fig11Result] {
 	apps := workload.Figure4Apps()
-	res := Fig11Result{
-		Apps:      apps,
-		Solo:      make(map[string]float64, len(apps)),
-		Dedicated: make(map[string]float64, len(apps)),
-		InPlace:   make(map[string]float64, len(apps)),
-		Shadow:    make(map[string]float64, len(apps)),
-	}
-
-	// Ground truth: solo runs.
-	solos := make([]Scenario, len(apps))
-	for i, app := range apps {
-		solos[i] = soloScenario(app, seed)
-	}
-	soloRes, err := RunAll(solos)
-	if err != nil {
-		return res, err
-	}
-	for i, app := range apps {
-		res.Solo[app] = core.Equation1Value(soloRes[i].PerVM["solo"])
-	}
-
-	// Contended host: all ten apps pinned round-robin onto socket 0 of
-	// the R420, Dedication + ShadowSim monitors observing.
-	mcfg := machine.R420(seed)
-	ded := monitor.NewDedication(nil, core.Equation1)
-	// Phased applications need windows covering a full phase period
-	// (the paper samples ~1 billion cycles, tens of scaled ticks).
-	ded.WindowTicks = 6
-	shadow := monitor.NewShadowSim(nil, mcfg, 0)
-	vms := make([]vm.Spec, 0, len(apps))
-	for i, app := range apps {
-		vms = append(vms, vm.Spec{Name: app, App: app, Pins: []int{i % 4}})
-	}
-	run, err := Run(Scenario{
-		NodeConfig: cluster.NodeConfig{Machine: mcfg, Seed: seed},
-		VMs:        vms,
-		Hooks:      []hv.TickHook{ded, shadow},
-		Warmup:     15,
-		Measure:    10 * 8 * 2, // two full dedication rotations
-	})
-	if err != nil {
-		return res, err
-	}
+	s := &figSweep[Fig11Result, Fig11Result]{name: "fig11", seed: seed}
 	for _, app := range apps {
-		res.InPlace[app] = core.Equation1Value(run.PerVM[app])
+		s.arms = append(s.arms, scenarioArm("solo/"+app, soloScenario(app, seed), func(r Result) Fig11Result {
+			return Fig11Result{Solo: map[string]float64{app: core.Equation1Value(r.PerVM["solo"])}}
+		}))
 	}
-	for _, domain := range run.World.VMs() {
-		res.Dedicated[domain.Name] = ded.LastRate[domain]
-		res.Shadow[domain.Name] = shadow.LastRate[domain]
+	s.arms = append(s.arms, figArm[Fig11Result]{"contended", func() (Fig11Result, error) {
+		mcfg := machine.R420(seed)
+		ded := monitor.NewDedication(nil, core.Equation1)
+		// Phased applications need windows covering a full phase period
+		// (the paper samples ~1 billion cycles, tens of scaled ticks).
+		ded.WindowTicks = 6
+		shadow := monitor.NewShadowSim(nil, mcfg, 0)
+		vms := make([]vm.Spec, 0, len(apps))
+		for i, app := range apps {
+			vms = append(vms, vm.Spec{Name: app, App: app, Pins: []int{i % 4}})
+		}
+		run, err := Run(Scenario{
+			NodeConfig: cluster.NodeConfig{Machine: mcfg, Seed: seed},
+			VMs:        vms,
+			Hooks:      []hv.TickHook{ded, shadow},
+			Warmup:     15,
+			Measure:    10 * 8 * 2, // two full dedication rotations
+		})
+		if err != nil {
+			return Fig11Result{}, err
+		}
+		res := Fig11Result{
+			InPlace:   make(map[string]float64, len(apps)),
+			Dedicated: make(map[string]float64, len(apps)),
+			Shadow:    make(map[string]float64, len(apps)),
+		}
+		for _, app := range apps {
+			res.InPlace[app] = core.Equation1Value(run.PerVM[app])
+		}
+		for _, domain := range run.World.VMs() {
+			res.Dedicated[domain.Name] = ded.LastRate[domain]
+			res.Shadow[domain.Name] = shadow.LastRate[domain]
+		}
+		return res, nil
+	}})
+	s.fold = func(ps []Fig11Result) (Fig11Result, []Table, error) {
+		res := ps[len(apps)]
+		res.Apps, res.Solo = apps, make(map[string]float64, len(apps))
+		for i, app := range apps {
+			res.Solo[app] = ps[i].Solo[app]
+		}
+		soloOrder := stats.RankByValue(res.Solo)
+		var err error
+		if res.TauDedicated, err = stats.KendallTau(stats.RankByValue(res.Dedicated), soloOrder); err != nil {
+			return res, nil, err
+		}
+		if res.TauInPlace, err = stats.KendallTau(stats.RankByValue(res.InPlace), soloOrder); err != nil {
+			return res, nil, err
+		}
+		if res.TauShadow, err = stats.KendallTau(stats.RankByValue(res.Shadow), soloOrder); err != nil {
+			return res, nil, err
+		}
+		return res, []Table{res.Table()}, nil
 	}
-
-	soloOrder := stats.RankByValue(res.Solo)
-	if res.TauDedicated, err = stats.KendallTau(stats.RankByValue(res.Dedicated), soloOrder); err != nil {
-		return res, err
-	}
-	if res.TauInPlace, err = stats.KendallTau(stats.RankByValue(res.InPlace), soloOrder); err != nil {
-		return res, err
-	}
-	if res.TauShadow, err = stats.KendallTau(stats.RankByValue(res.Shadow), soloOrder); err != nil {
-		return res, err
-	}
-	return res, nil
+	return s
 }
 
 // Table renders the comparison.

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+
 	"kyoto/internal/cluster"
 	"kyoto/internal/machine"
 	"kyoto/internal/vm"
@@ -24,29 +26,35 @@ type Fig12Result struct {
 	ExecKyoto []float64
 }
 
-// Fig12 runs the sweep, fanning the independent tick lengths out across
-// workers.
-func Fig12(seed uint64) (Fig12Result, error) {
-	res := Fig12Result{
-		TickMillis: Fig12TickMillis,
-		ExecXCS:    make([]float64, len(Fig12TickMillis)),
-		ExecKyoto:  make([]float64, len(Fig12TickMillis)),
+// Fig12 runs the sweep.
+func Fig12(seed uint64) (Fig12Result, error) { return newFig12(seed).result() }
+
+// Fig12Sweep is Figure 12 as a sweep.
+func Fig12Sweep(seed uint64) Experiment { return newFig12(seed) }
+
+// newFig12 plans an XCS and a KS4Xen job per tick length; each payload
+// is the measured VM's completion time.
+func newFig12(seed uint64) *figSweep[float64, Fig12Result] {
+	s := &figSweep[float64, Fig12Result]{name: "fig12", seed: seed}
+	for _, ms := range Fig12TickMillis {
+		for _, kyoto := range []bool{false, true} {
+			s.arms = append(s.arms, figArm[float64]{fmt.Sprintf("tick%dms/kyoto=%t", ms, kyoto), func() (float64, error) {
+				return fig12Run(seed, ms, kyoto)
+			}})
+		}
 	}
-	err := ForEach(len(Fig12TickMillis), 0, func(i int) error {
-		ms := Fig12TickMillis[i]
-		x, err := fig12Run(seed, ms, false)
-		if err != nil {
-			return err
+	s.fold = func(exec []float64) (Fig12Result, []Table, error) {
+		res := Fig12Result{
+			TickMillis: Fig12TickMillis,
+			ExecXCS:    make([]float64, len(Fig12TickMillis)),
+			ExecKyoto:  make([]float64, len(Fig12TickMillis)),
 		}
-		k, err := fig12Run(seed, ms, true)
-		if err != nil {
-			return err
+		for i := range Fig12TickMillis {
+			res.ExecXCS[i], res.ExecKyoto[i] = exec[2*i], exec[2*i+1]
 		}
-		res.ExecXCS[i] = x
-		res.ExecKyoto[i] = k
-		return nil
-	})
-	return res, err
+		return res, []Table{res.Table()}, nil
+	}
+	return s
 }
 
 // fig12Run measures VM "a"'s completion time with the given tick length.

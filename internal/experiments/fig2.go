@@ -26,7 +26,14 @@ type Fig2Result struct {
 
 // Fig2 runs the four situations with a per-tick recorder and no warmup
 // (the cold start is the point).
-func Fig2(seed uint64) (Fig2Result, error) {
+func Fig2(seed uint64) (Fig2Result, error) { return newFig2(seed).result() }
+
+// Fig2Sweep is Figure 2 as a sweep.
+func Fig2Sweep(seed uint64) Experiment { return newFig2(seed) }
+
+// newFig2 plans one job per situation, whose payload is the rep VM's
+// per-tick LLC misses.
+func newFig2(seed uint64) *figSweep[[]float64, Fig2Result] {
 	rep := "micro-c2-rep"
 	dis := "micro-c2-dis"
 	situations := []struct {
@@ -38,37 +45,33 @@ func Fig2(seed uint64) (Fig2Result, error) {
 		{"parallel", []vm.Spec{pinned("rep", rep, 0), pinned("dis", dis, 1)}},
 		{"alter+para", []vm.Spec{pinned("rep", rep, 0), pinned("dis", dis, 0), pinned("dis2", dis, 1)}},
 	}
-	out := Fig2Result{Series: make(map[string][]float64, len(situations))}
-	// The four situations are independent worlds with private recorders:
-	// fan them out and assemble the series in presentation order.
-	collected := make([][]float64, len(situations))
-	err := ForEach(len(situations), 0, func(i int) error {
-		rec := NewLLCMissSeries()
-		_, err := Run(Scenario{
-			NodeConfig: cluster.NodeConfig{Seed: seed},
-			VMs:        situations[i].vms,
-			Hooks:      []hv.TickHook{rec},
-			Warmup:     1, // snapshot boundary only; recording starts at tick 0
-			Measure:    Fig2Ticks,
-		})
-		if err != nil {
-			return err
-		}
-		series := rec.Values["rep"]
-		if len(series) > Fig2Ticks {
-			series = series[:Fig2Ticks]
-		}
-		collected[i] = series
-		return nil
-	})
-	if err != nil {
-		return Fig2Result{}, err
+	s := &figSweep[[]float64, Fig2Result]{name: "fig2", seed: seed}
+	for _, sit := range situations {
+		s.arms = append(s.arms, figArm[[]float64]{sit.name, func() ([]float64, error) {
+			rec := NewLLCMissSeries()
+			_, err := Run(Scenario{
+				NodeConfig: cluster.NodeConfig{Seed: seed},
+				VMs:        sit.vms,
+				Hooks:      []hv.TickHook{rec},
+				Warmup:     1, // snapshot boundary only; recording starts at tick 0
+				Measure:    Fig2Ticks,
+			})
+			series := rec.Values["rep"]
+			if len(series) > Fig2Ticks {
+				series = series[:Fig2Ticks]
+			}
+			return series, err
+		}})
 	}
-	for i, sit := range situations {
-		out.Series[sit.name] = collected[i]
-		out.Situations = append(out.Situations, sit.name)
+	s.fold = func(series [][]float64) (Fig2Result, []Table, error) {
+		out := Fig2Result{Series: make(map[string][]float64, len(situations))}
+		for i, sit := range situations {
+			out.Series[sit.name] = series[i]
+			out.Situations = append(out.Situations, sit.name)
+		}
+		return out, []Table{out.Table()}, nil
 	}
-	return out, nil
+	return s
 }
 
 // Table renders the timelines as rows of per-tick miss counts.

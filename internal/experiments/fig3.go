@@ -27,69 +27,57 @@ type Fig3Result struct {
 }
 
 // Fig3 runs the sweep for vsen1..3 against vdis1.
-func Fig3(seed uint64) (Fig3Result, error) {
-	sens := []string{workload.VSen1, workload.VSen2, workload.VSen3}
+func Fig3(seed uint64) (Fig3Result, error) { return newFig3(seed).result() }
 
-	solos := make([]Scenario, len(sens))
-	for i, app := range sens {
-		solos[i] = soloScenario(app, seed)
-	}
-	soloRes, err := RunAll(solos)
-	if err != nil {
-		return Fig3Result{}, err
-	}
-	soloIPC := make(map[string]float64, len(sens))
-	for i, app := range sens {
-		soloIPC[app] = soloRes[i].PerVM["solo"].IPC()
-	}
+// Fig3Sweep is Figure 3 as a sweep.
+func Fig3Sweep(seed uint64) Experiment { return newFig3(seed) }
 
-	type key struct {
-		app string
-		cap int
+// fig3Sens are the sensitive VMs of Figure 3.
+var fig3Sens = []string{workload.VSen1, workload.VSen2, workload.VSen3}
+
+// newFig3 plans each sensitive app's solo baseline, then every (app,
+// cap) cell; each payload is the sensitive VM's IPC.
+func newFig3(seed uint64) *figSweep[float64, Fig3Result] {
+	s := &figSweep[float64, Fig3Result]{name: "fig3", seed: seed}
+	for _, app := range fig3Sens {
+		s.arms = append(s.arms, ipcArm("solo/"+app, soloScenario(app, seed), "solo"))
 	}
-	var keys []key
-	var scenarios []Scenario
-	for _, app := range sens {
+	for _, app := range fig3Sens {
 		for _, c := range Fig3Caps {
-			keys = append(keys, key{app, c})
-			scenarios = append(scenarios, Scenario{
+			s.arms = append(s.arms, ipcArm(fmt.Sprintf("%s/cap%d", app, c), Scenario{
 				NodeConfig: cluster.NodeConfig{Seed: seed},
 				VMs: []vm.Spec{
 					pinned("sen", app, 0),
 					{Name: "dis", App: workload.VDis1, Pins: []int{1}, CapPercent: c},
 				},
-			})
+			}, "sen"))
 		}
 	}
-	results, err := RunAll(scenarios)
-	if err != nil {
-		return Fig3Result{}, err
-	}
-
-	out := Fig3Result{
-		Degradation: make(map[string][]float64, len(sens)),
-		PearsonR:    make(map[string]float64, len(sens)),
-		Caps:        Fig3Caps,
-	}
-	for i, k := range keys {
-		deg := stats.DegradationPercent(soloIPC[k.app], results[i].IPC("sen"))
-		if deg < 0 {
-			deg = 0
+	s.fold = func(ipc []float64) (Fig3Result, []Table, error) {
+		solo, cells := ipc[:len(fig3Sens)], ipc[len(fig3Sens):]
+		out := Fig3Result{
+			Degradation: make(map[string][]float64, len(fig3Sens)),
+			PearsonR:    make(map[string]float64, len(fig3Sens)),
+			Caps:        Fig3Caps,
 		}
-		out.Degradation[k.app] = append(out.Degradation[k.app], deg)
-	}
-	caps := make([]float64, len(Fig3Caps))
-	for i, c := range Fig3Caps {
-		caps[i] = float64(c)
-	}
-	for _, app := range sens {
-		r, err := stats.PearsonR(caps, out.Degradation[app])
-		if err != nil {
-			r = 0
+		caps := make([]float64, len(Fig3Caps))
+		for i, c := range Fig3Caps {
+			caps[i] = float64(c)
 		}
-		out.PearsonR[app] = r
+		for ai, app := range fig3Sens {
+			for range Fig3Caps {
+				out.Degradation[app] = append(out.Degradation[app], degradation(solo[ai], cells[0]))
+				cells = cells[1:]
+			}
+			r, err := stats.PearsonR(caps, out.Degradation[app])
+			if err != nil {
+				r = 0
+			}
+			out.PearsonR[app] = r
+		}
+		return out, []Table{out.Table()}, nil
 	}
-	return out, nil
+	return s
 }
 
 // Table renders the sweep.
@@ -103,7 +91,7 @@ func (r Fig3Result) Table() Table {
 		t.Columns = append(t.Columns, fmt.Sprintf("%d%%", c))
 	}
 	t.Columns = append(t.Columns, "pearson r")
-	for _, app := range []string{workload.VSen1, workload.VSen2, workload.VSen3} {
+	for _, app := range fig3Sens {
 		row := []interface{}{app}
 		for _, d := range r.Degradation[app] {
 			row = append(row, d)

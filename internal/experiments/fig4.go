@@ -3,7 +3,6 @@ package experiments
 import (
 	"encoding/json"
 	"fmt"
-	"strings"
 
 	"kyoto/internal/cache"
 	"kyoto/internal/cluster"
@@ -71,60 +70,43 @@ func fig4Pairs(apps []string) [][2]string {
 	return pairs
 }
 
-// fig4Plan builds the shared solo + pairwise job plan of the Figure 4
-// sweeps: one solo job per app, then one job per ordered pair.
-func fig4Plan(name string, apps []string, seed uint64) []sweep.Job {
-	pairs := fig4Pairs(apps)
-	jobs := make([]sweep.Job, 0, len(apps)+len(pairs))
+// fig4Arms builds the shared solo + pairwise plan of the Figure 4 sweeps
+// on the given tier: one solo job per app, then one job per ordered
+// pair. The two payload shapes differ, so each job returns its payload
+// already encoded.
+func fig4Arms(apps []string, seed uint64, fid cache.Fidelity) []figArm[json.RawMessage] {
+	arms := make([]figArm[json.RawMessage], 0, len(apps)*len(apps))
 	for _, app := range apps {
-		jobs = append(jobs, sweep.Job{
-			Sweep: name, Key: "solo/" + app, Index: len(jobs), Seed: seed,
-			Params: map[string]string{"app": app},
-		})
-	}
-	for _, p := range pairs {
-		jobs = append(jobs, sweep.Job{
-			Sweep: name, Key: "pair/" + p[0] + "/" + p[1], Index: len(jobs), Seed: seed,
-			Params: map[string]string{"attacker": p[0], "victim": p[1]},
-		})
-	}
-	return jobs
-}
-
-// fig4RunJob executes one job of a Figure 4 plan (shared by the study
-// and the diagnostic matrix) on the given fidelity tier.
-func fig4RunJob(job sweep.Job, seed uint64, fid cache.Fidelity) (json.RawMessage, error) {
-	if app, ok := strings.CutPrefix(job.Key, "solo/"); ok {
 		sc := soloScenario(app, seed)
 		sc.Fidelity = fid
-		r, err := Run(sc)
-		if err != nil {
-			return nil, err
-		}
-		d := r.PerVM["solo"]
-		return json.Marshal(fig4SoloPayload{
-			App: app, IPC: d.IPC(), LLCM: core.RawLLCMValue(d), Eq1: core.Equation1Value(d),
-		})
+		arms = append(arms, figArm[json.RawMessage]{"solo/" + app, func() (json.RawMessage, error) {
+			r, err := Run(sc)
+			if err != nil {
+				return nil, err
+			}
+			d := r.PerVM["solo"]
+			return json.Marshal(fig4SoloPayload{
+				App: app, IPC: d.IPC(), LLCM: core.RawLLCMValue(d), Eq1: core.Equation1Value(d),
+			})
+		}})
 	}
-	rest, ok := strings.CutPrefix(job.Key, "pair/")
-	if !ok {
-		return nil, fmt.Errorf("unknown job key %q", job.Key)
+	for _, p := range fig4Pairs(apps) {
+		attacker, victim := p[0], p[1]
+		arms = append(arms, figArm[json.RawMessage]{"pair/" + attacker + "/" + victim, func() (json.RawMessage, error) {
+			r, err := Run(Scenario{
+				NodeConfig: cluster.NodeConfig{Seed: seed, Fidelity: fid},
+				VMs: []vm.Spec{
+					pinned("attacker", attacker, 0),
+					pinned("victim", victim, 1),
+				},
+			})
+			if err != nil {
+				return nil, err
+			}
+			return json.Marshal(fig4PairPayload{Attacker: attacker, Victim: victim, VictimIPC: r.IPC("victim")})
+		}})
 	}
-	attacker, victim, ok := strings.Cut(rest, "/")
-	if !ok {
-		return nil, fmt.Errorf("unknown job key %q", job.Key)
-	}
-	r, err := Run(Scenario{
-		NodeConfig: cluster.NodeConfig{Seed: seed, Fidelity: fid},
-		VMs: []vm.Spec{
-			pinned("attacker", attacker, 0),
-			pinned("victim", victim, 1),
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(fig4PairPayload{Attacker: attacker, Victim: victim, VictimIPC: r.IPC("victim")})
+	return arms
 }
 
 // fig4Cell is one decoded pair job: the victim's IPC degradation
@@ -175,67 +157,45 @@ func fig4Aggressiveness(cells []fig4Cell) map[string]float64 {
 	return agg
 }
 
-// Fig4Sweeper is the shardable form of Fig4: the 10 solo
-// characterizations plus the 90-world pairwise parallel-execution matrix
-// behind the aggressiveness averages — the largest single sweep in the
-// harness, and the reference workload for process-level sharding.
-type Fig4Sweeper struct {
-	seed uint64
-	fid  cache.Fidelity
-	apps []string
-	res  *Fig4Result
-}
+// Fig4 runs the indicator study: 10 solo runs plus the full pairwise
+// parallel-execution matrix (90 runs), the largest single sweep in the
+// harness and the reference workload for process-level sharding.
+func Fig4(seed uint64) (Fig4Result, error) { return newFig4(seed, cache.FidelityExact).result() }
 
-// NewFig4Sweeper returns the shardable Figure 4 indicator study on the
-// exact tier.
-func NewFig4Sweeper(seed uint64) *Fig4Sweeper {
-	return NewFig4SweeperFidelity(seed, cache.FidelityExact)
-}
+// Fig4Sweep is Figure 4 as a sweep on the given tier; the broad pass of
+// a two-tier run is its analytic form.
+func Fig4Sweep(seed uint64, fid cache.Fidelity) Experiment { return newFig4(seed, fid) }
 
-// NewFig4SweeperFidelity is NewFig4Sweeper with an explicit cache-model
-// tier — the broad pass of a two-tier sweep runs it analytic.
-func NewFig4SweeperFidelity(seed uint64, fid cache.Fidelity) *Fig4Sweeper {
-	return &Fig4Sweeper{seed: seed, fid: fid, apps: workload.Figure4Apps()}
-}
-
-// Name implements sweep.Sweep.
-func (s *Fig4Sweeper) Name() string { return "fig4" }
-
-// ConfigFingerprint implements sweep.ConfigFingerprinter. Exact-tier
-// digests predate the fidelity knob and must not move; non-exact tiers
-// append their tag so mixed-fidelity shards refuse to merge.
-func (s *Fig4Sweeper) ConfigFingerprint() string {
-	return fig4ConfigFingerprint(s.seed, s.fid)
-}
-
-// Plan implements sweep.Sweep.
-func (s *Fig4Sweeper) Plan() []sweep.Job { return fig4Plan(s.Name(), s.apps, s.seed) }
-
-// Run implements sweep.Sweep.
-func (s *Fig4Sweeper) Run(job sweep.Job) (json.RawMessage, error) {
-	return fig4RunJob(job, s.seed, s.fid)
-}
-
-// fig4ConfigFingerprint digests the seed, plus the fidelity tag when it
-// is not the pre-two-fidelity default.
-func fig4ConfigFingerprint(seed uint64, fid cache.Fidelity) string {
-	if tag := fidelityTag(fid); tag != "" {
-		return sweep.FingerprintPayload([]byte(fmt.Sprintf(`{"seed":%d,"fidelity":%q}`, seed, tag)))
+// newFig4 folds the Figure 4 plan into the orderings and Kendall taus.
+// Its seed metrics are the two indicator-agreement taus of the one arm.
+func newFig4(seed uint64, fid cache.Fidelity) *figSweep[json.RawMessage, Fig4Result] {
+	apps := workload.Figure4Apps()
+	return &figSweep[json.RawMessage, Fig4Result]{
+		name: "fig4", seed: seed, fid: fid,
+		arms: fig4Arms(apps, seed, fid),
+		fold: func(payloads []json.RawMessage) (Fig4Result, []Table, error) {
+			res, err := fig4Fold(apps, payloads)
+			return res, []Table{res.Table()}, err
+		},
+		metrics: []string{"tau_llcm", "tau_eq1"},
+		metricRows: func(r Fig4Result) []sweep.MetricRow {
+			return []sweep.MetricRow{{Arm: "fig4", Values: []float64{r.TauLLCM, r.TauEq1}}}
+		},
+		reseed: func(seed uint64) *figSweep[json.RawMessage, Fig4Result] { return newFig4(seed, fid) },
 	}
-	return sweep.FingerprintPayload([]byte(fmt.Sprintf(`{"seed":%d}`, seed)))
 }
 
-// Merge implements sweep.Sweep: fold the solo indicators and pairwise
-// degradations into the orderings and Kendall taus.
-func (s *Fig4Sweeper) Merge(payloads []json.RawMessage) error {
-	solo, cells, err := fig4Decode(s.apps, payloads)
+// fig4Fold folds the solo indicators and pairwise degradations into the
+// orderings and Kendall taus.
+func fig4Fold(apps []string, payloads []json.RawMessage) (Fig4Result, error) {
+	solo, cells, err := fig4Decode(apps, payloads)
 	if err != nil {
-		return err
+		return Fig4Result{}, err
 	}
 	res := Fig4Result{
 		Aggressiveness: fig4Aggressiveness(cells),
-		LLCM:           make(map[string]float64, len(s.apps)),
-		Equation1:      make(map[string]float64, len(s.apps)),
+		LLCM:           make(map[string]float64, len(apps)),
+		Equation1:      make(map[string]float64, len(apps)),
 	}
 	for _, p := range solo {
 		res.LLCM[p.App] = p.LLCM
@@ -247,32 +207,18 @@ func (s *Fig4Sweeper) Merge(payloads []json.RawMessage) error {
 	res.Apps = res.O1
 
 	if res.TauLLCM, err = stats.KendallTau(res.O2, res.O1); err != nil {
-		return err
+		return res, err
 	}
 	if res.TauEq1, err = stats.KendallTau(res.O3, res.O1); err != nil {
-		return err
+		return res, err
 	}
 	if res.PaperTauLLCM, err = stats.KendallTau(workload.PaperOrderO2(), workload.PaperOrderO1()); err != nil {
-		return err
+		return res, err
 	}
 	if res.PaperTauEq1, err = stats.KendallTau(workload.PaperOrderO3(), workload.PaperOrderO1()); err != nil {
-		return err
+		return res, err
 	}
-	s.res = &res
-	return nil
-}
-
-// Result returns the merged study; it is nil until Merge ran.
-func (s *Fig4Sweeper) Result() *Fig4Result { return s.res }
-
-// Fig4 runs the indicator study: 10 solo runs plus the full pairwise
-// parallel-execution matrix (90 runs), in-process through Fig4Sweeper.
-func Fig4(seed uint64) (Fig4Result, error) {
-	s := NewFig4Sweeper(seed)
-	if err := (sweep.Engine{}).Run(s); err != nil {
-		return Fig4Result{}, err
-	}
-	return *s.Result(), nil
+	return res, nil
 }
 
 // Table renders the study as the paper's Figure 4 panels.

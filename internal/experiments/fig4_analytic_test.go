@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"kyoto/internal/cache"
-	"kyoto/internal/sweep"
 )
 
 // TestFig4AnalyticSweep runs the full Figure 4 indicator study (10 solo
@@ -15,13 +14,10 @@ import (
 // aggressiveness values, and a fidelity-tagged config digest that
 // refuses to merge with exact-tier shards.
 func TestFig4AnalyticSweep(t *testing.T) {
-	s := NewFig4SweeperFidelity(1, cache.FidelityAnalytic)
-	if err := (sweep.Engine{}).Run(s); err != nil {
+	s := newFig4(1, cache.FidelityAnalytic)
+	r, err := s.result()
+	if err != nil {
 		t.Fatal(err)
-	}
-	r := s.Result()
-	if r == nil {
-		t.Fatal("Result is nil after Merge")
 	}
 	if len(r.Apps) != 10 || len(r.O1) != 10 || len(r.O2) != 10 || len(r.O3) != 10 {
 		t.Fatalf("incomplete orderings: apps %d, o1 %d, o2 %d, o3 %d",
@@ -43,7 +39,7 @@ func TestFig4AnalyticSweep(t *testing.T) {
 	if tbl := r.Table(); len(tbl.Rows) < len(r.Apps) {
 		t.Fatalf("Figure 4 table has %d rows for %d apps", len(tbl.Rows), len(r.Apps))
 	}
-	if exact := NewFig4Sweeper(1).ConfigFingerprint(); exact == s.ConfigFingerprint() {
+	if exact := newFig4(1, cache.FidelityExact).ConfigFingerprint(); exact == s.ConfigFingerprint() {
 		t.Fatal("analytic config digest equals the exact-tier digest — mixed-fidelity shards would merge")
 	}
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 
 	"kyoto/internal/cluster"
 	"kyoto/internal/core"
@@ -55,57 +54,68 @@ type Fig5Result struct {
 const fig5TimelineTicks = 70
 
 // Fig5 runs vsen1 against each disruptor under XCS and KS4Xen.
-func Fig5(seed uint64) (Fig5Result, error) {
+func Fig5(seed uint64) (Fig5Result, error) { return newFig5(seed).result() }
+
+// Fig5Sweep is Figure 5 as a sweep.
+func Fig5Sweep(seed uint64) Experiment { return newFig5(seed) }
+
+// fig5Payload is one Figure 5 job's outcome: vsen1's IPC and both VMs'
+// punishments, or the vdis1 timeline.
+type fig5Payload struct {
+	IPC       float64      `json:"ipc"`
+	PunishSen uint64       `json:"punish_sen"`
+	PunishDis uint64       `json:"punish_dis"`
+	Timeline  Fig5Timeline `json:"timeline"`
+}
+
+// newFig5 plans vsen1's solo baseline, an XCS and a KS4Xen job per
+// disruptor, then the vdis1 timeline.
+func newFig5(seed uint64) *figSweep[fig5Payload, Fig5Result] {
 	disruptors := []string{workload.VDis1, workload.VDis2, workload.VDis3}
-	res := Fig5Result{
-		NormPerf:    make(map[string]float64, len(disruptors)),
-		NormPerfXCS: make(map[string]float64, len(disruptors)),
-		PunishSen:   make(map[string]uint64, len(disruptors)),
-		PunishDis:   make(map[string]uint64, len(disruptors)),
-		Disruptors:  disruptors,
-	}
-
-	solo, err := Run(soloScenario(workload.VSen1, seed))
-	if err != nil {
-		return res, err
-	}
-	soloIPC := solo.PerVM["solo"].IPC()
-
-	// Each disruptor's XCS/KS4Xen pair is independent: fan them out.
-	var mu sync.Mutex
-	err = ForEach(len(disruptors), 0, func(i int) error {
-		dis := disruptors[i]
-		// Plain XCS.
-		s := Scenario{NodeConfig: cluster.NodeConfig{Seed: seed}, VMs: fig5VMs(dis), Measure: 45}
-		xcs, err := Run(s)
-		if err != nil {
-			return err
+	read := func(r Result) fig5Payload {
+		return fig5Payload{
+			IPC:       r.IPC("sen"),
+			PunishSen: r.World.FindVM("sen").Punishments,
+			PunishDis: r.World.FindVM("dis").Punishments,
 		}
-
-		// KS4Xen.
-		s.EnableKyoto = true
-		ks, err := Run(s)
-		if err != nil {
-			return err
+	}
+	s := &figSweep[fig5Payload, Fig5Result]{name: "fig5", seed: seed}
+	s.arms = append(s.arms, scenarioArm("solo", soloScenario(workload.VSen1, seed), func(r Result) fig5Payload {
+		return fig5Payload{IPC: r.IPC("solo")}
+	}))
+	for _, dis := range disruptors {
+		for _, kyoto := range []bool{false, true} {
+			s.arms = append(s.arms, scenarioArm(fmt.Sprintf("%s/kyoto=%t", dis, kyoto), Scenario{
+				NodeConfig: cluster.NodeConfig{Seed: seed, EnableKyoto: kyoto},
+				VMs:        fig5VMs(dis),
+				Measure:    45,
+			}, read))
 		}
-		mu.Lock()
-		defer mu.Unlock()
-		res.NormPerfXCS[dis] = xcs.IPC("sen") / soloIPC
-		res.NormPerf[dis] = ks.IPC("sen") / soloIPC
-		res.PunishSen[dis] = ks.World.FindVM("sen").Punishments
-		res.PunishDis[dis] = ks.World.FindVM("dis").Punishments
-		return nil
-	})
-	if err != nil {
-		return res, err
 	}
-
-	tl, err := fig5Timeline(seed)
-	if err != nil {
-		return res, err
+	s.arms = append(s.arms, figArm[fig5Payload]{"timeline", func() (fig5Payload, error) {
+		tl, err := fig5Timeline(seed)
+		return fig5Payload{Timeline: tl}, err
+	}})
+	s.fold = func(ps []fig5Payload) (Fig5Result, []Table, error) {
+		res := Fig5Result{
+			NormPerf:    make(map[string]float64, len(disruptors)),
+			NormPerfXCS: make(map[string]float64, len(disruptors)),
+			PunishSen:   make(map[string]uint64, len(disruptors)),
+			PunishDis:   make(map[string]uint64, len(disruptors)),
+			Disruptors:  disruptors,
+		}
+		soloIPC := ps[0].IPC
+		for i, dis := range disruptors {
+			xcs, ks := ps[1+2*i], ps[2+2*i]
+			res.NormPerfXCS[dis] = xcs.IPC / soloIPC
+			res.NormPerf[dis] = ks.IPC / soloIPC
+			res.PunishSen[dis] = ks.PunishSen
+			res.PunishDis[dis] = ks.PunishDis
+		}
+		res.Timeline = ps[len(ps)-1].Timeline
+		return res, res.Tables(), nil
 	}
-	res.Timeline = tl
-	return res, nil
+	return s
 }
 
 // fig5VMs builds the vsen1+disruptor pair with the paper's bookings.

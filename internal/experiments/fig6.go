@@ -25,21 +25,17 @@ type Fig6Result struct {
 }
 
 // Fig6 runs the sweep.
-func Fig6(seed uint64) (Fig6Result, error) {
-	solo, err := Run(soloScenario(workload.VSen1, seed))
-	if err != nil {
-		return Fig6Result{}, err
-	}
-	soloIPC := solo.PerVM["solo"].IPC()
+func Fig6(seed uint64) (Fig6Result, error) { return newFig6(seed).result() }
 
-	res := Fig6Result{
-		Counts:      Fig6Counts,
-		NormPerf:    make([]float64, len(Fig6Counts)),
-		NormPerfXCS: make([]float64, len(Fig6Counts)),
-	}
-	// Every sweep point is an independent pair of worlds: fan them out.
-	err = ForEach(len(Fig6Counts), 0, func(i int) error {
-		n := Fig6Counts[i]
+// Fig6Sweep is Figure 6 as a sweep.
+func Fig6Sweep(seed uint64) Experiment { return newFig6(seed) }
+
+// newFig6 plans vsen1's solo baseline, then a KS4Xen and an XCS job per
+// disruptor count; each payload is vsen1's IPC.
+func newFig6(seed uint64) *figSweep[float64, Fig6Result] {
+	s := &figSweep[float64, Fig6Result]{name: "fig6", seed: seed}
+	s.arms = append(s.arms, ipcArm("solo", soloScenario(workload.VSen1, seed), "solo"))
+	for _, n := range Fig6Counts {
 		vms := []vm.Spec{
 			{Name: "sen", App: workload.VSen1, Pins: []int{0}, LLCCap: Fig5LLCCap},
 		}
@@ -50,26 +46,27 @@ func Fig6(seed uint64) (Fig6Result, error) {
 				LLCCap: Fig6DisLLCCap,
 			})
 		}
-
-		s := Scenario{NodeConfig: cluster.NodeConfig{Seed: seed, EnableKyoto: true}, VMs: vms, Measure: 45}
-		ks, err := Run(s)
-		if err != nil {
-			return err
+		for _, kyoto := range []bool{true, false} {
+			s.arms = append(s.arms, ipcArm(fmt.Sprintf("dis%d/kyoto=%t", n, kyoto), Scenario{
+				NodeConfig: cluster.NodeConfig{Seed: seed, EnableKyoto: kyoto},
+				VMs:        vms,
+				Measure:    45,
+			}, "sen"))
 		}
-		res.NormPerf[i] = ks.IPC("sen") / soloIPC
-
-		s.EnableKyoto = false
-		xcs, err := Run(s)
-		if err != nil {
-			return err
-		}
-		res.NormPerfXCS[i] = xcs.IPC("sen") / soloIPC
-		return nil
-	})
-	if err != nil {
-		return Fig6Result{}, err
 	}
-	return res, nil
+	s.fold = func(ipc []float64) (Fig6Result, []Table, error) {
+		res := Fig6Result{
+			Counts:      Fig6Counts,
+			NormPerf:    make([]float64, len(Fig6Counts)),
+			NormPerfXCS: make([]float64, len(Fig6Counts)),
+		}
+		for i := range Fig6Counts {
+			res.NormPerf[i] = ipc[1+2*i] / ipc[0]
+			res.NormPerfXCS[i] = ipc[2+2*i] / ipc[0]
+		}
+		return res, []Table{res.Table()}, nil
+	}
+	return s
 }
 
 // Table renders the sweep.

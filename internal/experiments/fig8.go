@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+
 	"kyoto/internal/cluster"
 	"kyoto/internal/machine"
 	"kyoto/internal/sched"
@@ -29,27 +31,28 @@ type Fig8Result struct {
 	KS4PiscesColocated float64
 }
 
-// Fig8 runs the four bars concurrently (each is an independent world).
-func Fig8(seed uint64) (Fig8Result, error) {
-	var res Fig8Result
-	bars := []struct {
-		colocated, kyoto bool
-		out              *float64
-	}{
-		{false, false, &res.PiscesAlone},
-		{true, false, &res.PiscesColocated},
-		{false, true, &res.KS4PiscesAlone},
-		{true, true, &res.KS4PiscesColocated},
-	}
-	err := ForEach(len(bars), 0, func(i int) error {
-		v, err := fig8Run(seed, bars[i].colocated, bars[i].kyoto)
-		if err != nil {
-			return err
+// Fig8 runs the four bars, each an independent world.
+func Fig8(seed uint64) (Fig8Result, error) { return newFig8(seed).result() }
+
+// Fig8Sweep is Figure 8 as a sweep.
+func Fig8Sweep(seed uint64) Experiment { return newFig8(seed) }
+
+// newFig8 plans one job per bar, whose payload is vsen1's completion
+// time.
+func newFig8(seed uint64) *figSweep[float64, Fig8Result] {
+	s := &figSweep[float64, Fig8Result]{name: "fig8", seed: seed}
+	for _, kyoto := range []bool{false, true} {
+		for _, colocated := range []bool{false, true} {
+			s.arms = append(s.arms, figArm[float64]{fmt.Sprintf("kyoto=%t/colocated=%t", kyoto, colocated), func() (float64, error) {
+				return fig8Run(seed, colocated, kyoto)
+			}})
 		}
-		*bars[i].out = v
-		return nil
-	})
-	return res, err
+	}
+	s.fold = func(ms []float64) (Fig8Result, []Table, error) {
+		res := Fig8Result{PiscesAlone: ms[0], PiscesColocated: ms[1], KS4PiscesAlone: ms[2], KS4PiscesColocated: ms[3]}
+		return res, []Table{res.Table()}, nil
+	}
+	return s
 }
 
 // fig8Run measures vsen1's completion time for fig8Work instructions.

@@ -4,7 +4,6 @@ import (
 	"kyoto/internal/cluster"
 	"kyoto/internal/hv"
 	"kyoto/internal/machine"
-	"kyoto/internal/stats"
 	"kyoto/internal/vm"
 	"kyoto/internal/xrand"
 )
@@ -78,36 +77,40 @@ type Fig9Result struct {
 }
 
 // Fig9 runs each app solo on the R420, with and without migrations.
-func Fig9(seed uint64) (Fig9Result, error) {
-	res := Fig9Result{Apps: Fig9Apps, Degradation: make([]float64, len(Fig9Apps))}
-	// Each app's base/migrated pair is independent: fan them out.
-	err := ForEach(len(Fig9Apps), 0, func(i int) error {
-		app := Fig9Apps[i]
-		s := Scenario{
+func Fig9(seed uint64) (Fig9Result, error) { return newFig9(seed).result() }
+
+// Fig9Sweep is Figure 9 as a sweep.
+func Fig9Sweep(seed uint64) Experiment { return newFig9(seed) }
+
+// newFig9 plans, per app, an undisturbed and a migrated job; each
+// payload is the app's IPC.
+func newFig9(seed uint64) *figSweep[float64, Fig9Result] {
+	s := &figSweep[float64, Fig9Result]{name: "fig9", seed: seed}
+	for _, app := range Fig9Apps {
+		sc := Scenario{
 			NodeConfig: cluster.NodeConfig{Machine: machine.R420(seed), Seed: seed},
 			VMs:        []vm.Spec{pinned("solo", app, 0)},
 			Measure:    60,
 		}
-		base, err := Run(s)
-		if err != nil {
-			return err
+		s.arms = append(s.arms, ipcArm("base/"+app, sc, "solo"), figArm[float64]{"migrated/" + app, func() (float64, error) {
+			// The same world, with the hook wired to the vCPU.
+			w, err := sc.build()
+			if err != nil {
+				return 0, err
+			}
+			awayCore := w.Machine().Socket(1).Cores[0].ID
+			w.AddHook(NewMigrationHook(w.FindVM("solo").VCPUs[0], 0, awayCore, 6, 3, seed))
+			return sc.measure(w).IPC("solo"), nil
+		}})
+	}
+	s.fold = func(ipc []float64) (Fig9Result, []Table, error) {
+		res := Fig9Result{Apps: Fig9Apps, Degradation: make([]float64, len(Fig9Apps))}
+		for i := range Fig9Apps {
+			res.Degradation[i] = degradation(ipc[2*i], ipc[2*i+1])
 		}
-
-		// Migrated run: the same world, with the hook wired to the vCPU.
-		w, err := s.build()
-		if err != nil {
-			return err
-		}
-		awayCore := w.Machine().Socket(1).Cores[0].ID
-		w.AddHook(NewMigrationHook(w.FindVM("solo").VCPUs[0], 0, awayCore, 6, 3, seed))
-		deg := stats.DegradationPercent(base.IPC("solo"), s.measure(w).IPC("solo"))
-		if deg < 0 {
-			deg = 0
-		}
-		res.Degradation[i] = deg
-		return nil
-	})
-	return res, err
+		return res, []Table{res.Table()}, nil
+	}
+	return s
 }
 
 // Table renders the per-app overhead bars.

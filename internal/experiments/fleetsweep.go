@@ -640,6 +640,14 @@ func (s *FleetSweeper) soloBaselines(payloads []json.RawMessage) (map[string]flo
 // Result returns the merged sweep outcome; it is nil until Merge ran.
 func (s *FleetSweeper) Result() *FleetSweepResult { return s.res }
 
+// Tables implements Experiment.
+func (s *FleetSweeper) Tables() []Table {
+	if s.res == nil {
+		return nil
+	}
+	return []Table{s.res.Table()}
+}
+
 // row folds one arm payload into its result row: placement outcome,
 // normalized-performance and wait percentiles, and the arm's triggers
 // scored against the aggressive-app ground truth.

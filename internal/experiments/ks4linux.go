@@ -1,7 +1,7 @@
 package experiments
 
 import (
-	"sync"
+	"fmt"
 
 	"kyoto/internal/cluster"
 	"kyoto/internal/sched"
@@ -25,50 +25,49 @@ type KS4LinuxResult struct {
 }
 
 // KS4Linux runs the vsen1-vs-vdis1 pairing on the three systems.
-func KS4Linux(seed uint64) (KS4LinuxResult, error) {
-	res := KS4LinuxResult{
-		NormPerf:     make(map[string]float64, 3),
-		NormPerfBase: make(map[string]float64, 3),
-		Systems:      []string{"KS4Xen (credit)", "KS4Linux (cfs)", "KS4Pisces (pisces)"},
-	}
-	solo, err := Run(soloScenario(workload.VSen1, seed))
-	if err != nil {
-		return res, err
-	}
-	soloIPC := solo.PerVM["solo"].IPC()
+func KS4Linux(seed uint64) (KS4LinuxResult, error) { return newKS4Linux(seed).result() }
 
-	bases := map[string]func(int) sched.Scheduler{
-		"KS4Xen (credit)":    nil, // the credit scheduler
-		"KS4Linux (cfs)":     func(int) sched.Scheduler { return sched.NewCFS() },
-		"KS4Pisces (pisces)": func(int) sched.Scheduler { return sched.NewPisces() },
-	}
-	// The three systems are independent world pairs: fan them out. The
-	// result maps are pre-sized and each worker writes distinct keys.
-	var mu sync.Mutex
-	err = ForEach(len(res.Systems), 0, func(i int) error {
-		system := res.Systems[i]
-		s := Scenario{
-			NodeConfig: cluster.NodeConfig{Seed: seed, NewSched: bases[system]},
-			VMs:        fig5VMs(workload.VDis1),
-			Measure:    45,
-		}
-		base, err := Run(s)
-		if err != nil {
-			return err
-		}
+// KS4LinuxSweep is the cross-system comparison as a sweep.
+func KS4LinuxSweep(seed uint64) Experiment { return newKS4Linux(seed) }
 
-		s.EnableKyoto = true
-		ks, err := Run(s)
-		if err != nil {
-			return err
+// ks4Systems lists the three systems in presentation order with their
+// base schedulers.
+var ks4Systems = []struct {
+	name     string
+	newSched func(int) sched.Scheduler
+}{
+	{"KS4Xen (credit)", nil}, // the credit scheduler
+	{"KS4Linux (cfs)", func(int) sched.Scheduler { return sched.NewCFS() }},
+	{"KS4Pisces (pisces)", func(int) sched.Scheduler { return sched.NewPisces() }},
+}
+
+// newKS4Linux plans vsen1's solo baseline, then a base and a Kyoto job
+// per system; each payload is vsen1's IPC.
+func newKS4Linux(seed uint64) *figSweep[float64, KS4LinuxResult] {
+	s := &figSweep[float64, KS4LinuxResult]{name: "ks4linux", seed: seed}
+	s.arms = append(s.arms, ipcArm("solo", soloScenario(workload.VSen1, seed), "solo"))
+	for _, sys := range ks4Systems {
+		for _, kyoto := range []bool{false, true} {
+			s.arms = append(s.arms, ipcArm(fmt.Sprintf("%s/kyoto=%t", sys.name, kyoto), Scenario{
+				NodeConfig: cluster.NodeConfig{Seed: seed, NewSched: sys.newSched, EnableKyoto: kyoto},
+				VMs:        fig5VMs(workload.VDis1),
+				Measure:    45,
+			}, "sen"))
 		}
-		mu.Lock()
-		res.NormPerfBase[system] = base.IPC("sen") / soloIPC
-		res.NormPerf[system] = ks.IPC("sen") / soloIPC
-		mu.Unlock()
-		return nil
-	})
-	return res, err
+	}
+	s.fold = func(ipc []float64) (KS4LinuxResult, []Table, error) {
+		res := KS4LinuxResult{
+			NormPerf:     make(map[string]float64, len(ks4Systems)),
+			NormPerfBase: make(map[string]float64, len(ks4Systems)),
+		}
+		for i, sys := range ks4Systems {
+			res.Systems = append(res.Systems, sys.name)
+			res.NormPerfBase[sys.name] = ipc[1+2*i] / ipc[0]
+			res.NormPerf[sys.name] = ipc[2+2*i] / ipc[0]
+		}
+		return res, []Table{res.Table()}, nil
+	}
+	return s
 }
 
 // Table renders the cross-system comparison.

@@ -1,10 +1,14 @@
 // Package experiments reproduces every table and figure of the paper's
-// evaluation (§2.2 and §4). Each ExpNN/FigNN/TableNN function builds the
-// corresponding scenario on the scaled testbed, runs it, and returns a
-// structured result that renders as the paper's rows/series.
+// evaluation (§2.2 and §4) on the scaled testbed. Each experiment is one
+// sweep (figsweep.go): its arms — solo baselines, co-runner pairs,
+// disruptor counts, scheduler arms — are independent jobs, and a fold
+// turns their payloads into a structured result that renders as the
+// paper's rows/series. Each FigN/TableN function runs its sweep
+// in-process and returns that result.
 //
-// cmd/kyotobench's experiment table maps each artefact id to these
-// functions; README's "Reproducing the paper's figures" shows the runs.
+// cmd/kyotobench's experiment table maps each artefact id to its sweep,
+// so every experiment runs in-process or sharded across processes;
+// README's "Reproducing the paper's figures" shows the runs.
 package experiments
 
 import (
@@ -15,7 +19,7 @@ import (
 	"kyoto/internal/hv"
 	"kyoto/internal/machine"
 	"kyoto/internal/pmc"
-	"kyoto/internal/sweep"
+	"kyoto/internal/stats"
 	"kyoto/internal/vm"
 )
 
@@ -128,39 +132,6 @@ func runUntilRetired(s Scenario, name string, work uint64, maxTicks int) (int, e
 	}, maxTicks), nil
 }
 
-// RunAll executes scenarios concurrently (each run is an independent,
-// deterministic world) and returns results in input order.
-func RunAll(scenarios []Scenario) ([]Result, error) {
-	return RunAllWorkers(scenarios, 0)
-}
-
-// RunAllWorkers is RunAll with an explicit worker cap: 1 runs the
-// scenarios serially on the calling goroutine (the reference execution
-// BenchmarkRunnerParallel compares against), 0 defaults to GOMAXPROCS.
-// Results are in input order and identical whatever the cap, because
-// every scenario is an isolated world.
-func RunAllWorkers(scenarios []Scenario, workers int) ([]Result, error) {
-	results := make([]Result, len(scenarios))
-	err := ForEach(len(scenarios), workers, func(i int) error {
-		var err error
-		results[i], err = Run(scenarios[i])
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// ForEach runs f(0) .. f(n-1) across a bounded worker pool (0 workers
-// means GOMAXPROCS; 1 means serial in index order) and returns the error
-// of the lowest-indexed failure. Experiment fan-outs use it for their
-// independent arms; it is sweep.ForEach, re-exported so figure-level
-// code does not need the sweep package for a plain parallel loop.
-func ForEach(n, workers int, f func(i int) error) error {
-	return sweep.ForEach(n, workers, f)
-}
-
 // fidelityTag is a fidelity's config-digest tag: empty for exact, so
 // every digest computed before the two-fidelity split — and every
 // envelope committed under it — keeps its value byte for byte.
@@ -169,6 +140,16 @@ func fidelityTag(f cache.Fidelity) string {
 		return ""
 	}
 	return f.String()
+}
+
+// degradation is the percent IPC loss from baseline to observed, with a
+// co-run speedup counted as no degradation.
+func degradation(baseline, observed float64) float64 {
+	deg := stats.DegradationPercent(baseline, observed)
+	if deg < 0 {
+		return 0
+	}
+	return deg
 }
 
 // pinned returns a single-vCPU spec for app pinned to core.

@@ -1,13 +1,13 @@
 package experiments
 
-// Seedable adapters: every sweeper in the harness can be replicated
-// under consecutive RNG seeds by sweep.SeedSweeper, turning its single
-// numbers into distributions with confidence intervals. Each adapter
-// supplies the three hooks the seed sweep needs — an independent
-// reseeded copy, the fixed metric list, and per-arm metric rows read
-// off the merged result (FleetSweeper carries its own, driven by its
-// preset's metric list) — plus SeedSweepTable, the one renderer behind
-// `kyotosim -seeds` and `kyotobench -seeds`.
+// Seed sweeps: sweep.SeedSweeper replicates a sweep under consecutive
+// RNG seeds, turning its single numbers into distributions with
+// confidence intervals. The seedable sweeps carry their own hooks — an
+// independent reseeded copy, the fixed metric list, and per-arm metric
+// rows read off the merged result: FleetSweeper from its preset's
+// metric list, Figure 4 and the ablations through figSweep's seedHook.
+// SeedSweepTable is the one renderer behind `kyotosim -seeds` and
+// `kyotobench -seeds`.
 
 import (
 	"fmt"
@@ -15,56 +15,6 @@ import (
 	"kyoto/internal/stats"
 	"kyoto/internal/sweep"
 )
-
-// Reseed implements sweep.Seedable for the Figure 4 indicator study.
-func (s *Fig4Sweeper) Reseed(seed uint64) (sweep.Seedable, error) {
-	return NewFig4Sweeper(seed), nil
-}
-
-// MetricNames implements sweep.Seedable.
-func (s *Fig4Sweeper) MetricNames() []string { return []string{"tau_llcm", "tau_eq1"} }
-
-// MetricRows implements sweep.Seedable: the study is one arm whose
-// metrics are the two indicator-agreement taus.
-func (s *Fig4Sweeper) MetricRows() []sweep.MetricRow {
-	if s.res == nil {
-		return nil
-	}
-	return []sweep.MetricRow{{Arm: "fig4", Values: []float64{s.res.TauLLCM, s.res.TauEq1}}}
-}
-
-// ablationArmNames names the six ablation outcomes (A and B of each
-// study, in ablationArms order) as seed-sweep arms.
-var ablationArmNames = map[string][2]string{
-	"indicator":    {"indicator/eq1", "indicator/llcm"},
-	"partitioning": {"partitioning/ks4xen", "partitioning/ucp"},
-	"banking":      {"banking/none", "banking/bank4"},
-}
-
-// Reseed implements sweep.Seedable for the ablation suite.
-func (s *AblationSweeper) Reseed(seed uint64) (sweep.Seedable, error) {
-	return NewAblationSweeper(seed), nil
-}
-
-// MetricNames implements sweep.Seedable.
-func (s *AblationSweeper) MetricNames() []string { return []string{"vsen1_norm"} }
-
-// MetricRows implements sweep.Seedable: each study's A and B outcomes
-// become separate arms sharing the one normalized-performance metric.
-func (s *AblationSweeper) MetricRows() []sweep.MetricRow {
-	if s.vals == nil {
-		return nil
-	}
-	rows := make([]sweep.MetricRow, 0, 2*len(ablationArms))
-	for i, arm := range ablationArms {
-		names := ablationArmNames[arm.key]
-		rows = append(rows,
-			sweep.MetricRow{Arm: names[0], Values: []float64{s.vals[i].A}},
-			sweep.MetricRow{Arm: names[1], Values: []float64{s.vals[i].B}},
-		)
-	}
-	return rows
-}
 
 // SeedSweepTable renders a merged seed sweep as the arm x metric table
 // the CLIs print: sample mean with its normal-approximation CI, and the

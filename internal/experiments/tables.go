@@ -45,6 +45,22 @@ func Table2() Table {
 	return t
 }
 
+// Table1Sweep is Table 1 as a one-job sweep whose payload is the table.
+func Table1Sweep(uint64) Experiment { return tableSweep("table1", Table1) }
+
+// Table2Sweep is Table 2 as a one-job sweep whose payload is the table.
+func Table2Sweep(uint64) Experiment { return tableSweep("table2", Table2) }
+
+// tableSweep is a static table as a one-job sweep, so the tables shard
+// and merge like every other experiment.
+func tableSweep(name string, render func() Table) *figSweep[Table, Table] {
+	return &figSweep[Table, Table]{
+		name: name,
+		arms: []figArm[Table]{{name, func() (Table, error) { return render(), nil }}},
+		fold: func(ts []Table) (Table, []Table, error) { return ts[0], ts, nil },
+	}
+}
+
 // intKB formats a byte count in KB.
 func intKB(bytes int) string {
 	return formatFloat(float64(bytes)/1024) + " KB"

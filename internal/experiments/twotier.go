@@ -16,6 +16,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strings"
 
 	"kyoto/internal/arrivals"
 	"kyoto/internal/cache"
@@ -39,45 +40,65 @@ type TwoTierTraceResult struct {
 	Confirmed []FleetSweepRow
 }
 
+// runTwoTier runs every two-tier sweep: it runs broad, the analytic
+// sweep, through eng, takes the topK leading arms of its ranking, and
+// runs the exact sweep confirm builds for those leaders through the
+// same engine. topK <= 0 selects DefaultConfirmTopK; it is clamped to
+// the number of ranked arms. Returns the leaders, best first.
+func runTwoTier(eng sweep.Engine, broad sweep.Sweep, rank func() []string, topK int, confirm func(leaders []string) (sweep.Sweep, error)) ([]string, error) {
+	if topK <= 0 {
+		topK = DefaultConfirmTopK
+	}
+	if err := eng.Run(broad); err != nil {
+		return nil, err
+	}
+	ranked := rank()
+	leaders := ranked[:min(topK, len(ranked))]
+	exact, err := confirm(leaders)
+	if err != nil {
+		return nil, err
+	}
+	return leaders, eng.Run(exact)
+}
+
 // TwoTierTraceSweep runs the three-placer trace sweep two-tier: the
 // whole sweep on the analytic tier, then the topK arms with the best
 // analytic p99 normalized-performance floor again on the exact tier
 // (with exact solo baselines, so the confirmation rows normalize against
 // the same tier they ran on). topK <= 0 selects DefaultConfirmTopK.
 func TwoTierTraceSweep(tr arrivals.Trace, cfg FleetSweepConfig, topK int) (*TwoTierTraceResult, error) {
-	if topK <= 0 {
-		topK = DefaultConfirmTopK
-	}
-	acfg := cfg
-	acfg.Fidelity = cache.FidelityAnalytic
-	ares, err := TraceSweep(tr, acfg)
+	acfg, ecfg := cfg, cfg
+	acfg.Fidelity, ecfg.Fidelity = cache.FidelityAnalytic, cache.FidelityExact
+	broad, err := NewTraceSweeper(tr, acfg)
 	if err != nil {
 		return nil, err
 	}
-	ranked := append([]FleetSweepRow(nil), ares.Rows...)
-	sort.SliceStable(ranked, func(i, j int) bool { return ranked[i].P99 > ranked[j].P99 })
-	if topK > len(ranked) {
-		topK = len(ranked)
-	}
-
-	ecfg := cfg
-	ecfg.Fidelity = cache.FidelityExact
-	es, err := NewTraceSweeper(tr, ecfg)
+	var exact *FleetSweeper
+	leaders, err := runTwoTier(sweep.Engine{Workers: cfg.Workers}, broad, func() []string {
+		ranked := slices.Clone(broad.Result().Rows)
+		sort.SliceStable(ranked, func(i, j int) bool { return ranked[i].P99 > ranked[j].P99 })
+		placers := make([]string, len(ranked))
+		for i, row := range ranked {
+			placers[i] = row.Placer
+		}
+		return placers
+	}, topK, func(leaders []string) (sweep.Sweep, error) {
+		if exact, err = NewTraceSweeper(tr, ecfg); err != nil {
+			return nil, err
+		}
+		// Cut the exact sweeper to the leading arms, in ranking order:
+		// its plan is then the exact solo baselines plus those replays.
+		arms := make([]fleetArm, len(leaders))
+		for i, placer := range leaders {
+			arms[i] = exact.arms[slices.IndexFunc(exact.arms, func(a fleetArm) bool { return a.placer.Name() == placer })]
+		}
+		exact.arms = arms
+		return exact, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	// Cut the exact sweeper to the leading arms, in ranking order: its
-	// plan is then the exact solo baselines plus those arm replays.
-	leaders := make([]fleetArm, topK)
-	for i, row := range ranked[:topK] {
-		leaders[i] = es.arms[slices.IndexFunc(es.arms, func(a fleetArm) bool { return a.placer.Name() == row.Placer })]
-	}
-	es.arms = leaders
-	eres, err := runFleetSweep(es, nil)
-	if err != nil {
-		return nil, err
-	}
-	return &TwoTierTraceResult{Analytic: ares, TopK: topK, Confirmed: eres.Rows}, nil
+	return &TwoTierTraceResult{Analytic: broad.Result(), TopK: len(leaders), Confirmed: exact.Result().Rows}, nil
 }
 
 // Tables renders the broad analytic table and the exact-confirmation
@@ -125,39 +146,32 @@ type TwoTierFig4Result struct {
 // baselines) on the exact tier — k*9+10 exact worlds instead of 100.
 // topK <= 0 selects DefaultConfirmTopK.
 func TwoTierFig4(seed uint64, topK int) (*TwoTierFig4Result, error) {
-	if topK <= 0 {
-		topK = DefaultConfirmTopK
-	}
-	s := NewFig4SweeperFidelity(seed, cache.FidelityAnalytic)
-	if err := (sweep.Engine{}).Run(s); err != nil {
-		return nil, err
-	}
-	ares := *s.Result()
-	if topK > len(ares.Apps) {
-		topK = len(ares.Apps)
-	}
-	attackers := append([]string(nil), ares.Apps[:topK]...)
-
-	// The exact pass is the Figure 4 plan cut to the solo baselines and
-	// the attackers' pairings.
-	apps := workload.Figure4Apps()
-	plan := slices.DeleteFunc(fig4Plan("fig4", apps, seed), func(j sweep.Job) bool {
-		a, pair := j.Params["attacker"]
-		return pair && !slices.Contains(attackers, a)
-	})
-	raws := make([]json.RawMessage, len(plan))
-	if err := ForEach(len(plan), 0, func(i int) error {
-		raw, err := fig4RunJob(plan[i], seed, cache.FidelityExact)
-		raws[i] = raw
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	_, cells, err := fig4Decode(apps, raws)
+	broad := newFig4(seed, cache.FidelityAnalytic)
+	var exact *figSweep[json.RawMessage, map[string]float64]
+	attackers, err := runTwoTier(sweep.Engine{}, broad, func() []string { return broad.res.Apps }, topK,
+		func(attackers []string) (sweep.Sweep, error) {
+			// The Figure 4 plan cut to the solo baselines and the
+			// attackers' pairings, folded into their aggressiveness.
+			apps := workload.Figure4Apps()
+			exact = &figSweep[json.RawMessage, map[string]float64]{
+				name: "fig4", seed: seed,
+				fold: func(payloads []json.RawMessage) (map[string]float64, []Table, error) {
+					_, cells, err := fig4Decode(apps, payloads)
+					return fig4Aggressiveness(cells), nil, err
+				},
+			}
+			for _, arm := range fig4Arms(apps, seed, cache.FidelityExact) {
+				rest, pair := strings.CutPrefix(arm.key, "pair/")
+				if attacker, _, _ := strings.Cut(rest, "/"); !pair || slices.Contains(attackers, attacker) {
+					exact.arms = append(exact.arms, arm)
+				}
+			}
+			return exact, nil
+		})
 	if err != nil {
 		return nil, err
 	}
-	return &TwoTierFig4Result{Analytic: ares, TopK: topK, Attackers: attackers, ExactAggressiveness: fig4Aggressiveness(cells)}, nil
+	return &TwoTierFig4Result{Analytic: broad.res, TopK: len(attackers), Attackers: slices.Clone(attackers), ExactAggressiveness: exact.res}, nil
 }
 
 // Tables renders the broad analytic study and the exact-confirmation

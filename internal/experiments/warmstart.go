@@ -214,6 +214,23 @@ func WarmStartSweep(cfg WarmStartConfig) (*WarmStartResult, error) {
 	return res, nil
 }
 
+// WarmStartExperiment is the warm-start sweep as a one-job sweep whose
+// payload is the WarmStartResult.
+func WarmStartExperiment(seed uint64, fid cache.Fidelity) Experiment {
+	return &figSweep[*WarmStartResult, *WarmStartResult]{
+		name: "warmstart", seed: seed, fid: fid,
+		arms: []figArm[*WarmStartResult]{{"warmstart", func() (*WarmStartResult, error) {
+			return WarmStartSweep(WarmStartConfig{Seed: seed, Fidelity: fid})
+		}}},
+		fold: func(rs []*WarmStartResult) (*WarmStartResult, []Table, error) {
+			if rs[0] == nil {
+				return nil, nil, fmt.Errorf("warmstart: empty payload")
+			}
+			return rs[0], []Table{rs[0].Table()}, nil
+		},
+	}
+}
+
 // Table renders the sweep: per-arm victim IPC with the warm/cold
 // fingerprints, and a footer row with the fork accounting.
 func (r *WarmStartResult) Table() Table {

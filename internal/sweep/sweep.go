@@ -56,9 +56,9 @@ type Job struct {
 
 // Sweep is a shardable experiment: a deterministic plan of independent
 // jobs plus a merge that folds their payloads into the final result.
-// Implementations live in internal/experiments (trace sweep, migration
-// sweep, Figure 4, the ablations); external drivers consume them through
-// the public kyoto.SweepJobs / kyoto.RunSweepShard / kyoto.MergeShards.
+// Implementations live in internal/experiments (the fleet sweeps and
+// every paper figure); external programs consume them through the public
+// kyoto.SweepJobs / kyoto.RunSweepShard / kyoto.MergeShards.
 type Sweep interface {
 	// Name identifies the sweep; envelopes carry it and Merge validates
 	// it, so shards of different sweeps cannot be folded together.

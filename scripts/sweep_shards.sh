@@ -2,9 +2,9 @@
 # sweep_shards.sh — fan one sweep across N local processes, then merge.
 #
 # Works with any command that understands the repo's shard protocol
-# (-shard k/n, -shard-out FILE, -merge GLOB): kyotobench's shardable
-# experiments (see kyotobench -list-shardable) and kyotosim's
-# -trace/-churn sweep modes.
+# (-shard k/n, -shard-out FILE, -merge GLOB): every kyotobench
+# experiment (see kyotobench -list) and kyotosim's -trace/-churn sweep
+# modes.
 #
 # Usage:
 #   ./scripts/sweep_shards.sh [-n SHARDS] [-o OUTDIR] -- <command and flags>
