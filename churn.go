@@ -38,8 +38,8 @@ type (
 	// (heterogeneous machines, memory or permit budgets).
 	HostOverride = cluster.HostOverride
 	// FleetSweepConfig parameterizes a fleet sweep (SweepTrace,
-	// SweepMigrations, SweepDetection); each sweep takes a subset of its
-	// fields and refuses the rest.
+	// SweepMigrations, SweepDetection); each sweep takes Workers plus
+	// the fields its config digest covers, and refuses the rest.
 	FleetSweepConfig = experiments.FleetSweepConfig
 	// FleetSweepResult compares the arms of a sweep over one trace; its
 	// Table renders the sweep's report.

@@ -51,9 +51,9 @@
 //	kyotobench -run fig4 -fidelity two-tier -confirm-top 3
 //
 // The warmstart experiment runs the contention arms cold (each arm
-// re-simulates the shared warm-up) and forked from one checkpoint,
-// verifies per-arm bit-identity, and reports the measured wall-clock
-// speedup; -warmstart-json emits the fork accounting as JSON, which
+// re-simulates the shared warm-up) and forked from one checkpoint, and
+// verifies per-arm bit-identity; -warmstart-json emits the fork
+// accounting with the measured wall-clock speedup as JSON, which
 // scripts/bench_json.sh folds into BENCH_kyoto.json:
 //
 //	kyotobench -run warmstart

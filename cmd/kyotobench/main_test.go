@@ -171,13 +171,12 @@ func TestShardMergeRoundTrip(t *testing.T) {
 	}
 }
 
-// tablesOf drops what may differ between two runs of one experiment:
-// the bracketed status lines ("completed in" vs "merged from") and the
-// warm-start note, which carries a measured wall-clock speedup.
+// tablesOf drops what differs between two runs of one experiment: the
+// bracketed status lines ("completed in" vs "merged from").
 func tablesOf(out string) string {
 	var keep []string
 	for _, line := range strings.Split(out, "\n") {
-		if !strings.HasPrefix(line, "[") && !strings.Contains(line, "wall speedup") {
+		if !strings.HasPrefix(line, "[") {
 			keep = append(keep, line)
 		}
 	}

@@ -166,7 +166,7 @@ func AblationsSweep(seed uint64) Experiment { return newAblations(seed) }
 // metrics split each study's A and B outcomes into separate arms
 // sharing the one normalized-performance metric.
 func newAblations(seed uint64) *figSweep[ablationPayload, []ablationPayload] {
-	s := &figSweep[ablationPayload, []ablationPayload]{name: "ablations", seed: seed}
+	s := &figSweep[ablationPayload, []ablationPayload]{name: "ablations", config: seedConfig{Seed: seed}}
 	for _, arm := range ablationArms {
 		s.arms = append(s.arms, figArm[ablationPayload]{"ablation/" + arm.key, func() (ablationPayload, error) {
 			a, b, err := arm.run(seed)

@@ -187,7 +187,7 @@ func CrossValidate(seed uint64, figures ...string) (*CrossValResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.result()
+	return s.runInProcess()
 }
 
 // CrossValSweep is the whole cross-validation as a sweep.
@@ -210,7 +210,7 @@ var crossValChecks = map[string]func(seed uint64) ([]CrossValCheck, error){
 // newCrossVal plans one job per requested figure, whose payload is its
 // checks.
 func newCrossVal(seed uint64, figures []string) (*figSweep[[]CrossValCheck, *CrossValResult], error) {
-	s := &figSweep[[]CrossValCheck, *CrossValResult]{name: "crossval", seed: seed}
+	s := &figSweep[[]CrossValCheck, *CrossValResult]{name: "crossval", config: seedConfig{Seed: seed}}
 	for _, fig := range figures {
 		check, ok := crossValChecks[fig]
 		if !ok {
@@ -279,11 +279,11 @@ func crossValFig1(seed uint64) ([]CrossValCheck, error) {
 // aggressiveness ranking (what the two-tier sweep trusts the fast tier
 // for) between the tiers.
 func crossValFig4(seed uint64) ([]CrossValCheck, error) {
-	exact, err := newFig4(seed, cache.FidelityExact).result()
+	exact, err := newFig4(seed, cache.FidelityExact).runInProcess()
 	if err != nil {
 		return nil, err
 	}
-	analytic, err := newFig4(seed, cache.FidelityAnalytic).result()
+	analytic, err := newFig4(seed, cache.FidelityAnalytic).runInProcess()
 	if err != nil {
 		return nil, err
 	}

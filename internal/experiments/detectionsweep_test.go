@@ -261,16 +261,21 @@ func TestDetectionBenchSweeper(t *testing.T) {
 			t.Fatalf("arm %s: %d values for %d metrics", row.Arm, len(row.Values), len(names))
 		}
 	}
+	// Reseeding keeps the trace and changes the fleet seed.
+	tr := arrivals.Synthesize(arrivals.SynthConfig{Seed: 3, VMs: 48})
 	re, err := s.Reseed(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if re.(*FleetSweeper).cfg.Seed != 4 {
+	want, err := NewDetectionSweeper(tr, FleetSweepConfig{Seed: 4, Fidelity: cache.FidelityAnalytic})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if re.(*FleetSweeper).ConfigFingerprint() != want.ConfigFingerprint() {
 		t.Fatal("Reseed did not take")
 	}
 
 	// The one-call path must match the engine run on the same trace.
-	tr := arrivals.Synthesize(arrivals.SynthConfig{Seed: 3, VMs: 48})
 	direct, err := DetectionSweep(tr, FleetSweepConfig{Seed: 3, Fidelity: cache.FidelityAnalytic})
 	if err != nil {
 		t.Fatal(err)

@@ -66,7 +66,7 @@ func Fig1(seed uint64) (Fig1Result, error) {
 // Fig1Fidelity is Fig1 with an explicit cache-model tier; the
 // cross-validation harness runs the grid on both tiers and compares.
 func Fig1Fidelity(seed uint64, fid cache.Fidelity) (Fig1Result, error) {
-	return newFig1(seed, fid).result()
+	return newFig1(seed, fid).runInProcess()
 }
 
 // Fig1Sweep is Figure 1 as a sweep.
@@ -75,7 +75,7 @@ func Fig1Sweep(seed uint64) Experiment { return newFig1(seed, cache.FidelityExac
 // newFig1 plans each rep's solo baseline, then every (mode, rep, dis)
 // cell; each payload is the rep's IPC.
 func newFig1(seed uint64, fid cache.Fidelity) *figSweep[float64, Fig1Result] {
-	s := &figSweep[float64, Fig1Result]{name: "fig1", seed: seed, fid: fid}
+	s := &figSweep[float64, Fig1Result]{name: "fig1", config: seedConfig{seed, fidelityTag(fid)}}
 	for _, rep := range microReps {
 		sc := soloScenario(rep, seed)
 		sc.Fidelity = fid

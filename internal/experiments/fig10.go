@@ -26,7 +26,7 @@ type Fig10Result struct {
 }
 
 // Fig10 runs the five measurements, each an independent world.
-func Fig10(seed uint64) (Fig10Result, error) { return newFig10(seed).result() }
+func Fig10(seed uint64) (Fig10Result, error) { return newFig10(seed).runInProcess() }
 
 // Fig10Sweep is Figure 10 as a sweep.
 func Fig10Sweep(seed uint64) Experiment { return newFig10(seed) }
@@ -37,7 +37,7 @@ func newFig10(seed uint64) *figSweep[float64, Fig10Result] {
 	eq1 := func(key string, sc Scenario, name string) figArm[float64] {
 		return scenarioArm(key, sc, func(r Result) float64 { return core.Equation1Value(r.PerVM[name]) })
 	}
-	s := &figSweep[float64, Fig10Result]{name: "fig10", seed: seed, arms: []figArm[float64]{
+	s := &figSweep[float64, Fig10Result]{name: "fig10", config: seedConfig{Seed: seed}, arms: []figArm[float64]{
 		// hmmer among disruptors (in place).
 		eq1("hmmer/in-place", Scenario{NodeConfig: cluster.NodeConfig{Seed: seed}, VMs: []vm.Spec{
 			pinned("target", "hmmer", 0),

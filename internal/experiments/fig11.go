@@ -34,7 +34,7 @@ type Fig11Result struct {
 }
 
 // Fig11 runs the colocated measurement studies on the R420.
-func Fig11(seed uint64) (Fig11Result, error) { return newFig11(seed).result() }
+func Fig11(seed uint64) (Fig11Result, error) { return newFig11(seed).runInProcess() }
 
 // Fig11Sweep is Figure 11 as a sweep.
 func Fig11Sweep(seed uint64) Experiment { return newFig11(seed) }
@@ -46,7 +46,7 @@ func Fig11Sweep(seed uint64) Experiment { return newFig11(seed) }
 // estimates.
 func newFig11(seed uint64) *figSweep[Fig11Result, Fig11Result] {
 	apps := workload.Figure4Apps()
-	s := &figSweep[Fig11Result, Fig11Result]{name: "fig11", seed: seed}
+	s := &figSweep[Fig11Result, Fig11Result]{name: "fig11", config: seedConfig{Seed: seed}}
 	for _, app := range apps {
 		s.arms = append(s.arms, scenarioArm("solo/"+app, soloScenario(app, seed), func(r Result) Fig11Result {
 			return Fig11Result{Solo: map[string]float64{app: core.Equation1Value(r.PerVM["solo"])}}

@@ -27,7 +27,7 @@ type Fig12Result struct {
 }
 
 // Fig12 runs the sweep.
-func Fig12(seed uint64) (Fig12Result, error) { return newFig12(seed).result() }
+func Fig12(seed uint64) (Fig12Result, error) { return newFig12(seed).runInProcess() }
 
 // Fig12Sweep is Figure 12 as a sweep.
 func Fig12Sweep(seed uint64) Experiment { return newFig12(seed) }
@@ -35,7 +35,7 @@ func Fig12Sweep(seed uint64) Experiment { return newFig12(seed) }
 // newFig12 plans an XCS and a KS4Xen job per tick length; each payload
 // is the measured VM's completion time.
 func newFig12(seed uint64) *figSweep[float64, Fig12Result] {
-	s := &figSweep[float64, Fig12Result]{name: "fig12", seed: seed}
+	s := &figSweep[float64, Fig12Result]{name: "fig12", config: seedConfig{Seed: seed}}
 	for _, ms := range Fig12TickMillis {
 		for _, kyoto := range []bool{false, true} {
 			s.arms = append(s.arms, figArm[float64]{fmt.Sprintf("tick%dms/kyoto=%t", ms, kyoto), func() (float64, error) {

@@ -26,7 +26,7 @@ type Fig2Result struct {
 
 // Fig2 runs the four situations with a per-tick recorder and no warmup
 // (the cold start is the point).
-func Fig2(seed uint64) (Fig2Result, error) { return newFig2(seed).result() }
+func Fig2(seed uint64) (Fig2Result, error) { return newFig2(seed).runInProcess() }
 
 // Fig2Sweep is Figure 2 as a sweep.
 func Fig2Sweep(seed uint64) Experiment { return newFig2(seed) }
@@ -45,7 +45,7 @@ func newFig2(seed uint64) *figSweep[[]float64, Fig2Result] {
 		{"parallel", []vm.Spec{pinned("rep", rep, 0), pinned("dis", dis, 1)}},
 		{"alter+para", []vm.Spec{pinned("rep", rep, 0), pinned("dis", dis, 0), pinned("dis2", dis, 1)}},
 	}
-	s := &figSweep[[]float64, Fig2Result]{name: "fig2", seed: seed}
+	s := &figSweep[[]float64, Fig2Result]{name: "fig2", config: seedConfig{Seed: seed}}
 	for _, sit := range situations {
 		s.arms = append(s.arms, figArm[[]float64]{sit.name, func() ([]float64, error) {
 			rec := NewLLCMissSeries()

@@ -27,7 +27,7 @@ type Fig3Result struct {
 }
 
 // Fig3 runs the sweep for vsen1..3 against vdis1.
-func Fig3(seed uint64) (Fig3Result, error) { return newFig3(seed).result() }
+func Fig3(seed uint64) (Fig3Result, error) { return newFig3(seed).runInProcess() }
 
 // Fig3Sweep is Figure 3 as a sweep.
 func Fig3Sweep(seed uint64) Experiment { return newFig3(seed) }
@@ -38,7 +38,7 @@ var fig3Sens = []string{workload.VSen1, workload.VSen2, workload.VSen3}
 // newFig3 plans each sensitive app's solo baseline, then every (app,
 // cap) cell; each payload is the sensitive VM's IPC.
 func newFig3(seed uint64) *figSweep[float64, Fig3Result] {
-	s := &figSweep[float64, Fig3Result]{name: "fig3", seed: seed}
+	s := &figSweep[float64, Fig3Result]{name: "fig3", config: seedConfig{Seed: seed}}
 	for _, app := range fig3Sens {
 		s.arms = append(s.arms, ipcArm("solo/"+app, soloScenario(app, seed), "solo"))
 	}

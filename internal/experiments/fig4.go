@@ -160,7 +160,7 @@ func fig4Aggressiveness(cells []fig4Cell) map[string]float64 {
 // Fig4 runs the indicator study: 10 solo runs plus the full pairwise
 // parallel-execution matrix (90 runs), the largest single sweep in the
 // harness and the reference workload for process-level sharding.
-func Fig4(seed uint64) (Fig4Result, error) { return newFig4(seed, cache.FidelityExact).result() }
+func Fig4(seed uint64) (Fig4Result, error) { return newFig4(seed, cache.FidelityExact).runInProcess() }
 
 // Fig4Sweep is Figure 4 as a sweep on the given tier; the broad pass of
 // a two-tier run is its analytic form.
@@ -171,7 +171,7 @@ func Fig4Sweep(seed uint64, fid cache.Fidelity) Experiment { return newFig4(seed
 func newFig4(seed uint64, fid cache.Fidelity) *figSweep[json.RawMessage, Fig4Result] {
 	apps := workload.Figure4Apps()
 	return &figSweep[json.RawMessage, Fig4Result]{
-		name: "fig4", seed: seed, fid: fid,
+		name: "fig4", config: seedConfig{seed, fidelityTag(fid)},
 		arms: fig4Arms(apps, seed, fid),
 		fold: func(payloads []json.RawMessage) (Fig4Result, []Table, error) {
 			res, err := fig4Fold(apps, payloads)

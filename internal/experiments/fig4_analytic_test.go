@@ -15,7 +15,7 @@ import (
 // refuses to merge with exact-tier shards.
 func TestFig4AnalyticSweep(t *testing.T) {
 	s := newFig4(1, cache.FidelityAnalytic)
-	r, err := s.result()
+	r, err := s.runInProcess()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ import (
 func Fig4MatrixSweep(seed uint64) Experiment {
 	apps := workload.Figure4Apps()
 	return &figSweep[json.RawMessage, Table]{
-		name: "fig4matrix", seed: seed,
+		name: "fig4matrix", config: seedConfig{Seed: seed},
 		arms: fig4Arms(apps, seed, cache.FidelityExact),
 		fold: func(payloads []json.RawMessage) (Table, []Table, error) {
 			_, cells, err := fig4Decode(apps, payloads)

@@ -54,7 +54,7 @@ type Fig5Result struct {
 const fig5TimelineTicks = 70
 
 // Fig5 runs vsen1 against each disruptor under XCS and KS4Xen.
-func Fig5(seed uint64) (Fig5Result, error) { return newFig5(seed).result() }
+func Fig5(seed uint64) (Fig5Result, error) { return newFig5(seed).runInProcess() }
 
 // Fig5Sweep is Figure 5 as a sweep.
 func Fig5Sweep(seed uint64) Experiment { return newFig5(seed) }
@@ -79,7 +79,7 @@ func newFig5(seed uint64) *figSweep[fig5Payload, Fig5Result] {
 			PunishDis: r.World.FindVM("dis").Punishments,
 		}
 	}
-	s := &figSweep[fig5Payload, Fig5Result]{name: "fig5", seed: seed}
+	s := &figSweep[fig5Payload, Fig5Result]{name: "fig5", config: seedConfig{Seed: seed}}
 	s.arms = append(s.arms, scenarioArm("solo", soloScenario(workload.VSen1, seed), func(r Result) fig5Payload {
 		return fig5Payload{IPC: r.IPC("solo")}
 	}))

@@ -25,7 +25,7 @@ type Fig6Result struct {
 }
 
 // Fig6 runs the sweep.
-func Fig6(seed uint64) (Fig6Result, error) { return newFig6(seed).result() }
+func Fig6(seed uint64) (Fig6Result, error) { return newFig6(seed).runInProcess() }
 
 // Fig6Sweep is Figure 6 as a sweep.
 func Fig6Sweep(seed uint64) Experiment { return newFig6(seed) }
@@ -33,7 +33,7 @@ func Fig6Sweep(seed uint64) Experiment { return newFig6(seed) }
 // newFig6 plans vsen1's solo baseline, then a KS4Xen and an XCS job per
 // disruptor count; each payload is vsen1's IPC.
 func newFig6(seed uint64) *figSweep[float64, Fig6Result] {
-	s := &figSweep[float64, Fig6Result]{name: "fig6", seed: seed}
+	s := &figSweep[float64, Fig6Result]{name: "fig6", config: seedConfig{Seed: seed}}
 	s.arms = append(s.arms, ipcArm("solo", soloScenario(workload.VSen1, seed), "solo"))
 	for _, n := range Fig6Counts {
 		vms := []vm.Spec{

@@ -32,7 +32,7 @@ type Fig8Result struct {
 }
 
 // Fig8 runs the four bars, each an independent world.
-func Fig8(seed uint64) (Fig8Result, error) { return newFig8(seed).result() }
+func Fig8(seed uint64) (Fig8Result, error) { return newFig8(seed).runInProcess() }
 
 // Fig8Sweep is Figure 8 as a sweep.
 func Fig8Sweep(seed uint64) Experiment { return newFig8(seed) }
@@ -40,7 +40,7 @@ func Fig8Sweep(seed uint64) Experiment { return newFig8(seed) }
 // newFig8 plans one job per bar, whose payload is vsen1's completion
 // time.
 func newFig8(seed uint64) *figSweep[float64, Fig8Result] {
-	s := &figSweep[float64, Fig8Result]{name: "fig8", seed: seed}
+	s := &figSweep[float64, Fig8Result]{name: "fig8", config: seedConfig{Seed: seed}}
 	for _, kyoto := range []bool{false, true} {
 		for _, colocated := range []bool{false, true} {
 			s.arms = append(s.arms, figArm[float64]{fmt.Sprintf("kyoto=%t/colocated=%t", kyoto, colocated), func() (float64, error) {

@@ -77,7 +77,7 @@ type Fig9Result struct {
 }
 
 // Fig9 runs each app solo on the R420, with and without migrations.
-func Fig9(seed uint64) (Fig9Result, error) { return newFig9(seed).result() }
+func Fig9(seed uint64) (Fig9Result, error) { return newFig9(seed).runInProcess() }
 
 // Fig9Sweep is Figure 9 as a sweep.
 func Fig9Sweep(seed uint64) Experiment { return newFig9(seed) }
@@ -85,7 +85,7 @@ func Fig9Sweep(seed uint64) Experiment { return newFig9(seed) }
 // newFig9 plans, per app, an undisturbed and a migrated job; each
 // payload is the app's IPC.
 func newFig9(seed uint64) *figSweep[float64, Fig9Result] {
-	s := &figSweep[float64, Fig9Result]{name: "fig9", seed: seed}
+	s := &figSweep[float64, Fig9Result]{name: "fig9", config: seedConfig{Seed: seed}}
 	for _, app := range Fig9Apps {
 		sc := Scenario{
 			NodeConfig: cluster.NodeConfig{Machine: machine.R420(seed), Seed: seed},

@@ -8,19 +8,19 @@ package experiments
 // computation (normalizing by a solo baseline, ranking, correlating)
 // happens in the fold. So any experiment runs in-process through
 // sweep.Engine, or sharded across processes and merged, with the same
-// bytes either way.
+// bytes either way. The paper figures and the fleet sweeps (trace,
+// migration, detection) alike are figSweeps; it is the package's only
+// sweep.Sweep.
 
 import (
 	"encoding/json"
 	"fmt"
 
-	"kyoto/internal/cache"
 	"kyoto/internal/sweep"
 )
 
 // Experiment is one kyotobench experiment: a sweep whose merged result
-// renders as the paper's tables. figSweep and FleetSweeper (the
-// detection experiment) implement it.
+// renders as the paper's tables. figSweep implements it.
 type Experiment interface {
 	sweep.Sweep
 	// Tables renders the merged result; it is nil until Merge ran.
@@ -39,10 +39,14 @@ type figArm[P any] struct {
 // into the result R and its tables.
 type figSweep[P, R any] struct {
 	name string
-	seed uint64
-	fid  cache.Fidelity
-	arms []figArm[P]
-	fold func(ps []P) (R, []Table, error)
+	// config is the configuration the envelope digest covers: seedConfig
+	// for a figure, traceConfig for a fleet sweep. Shards of different
+	// configurations refuse to merge.
+	config any
+	arms   []figArm[P]
+	fold   func(ps []P) (R, []Table, error)
+	// workers caps the in-process job fan-out (0 = GOMAXPROCS).
+	workers int
 	// metrics, when set with metricRows and reseed, lets
 	// sweep.SeedSweeper replicate the experiment under consecutive seeds
 	// (kyotobench -seeds): the metric names, the per-arm metric rows of
@@ -53,6 +57,13 @@ type figSweep[P, R any] struct {
 
 	res    R
 	tables []Table
+}
+
+// seedConfig is a figure's config digest: its seed, plus the fidelity
+// tag off the exact tier.
+type seedConfig struct {
+	Seed     uint64 `json:"seed"`
+	Fidelity string `json:"fidelity,omitempty"`
 }
 
 // scenarioArm is the arm that runs sc and reports read of its result.
@@ -76,21 +87,22 @@ func ipcArm(key string, sc Scenario, vm string) figArm[float64] {
 // Name implements sweep.Sweep.
 func (s *figSweep[P, R]) Name() string { return s.name }
 
-// ConfigFingerprint implements sweep.ConfigFingerprinter: the seed,
-// plus the fidelity tag off the exact tier, so shards of different
-// seeds or tiers refuse to merge.
+// ConfigFingerprint implements sweep.ConfigFingerprinter: the digest of
+// the JSON config. A marshal error degrades to a sentinel (still caught
+// at merge: both sides would need the same failure).
 func (s *figSweep[P, R]) ConfigFingerprint() string {
-	if tag := fidelityTag(s.fid); tag != "" {
-		return sweep.FingerprintPayload([]byte(fmt.Sprintf(`{"seed":%d,"fidelity":%q}`, s.seed, tag)))
+	data, err := json.Marshal(s.config)
+	if err != nil {
+		return "unmarshalable-config"
 	}
-	return sweep.FingerprintPayload([]byte(fmt.Sprintf(`{"seed":%d}`, s.seed)))
+	return sweep.FingerprintPayload(data)
 }
 
 // Plan implements sweep.Sweep: one job per arm.
 func (s *figSweep[P, R]) Plan() []sweep.Job {
 	jobs := make([]sweep.Job, len(s.arms))
 	for i, a := range s.arms {
-		jobs[i] = sweep.Job{Sweep: s.name, Key: a.key, Index: i, Seed: s.seed}
+		jobs[i] = sweep.Job{Sweep: s.name, Key: a.key, Index: i}
 	}
 	return jobs
 }
@@ -129,10 +141,13 @@ func (s *figSweep[P, R]) Merge(payloads []json.RawMessage) error {
 // Tables implements Experiment.
 func (s *figSweep[P, R]) Tables() []Table { return s.tables }
 
-// result runs the sweep in-process and returns its folded result: the
-// path behind every FigN function.
-func (s *figSweep[P, R]) result() (R, error) {
-	if err := (sweep.Engine{}).Run(s); err != nil {
+// Result returns the folded result; it is the zero R until Merge ran.
+func (s *figSweep[P, R]) Result() R { return s.res }
+
+// runInProcess runs the sweep in-process and returns its folded result:
+// the path behind every FigN function and fleet sweep.
+func (s *figSweep[P, R]) runInProcess() (R, error) {
+	if err := (sweep.Engine{Workers: s.workers}).Run(s); err != nil {
 		var zero R
 		return zero, err
 	}

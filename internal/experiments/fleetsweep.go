@@ -24,10 +24,10 @@ package experiments
 // Its payload and digest bytes are those its experiment has always
 // produced, so committed shard envelopes and goldens keep merging.
 //
-// A FleetSweeper is a sweep.Sweep — solo-baseline jobs (one per distinct
-// app class) plus one replay job per arm, shardable across processes
-// and merged bit-identically to the in-process run — and a
-// sweep.Seedable.
+// A FleetSweeper is the preset built as a figSweep: solo-baseline jobs
+// (one per distinct app class) plus one replay job per arm, shardable
+// across processes and merged bit-identically to the in-process run, and
+// seed-replicable through the preset's metric list.
 
 import (
 	"encoding/json"
@@ -35,7 +35,6 @@ import (
 	"reflect"
 	"slices"
 	"sort"
-	"strings"
 
 	"kyoto/internal/arrivals"
 	"kyoto/internal/cache"
@@ -227,9 +226,6 @@ type soloPayload struct {
 type fleetPreset struct {
 	// name is the sweep name envelopes carry.
 	name string
-	// accepts lists the FleetSweepConfig fields the preset takes; any
-	// other field set non-zero is an error.
-	accepts []string
 	// arms is the fixed arm list; nil crosses cfg.Rebalancers with
 	// placerArms, rebalancer-major.
 	arms []fleetArm
@@ -242,7 +238,9 @@ type fleetPreset struct {
 	// recordRebalancer and recordChangePoints select the optional
 	// payload fields the preset writes.
 	recordRebalancer, recordChangePoints bool
-	// digest returns the config struct the envelope digest covers.
+	// digest returns the config struct the envelope digest covers; its
+	// field names are the FleetSweepConfig fields the preset takes
+	// (besides Workers), and any other field set non-zero is an error.
 	digest func(cfg FleetSweepConfig) interface{}
 	// title formats the table title from (hosts, pending policy).
 	title, note string
@@ -252,11 +250,10 @@ type fleetPreset struct {
 
 // tracePreset replays the trace through the three placement policies.
 var tracePreset = fleetPreset{
-	name:    "trace-sweep",
-	accepts: []string{"Hosts", "Seed", "Workers", "DrainTicks", "Overrides", "Fidelity"},
-	arms:    placerArms,
-	key:     "arm/%[1]s",
-	label:   "%[1]s",
+	name:  "trace-sweep",
+	arms:  placerArms,
+	key:   "arm/%[1]s",
+	label: "%[1]s",
 	digest: func(cfg FleetSweepConfig) interface{} {
 		return struct {
 			Hosts      int
@@ -275,9 +272,7 @@ var tracePreset = fleetPreset{
 
 // migrationPreset crosses the rebalancers with the placement policies.
 var migrationPreset = fleetPreset{
-	name: "migration-sweep",
-	accepts: []string{"Hosts", "Seed", "Workers", "DrainTicks", "Overrides", "BigLLCFactor", "Rebalancers",
-		"RebalanceEvery", "Downtime", "Pending", "MaxWait", "Detector", "Fidelity"},
+	name:             "migration-sweep",
 	key:              "arm/%[2]s/%[1]s",
 	label:            "%[1]s/%[2]s",
 	recordRebalancer: true,
@@ -317,8 +312,6 @@ var migrationPreset = fleetPreset{
 // arms run without Kyoto enforcement).
 var detectionPreset = fleetPreset{
 	name: "detection-sweep",
-	accepts: []string{"Hosts", "Seed", "Workers", "DrainTicks", "RebalanceEvery", "Downtime", "Threshold",
-		"Detector", "AggressiveApps", "Fidelity"},
 	arms: []fleetArm{
 		{name: "admission", placer: cluster.Admission{}, enforced: true},
 		{name: "reactive", placer: cluster.FirstFit{}, rebalancer: "reactive"},
@@ -400,22 +393,14 @@ var fleetMetrics = map[string]func(r FleetSweepRow) float64{
 	"mean_ttd":       func(r FleetSweepRow) float64 { return r.MeanTimeToDetect },
 }
 
-// FleetSweeper is the shardable fleet sweep: it implements sweep.Sweep,
-// so its jobs can be planned, run shard-by-shard across processes, and
-// merged into the same FleetSweepResult the in-process run produces.
-// Build one with NewTraceSweeper, NewMigrationSweeper or
-// NewDetectionSweeper, then either sweep.Engine.Run for a single process
-// or RunShard/Merge for a distributed one; Result returns the merged
-// outcome.
-type FleetSweeper struct {
-	preset    *fleetPreset
-	tr        arrivals.Trace
-	cfg       FleetSweepConfig
-	apps      []string
-	arms      []fleetArm
-	overrides map[int]cluster.HostOverride
-	res       *FleetSweepResult
-}
+// FleetSweeper is the shardable fleet sweep: a figSweep whose jobs are
+// one solo baseline per distinct app class of the trace, then one replay
+// per arm, and whose fold scores each arm against the baselines. Build
+// one with NewTraceSweeper, NewMigrationSweeper or NewDetectionSweeper,
+// then either sweep.Engine.Run for a single process or RunShard/Merge
+// for a distributed one; Result returns the merged outcome, nil until
+// Merge ran.
+type FleetSweeper = figSweep[json.RawMessage, *FleetSweepResult]
 
 // NewTraceSweeper returns the three-placer trace sweep.
 func NewTraceSweeper(tr arrivals.Trace, cfg FleetSweepConfig) (*FleetSweeper, error) {
@@ -450,12 +435,27 @@ func NewDetectionBenchSweeper(seed uint64, fid cache.Fidelity) *FleetSweeper {
 	return s
 }
 
+// traceConfig is a fleet sweep's config digest: the trace plus the
+// preset's digest struct.
+type traceConfig struct {
+	Trace arrivals.Trace `json:"trace"`
+	Cfg   any            `json:"cfg"`
+}
+
+// takes reports whether the preset takes the named FleetSweepConfig
+// field: every field of its digest struct, plus Workers, which never
+// changes results.
+func (p *fleetPreset) takes(field string) bool {
+	_, ok := reflect.TypeOf(p.digest(FleetSweepConfig{})).FieldByName(field)
+	return ok || field == "Workers"
+}
+
 // newFleetSweeper checks cfg against the preset, applies the defaults,
-// validates the trace and resolves the arms.
+// validates the trace, resolves the arms and builds the sweep.
 func newFleetSweeper(p *fleetPreset, tr arrivals.Trace, cfg FleetSweepConfig) (*FleetSweeper, error) {
 	v := reflect.ValueOf(cfg)
 	for i := 0; i < v.NumField(); i++ {
-		if name := v.Type().Field(i).Name; !v.Field(i).IsZero() && !slices.Contains(p.accepts, name) {
+		if name := v.Type().Field(i).Name; !v.Field(i).IsZero() && !p.takes(name) {
 			return nil, fmt.Errorf("experiments: %s does not take %s", p.name, name)
 		}
 	}
@@ -473,10 +473,10 @@ func newFleetSweeper(p *fleetPreset, tr arrivals.Trace, cfg FleetSweepConfig) (*
 	}
 	// Defaults fill only fields the preset takes, so a reseeded copy of
 	// the config passes the check above again.
-	if len(cfg.Rebalancers) == 0 && slices.Contains(p.accepts, "Rebalancers") {
+	if len(cfg.Rebalancers) == 0 && p.takes("Rebalancers") {
 		cfg.Rebalancers = []string{"none", "reactive", "topo"}
 	}
-	if len(cfg.AggressiveApps) == 0 && slices.Contains(p.accepts, "AggressiveApps") {
+	if len(cfg.AggressiveApps) == 0 && p.takes("AggressiveApps") {
 		cfg.AggressiveApps = DefaultAggressiveApps()
 	}
 	if cfg.Downtime < 0 {
@@ -508,150 +508,126 @@ func newFleetSweeper(p *fleetPreset, tr arrivals.Trace, cfg FleetSweepConfig) (*
 	if err != nil {
 		return nil, err
 	}
-	return &FleetSweeper{preset: p, tr: tr, cfg: cfg, apps: traceApps(tr), arms: arms, overrides: overrides}, nil
+	apps := traceApps(tr)
+	s := &FleetSweeper{
+		name:       p.name,
+		config:     traceConfig{tr, p.digest(cfg)},
+		workers:    cfg.Workers,
+		metrics:    p.metrics,
+		metricRows: p.metricRows,
+		reseed: func(seed uint64) *FleetSweeper {
+			c := cfg
+			c.Seed = seed
+			re, err := newFleetSweeper(p, tr, c)
+			if err != nil {
+				panic(err) // cfg passed every check above; only the seed changed
+			}
+			return re
+		},
+		fold: func(payloads []json.RawMessage) (*FleetSweepResult, []Table, error) {
+			solo, err := soloBaselines(payloads[:len(apps)])
+			if err != nil {
+				return nil, nil, err
+			}
+			res := &FleetSweepResult{Hosts: cfg.Hosts, Pending: cfg.Pending, preset: p}
+			for i, raw := range payloads[len(apps):] {
+				var pl fleetArmPayload
+				if err := json.Unmarshal(raw, &pl); err != nil {
+					return nil, nil, fmt.Errorf("arm payload %d: %w", i, err)
+				}
+				res.Rows = append(res.Rows, fleetRow(pl, solo, cfg.AggressiveApps))
+			}
+			return res, []Table{res.Table()}, nil
+		},
+	}
+	for _, app := range apps {
+		s.arms = append(s.arms, figArm[json.RawMessage]{"solo/" + app, func() (json.RawMessage, error) {
+			ipc, err := soloIPC(app, cfg.Seed, cfg.Fidelity)
+			if err != nil {
+				return nil, err
+			}
+			return json.Marshal(soloPayload{App: app, IPC: ipc})
+		}})
+	}
+	for _, a := range arms {
+		key := fmt.Sprintf(p.key, a.placer.Name(), a.rebalancer, a.name)
+		s.arms = append(s.arms, figArm[json.RawMessage]{key, func() (json.RawMessage, error) {
+			pl, err := p.replay(tr, cfg, overrides, a)
+			if err != nil {
+				return nil, fmt.Errorf("%s: %w", key, err)
+			}
+			return json.Marshal(pl)
+		}})
+	}
+	return s, nil
 }
 
-// Name implements sweep.Sweep.
-func (s *FleetSweeper) Name() string { return s.preset.name }
-
-// ConfigFingerprint implements sweep.ConfigFingerprinter: a digest of
-// the trace and every result-shaping knob the preset takes.
-func (s *FleetSweeper) ConfigFingerprint() string {
-	return sweepConfigFingerprint(s.tr, s.preset.digest(s.cfg))
-}
-
-// armKey is an arm's job key.
-func (s *FleetSweeper) armKey(a fleetArm) string {
-	return fmt.Sprintf(s.preset.key, a.placer.Name(), a.rebalancer, a.name)
-}
-
-// Plan implements sweep.Sweep: one solo-baseline job per distinct app
-// class, then one replay job per arm.
-func (s *FleetSweeper) Plan() []sweep.Job {
-	jobs := make([]sweep.Job, 0, len(s.apps)+len(s.arms))
-	for _, app := range s.apps {
-		jobs = append(jobs, sweep.Job{
-			Sweep: s.Name(), Key: "solo/" + app, Index: len(jobs), Seed: s.cfg.Seed,
-			Params: map[string]string{"app": app},
-		})
-	}
-	for _, a := range s.arms {
-		jobs = append(jobs, sweep.Job{
-			Sweep: s.Name(), Key: s.armKey(a), Index: len(jobs), Seed: s.cfg.Seed,
-			Params: map[string]string{"placer": a.placer.Name(), "rebalancer": a.rebalancer, "enforced": fmt.Sprint(a.enforced)},
-		})
-	}
-	return jobs
-}
-
-// Run implements sweep.Sweep.
-func (s *FleetSweeper) Run(job sweep.Job) (json.RawMessage, error) {
-	if app, ok := strings.CutPrefix(job.Key, "solo/"); ok {
-		ipc, err := soloIPC(app, s.cfg.Seed, s.cfg.Fidelity)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(soloPayload{App: app, IPC: ipc})
-	}
-	i := slices.IndexFunc(s.arms, func(a fleetArm) bool { return s.armKey(a) == job.Key })
-	if i < 0 {
-		return nil, fmt.Errorf("unknown job key %q", job.Key)
-	}
-	a := s.arms[i]
+// replay runs one arm: the trace replayed through a fresh fleet under
+// the arm's placer, enforcement and rebalancer.
+func (p *fleetPreset) replay(tr arrivals.Trace, cfg FleetSweepConfig, overrides map[int]cluster.HostOverride, a fleetArm) (fleetArmPayload, error) {
 	// A fresh rebalancer per job: the built-ins carry per-VM cooldown
 	// state, which must not leak between arms (or between the shards of
 	// a distributed run, which could never share it anyway).
 	rb, err := cluster.RebalancerByName(a.rebalancer)
 	if err != nil {
-		return nil, err
+		return fleetArmPayload{}, err
 	}
 	switch r := rb.(type) {
 	case *cluster.Reactive:
-		r.Threshold = s.cfg.Threshold
+		r.Threshold = cfg.Threshold
 	case *cluster.Signature:
-		r.Threshold = s.cfg.Threshold
-		r.Detector = s.cfg.Detector
+		r.Threshold = cfg.Threshold
+		r.Detector = cfg.Detector
 	}
-	armRebalancer(rb, s.tr, s.cfg.RebalanceEvery)
+	armRebalancer(rb, tr, cfg.RebalanceEvery)
 	f, err := cluster.New(cluster.Config{
-		Hosts:     s.cfg.Hosts,
-		Template:  cluster.HostTemplate{Seed: s.cfg.Seed, EnableKyoto: a.enforced, Fidelity: s.cfg.Fidelity},
-		Overrides: s.overrides,
+		Hosts:     cfg.Hosts,
+		Template:  cluster.HostTemplate{Seed: cfg.Seed, EnableKyoto: a.enforced, Fidelity: cfg.Fidelity},
+		Overrides: overrides,
 		Placer:    a.placer,
-		Workers:   s.cfg.Workers,
+		Workers:   cfg.Workers,
 	})
 	if err != nil {
-		return nil, err
+		return fleetArmPayload{}, err
 	}
-	replay, err := arrivals.Replay(f, s.tr, arrivals.Options{
-		DrainTicks:        s.cfg.DrainTicks,
-		Pending:           s.cfg.Pending,
-		MaxWait:           s.cfg.MaxWait,
+	replay, err := arrivals.Replay(f, tr, arrivals.Options{
+		DrainTicks:        cfg.DrainTicks,
+		Pending:           cfg.Pending,
+		MaxWait:           cfg.MaxWait,
 		Rebalancer:        rb,
-		RebalanceEvery:    s.cfg.RebalanceEvery,
-		MigrationDowntime: s.cfg.Downtime,
+		RebalanceEvery:    cfg.RebalanceEvery,
+		MigrationDowntime: cfg.Downtime,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", job.Key, err)
+		return fleetArmPayload{}, err
 	}
-	p := fleetArmPayload{Arm: a.name, Placer: a.placer.Name(), Enforced: a.enforced, Replay: replay}
-	if s.preset.recordRebalancer {
-		p.Rebalancer = a.rebalancer
+	pl := fleetArmPayload{Arm: a.name, Placer: a.placer.Name(), Enforced: a.enforced, Replay: replay}
+	if p.recordRebalancer {
+		pl.Rebalancer = a.rebalancer
 	}
-	if sig, ok := rb.(*cluster.Signature); ok && s.preset.recordChangePoints {
-		p.ChangePoints = sig.ChangePoints()
+	if sig, ok := rb.(*cluster.Signature); ok && p.recordChangePoints {
+		pl.ChangePoints = sig.ChangePoints()
 	}
-	return json.Marshal(p)
+	return pl, nil
 }
 
-// Merge implements sweep.Sweep: solo payloads become the normalization
-// baselines, arm payloads become scored rows.
-func (s *FleetSweeper) Merge(payloads []json.RawMessage) error {
-	solo, err := s.soloBaselines(payloads[:len(s.apps)])
-	if err != nil {
-		return err
-	}
-	res := &FleetSweepResult{Hosts: s.cfg.Hosts, Pending: s.cfg.Pending, preset: s.preset}
-	for i, raw := range payloads[len(s.apps):] {
-		var p fleetArmPayload
-		if err := json.Unmarshal(raw, &p); err != nil {
-			return fmt.Errorf("arm payload %d: %w", i, err)
-		}
-		res.Rows = append(res.Rows, s.row(p, solo))
-	}
-	s.res = res
-	return nil
-}
-
-// soloBaselines decodes the solo-baseline payloads, in s.apps order,
-// into per-app IPCs.
-func (s *FleetSweeper) soloBaselines(payloads []json.RawMessage) (map[string]float64, error) {
-	solo := make(map[string]float64, len(s.apps))
-	for i, app := range s.apps {
+// soloBaselines decodes the solo-baseline payloads into per-app IPCs.
+func soloBaselines(payloads []json.RawMessage) (map[string]float64, error) {
+	solo := make(map[string]float64, len(payloads))
+	for i, raw := range payloads {
 		var p soloPayload
-		if err := json.Unmarshal(payloads[i], &p); err != nil {
-			return nil, fmt.Errorf("solo/%s payload: %w", app, err)
+		if err := json.Unmarshal(raw, &p); err != nil {
+			return nil, fmt.Errorf("solo payload %d: %w", i, err)
 		}
 		solo[p.App] = p.IPC
 	}
 	return solo, nil
 }
 
-// Result returns the merged sweep outcome; it is nil until Merge ran.
-func (s *FleetSweeper) Result() *FleetSweepResult { return s.res }
-
-// Tables implements Experiment.
-func (s *FleetSweeper) Tables() []Table {
-	if s.res == nil {
-		return nil
-	}
-	return []Table{s.res.Table()}
-}
-
-// row folds one arm payload into its result row: placement outcome,
+// fleetRow folds one arm payload into its result row: placement outcome,
 // normalized-performance and wait percentiles, and the arm's triggers
 // scored against the aggressive-app ground truth.
-func (s *FleetSweeper) row(p fleetArmPayload, solo map[string]float64) FleetSweepRow {
+func fleetRow(p fleetArmPayload, solo map[string]float64, aggressive []string) FleetSweepRow {
 	rp := p.Replay
 	row := FleetSweepRow{
 		Arm:              p.Arm,
@@ -685,7 +661,6 @@ func (s *FleetSweeper) row(p fleetArmPayload, solo map[string]float64) FleetSwee
 	small, large := rp.PlacedWaitsByClass()
 	row.WaitP99Small, row.WaitP99Large = percentileOrZero(small, 99), percentileOrZero(large, 99)
 
-	aggressive := s.cfg.AggressiveApps
 	if len(aggressive) == 0 {
 		aggressive = DefaultAggressiveApps()
 	}
@@ -736,31 +711,16 @@ func (s *FleetSweeper) row(p fleetArmPayload, solo map[string]float64) FleetSwee
 	return row
 }
 
-// Reseed implements sweep.Seedable: an independent sweep of the same
-// preset over the same trace and fleet shape, seeded differently.
-func (s *FleetSweeper) Reseed(seed uint64) (sweep.Seedable, error) {
-	cfg := s.cfg
-	cfg.Seed = seed
-	return newFleetSweeper(s.preset, s.tr, cfg)
-}
-
-// MetricNames implements sweep.Seedable.
-func (s *FleetSweeper) MetricNames() []string {
-	return append([]string(nil), s.preset.metrics...)
-}
-
-// MetricRows implements sweep.Seedable: one row per arm.
-func (s *FleetSweeper) MetricRows() []sweep.MetricRow {
-	if s.res == nil {
-		return nil
-	}
-	rows := make([]sweep.MetricRow, len(s.res.Rows))
-	for i, row := range s.res.Rows {
-		values := make([]float64, len(s.preset.metrics))
-		for j, m := range s.preset.metrics {
+// metricRows reads the preset's seed metrics off a merged result: one
+// row per arm.
+func (p *fleetPreset) metricRows(res *FleetSweepResult) []sweep.MetricRow {
+	rows := make([]sweep.MetricRow, len(res.Rows))
+	for i, row := range res.Rows {
+		values := make([]float64, len(p.metrics))
+		for j, m := range p.metrics {
 			values[j] = fleetMetrics[m](row)
 		}
-		rows[i] = sweep.MetricRow{Arm: fmt.Sprintf(s.preset.label, row.Placer, row.Rebalancer, row.Arm), Values: values}
+		rows[i] = sweep.MetricRow{Arm: fmt.Sprintf(p.label, row.Placer, row.Rebalancer, row.Arm), Values: values}
 	}
 	return rows
 }
@@ -789,45 +749,31 @@ func (r FleetSweepResult) Table() Table {
 // percentiles. Fleets are seeded identically, so rows differ only by
 // policy; the whole sweep is deterministic for a given trace and config.
 func TraceSweep(tr arrivals.Trace, cfg FleetSweepConfig) (*FleetSweepResult, error) {
-	return runFleetSweep(NewTraceSweeper(tr, cfg))
+	s, err := NewTraceSweeper(tr, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return s.runInProcess()
 }
 
 // MigrationSweep replays the trace through every requested rebalancer x
 // placer combination on identically seeded fleets.
 func MigrationSweep(tr arrivals.Trace, cfg FleetSweepConfig) (*FleetSweepResult, error) {
-	return runFleetSweep(NewMigrationSweeper(tr, cfg))
+	s, err := NewMigrationSweeper(tr, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return s.runInProcess()
 }
 
 // DetectionSweep replays the trace through the three detection arms and
 // scores their triggers against the aggressive-app ground truth.
 func DetectionSweep(tr arrivals.Trace, cfg FleetSweepConfig) (*FleetSweepResult, error) {
-	return runFleetSweep(NewDetectionSweeper(tr, cfg))
-}
-
-// runFleetSweep is the single-process path through a FleetSweeper —
-// sharded runs of the same sweep merge to the identical result.
-func runFleetSweep(s *FleetSweeper, err error) (*FleetSweepResult, error) {
+	s, err := NewDetectionSweeper(tr, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if err := (sweep.Engine{Workers: s.cfg.Workers}).Run(s); err != nil {
-		return nil, err
-	}
-	return s.Result(), nil
-}
-
-// sweepConfigFingerprint digests a trace plus a config struct into the
-// envelope's configuration check. Marshal errors degrade to a sentinel
-// (still caught at merge: both sides would need the same failure).
-func sweepConfigFingerprint(tr arrivals.Trace, cfg interface{}) string {
-	data, err := json.Marshal(struct {
-		Trace arrivals.Trace `json:"trace"`
-		Cfg   interface{}    `json:"cfg"`
-	}{tr, cfg})
-	if err != nil {
-		return "unmarshalable-config"
-	}
-	return sweep.FingerprintPayload(data)
+	return s.runInProcess()
 }
 
 // traceApps returns the distinct app classes of the trace, sorted — the

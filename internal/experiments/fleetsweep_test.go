@@ -7,12 +7,14 @@ import (
 	"kyoto/internal/arrivals"
 	"kyoto/internal/cache"
 	"kyoto/internal/cluster"
+	"kyoto/internal/sweep"
 )
 
 // TestFleetSweepConfigDigests pins each preset's config digest — the
 // value shard envelopes carry and Merge checks — so committed envelopes
 // keep merging, and checks that a preset refuses config fields outside
-// its digest instead of silently ignoring them.
+// its digest instead of silently ignoring them. The figures' digests are
+// pinned beside them.
 func TestFleetSweepConfigDigests(t *testing.T) {
 	example := exampleTrace(t)
 	cases := []struct {
@@ -55,6 +57,22 @@ func TestFleetSweepConfigDigests(t *testing.T) {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		if got := s.ConfigFingerprint(); got != tc.want {
+			t.Errorf("%s: config digest %s, want %s", tc.name, got, tc.want)
+		}
+	}
+	// The figures digest {"seed":N}, plus the fidelity tag off the exact
+	// tier, through the same figSweep config as the presets.
+	figures := []struct {
+		name string
+		s    sweep.ConfigFingerprinter
+		want string
+	}{
+		{"fig4 exact", newFig4(1, cache.FidelityExact), "0ab5c3fae1211dbf"},
+		{"fig4 analytic", newFig4(1, cache.FidelityAnalytic), "2ea58790a10d72ca"},
+		{"fig2 seed 7", newFig2(7), "337832bd382becb9"},
+	}
+	for _, tc := range figures {
+		if got := tc.s.ConfigFingerprint(); got != tc.want {
 			t.Errorf("%s: config digest %s, want %s", tc.name, got, tc.want)
 		}
 	}

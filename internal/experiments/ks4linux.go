@@ -25,7 +25,7 @@ type KS4LinuxResult struct {
 }
 
 // KS4Linux runs the vsen1-vs-vdis1 pairing on the three systems.
-func KS4Linux(seed uint64) (KS4LinuxResult, error) { return newKS4Linux(seed).result() }
+func KS4Linux(seed uint64) (KS4LinuxResult, error) { return newKS4Linux(seed).runInProcess() }
 
 // KS4LinuxSweep is the cross-system comparison as a sweep.
 func KS4LinuxSweep(seed uint64) Experiment { return newKS4Linux(seed) }
@@ -44,7 +44,7 @@ var ks4Systems = []struct {
 // newKS4Linux plans vsen1's solo baseline, then a base and a Kyoto job
 // per system; each payload is vsen1's IPC.
 func newKS4Linux(seed uint64) *figSweep[float64, KS4LinuxResult] {
-	s := &figSweep[float64, KS4LinuxResult]{name: "ks4linux", seed: seed}
+	s := &figSweep[float64, KS4LinuxResult]{name: "ks4linux", config: seedConfig{Seed: seed}}
 	s.arms = append(s.arms, ipcArm("solo", soloScenario(workload.VSen1, seed), "solo"))
 	for _, sys := range ks4Systems {
 		for _, kyoto := range []bool{false, true} {

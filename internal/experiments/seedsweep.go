@@ -2,10 +2,10 @@ package experiments
 
 // Seed sweeps: sweep.SeedSweeper replicates a sweep under consecutive
 // RNG seeds, turning its single numbers into distributions with
-// confidence intervals. The seedable sweeps carry their own hooks — an
-// independent reseeded copy, the fixed metric list, and per-arm metric
-// rows read off the merged result: FleetSweeper from its preset's
-// metric list, Figure 4 and the ablations through figSweep's seedHook.
+// confidence intervals. The seedable sweeps set figSweep's seed hook —
+// an independent reseeded copy, the fixed metric list, and per-arm
+// metric rows read off the merged result: the fleet sweeps from their
+// preset's metric list, Figure 4 and the ablations from their folds.
 // SeedSweepTable is the one renderer behind `kyotosim -seeds` and
 // `kyotobench -seeds`.
 

@@ -38,7 +38,7 @@ func TestTraceSweeperSeedableMetrics(t *testing.T) {
 	}
 	names := s.MetricNames()
 	for i, row := range rows {
-		if row.Arm != s.res.Rows[i].Placer {
+		if row.Arm != s.Result().Rows[i].Placer {
 			t.Fatalf("row %d arm %q", i, row.Arm)
 		}
 		if len(row.Values) != len(names) {
@@ -51,8 +51,12 @@ func TestTraceSweeperSeedableMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	rs := re.(*FleetSweeper)
-	if rs.cfg.Seed != 9 || rs.cfg.Hosts != 2 || rs.cfg.DrainTicks != 6 {
-		t.Fatalf("reseeded config %+v", rs.cfg)
+	want, err := NewTraceSweeper(sweepTrace(), FleetSweepConfig{Hosts: 2, Seed: 9, DrainTicks: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.ConfigFingerprint() != want.ConfigFingerprint() {
+		t.Fatalf("reseeded config digest %s, want %s (seed 9, hosts 2, drain 6)", rs.ConfigFingerprint(), want.ConfigFingerprint())
 	}
 	if len(rs.Plan()) != len(s.Plan()) {
 		t.Fatal("reseeded plan shape differs")
@@ -104,7 +108,13 @@ func TestMigrationSweeperSeedableMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if re.(*FleetSweeper).cfg.Seed != 9 {
+	want, err := NewMigrationSweeper(sweepTrace(), FleetSweepConfig{
+		Hosts: 2, Seed: 9, DrainTicks: 6, Pending: arrivals.PendingSJF,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if re.(*FleetSweeper).ConfigFingerprint() != want.ConfigFingerprint() {
 		t.Fatal("reseed did not take")
 	}
 }

@@ -86,11 +86,16 @@ func TwoTierTraceSweep(tr arrivals.Trace, cfg FleetSweepConfig, topK int) (*TwoT
 		if exact, err = NewTraceSweeper(tr, ecfg); err != nil {
 			return nil, err
 		}
-		// Cut the exact sweeper to the leading arms, in ranking order:
-		// its plan is then the exact solo baselines plus those replays.
-		arms := make([]fleetArm, len(leaders))
-		for i, placer := range leaders {
-			arms[i] = exact.arms[slices.IndexFunc(exact.arms, func(a fleetArm) bool { return a.placer.Name() == placer })]
+		// Cut the exact sweep by job key to its solo baselines plus the
+		// leaders' replays, in ranking order.
+		var arms []figArm[json.RawMessage]
+		for _, a := range exact.arms {
+			if strings.HasPrefix(a.key, "solo/") {
+				arms = append(arms, a)
+			}
+		}
+		for _, placer := range leaders {
+			arms = append(arms, exact.arms[slices.IndexFunc(exact.arms, func(a figArm[json.RawMessage]) bool { return a.key == "arm/"+placer })])
 		}
 		exact.arms = arms
 		return exact, nil
@@ -154,7 +159,7 @@ func TwoTierFig4(seed uint64, topK int) (*TwoTierFig4Result, error) {
 			// attackers' pairings, folded into their aggressiveness.
 			apps := workload.Figure4Apps()
 			exact = &figSweep[json.RawMessage, map[string]float64]{
-				name: "fig4", seed: seed,
+				name: "fig4", config: seedConfig{Seed: seed},
 				fold: func(payloads []json.RawMessage) (map[string]float64, []Table, error) {
 					_, cells, err := fig4Decode(apps, payloads)
 					return fig4Aggressiveness(cells), nil, err

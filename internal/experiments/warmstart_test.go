@@ -4,6 +4,7 @@ package experiments
 // on both fidelity tiers, and the fork actually saves simulated ticks.
 
 import (
+	"bytes"
 	"testing"
 
 	"kyoto/internal/cache"
@@ -71,5 +72,24 @@ func TestWarmStartDefaultsAndTable(t *testing.T) {
 		if row[3] != "true" {
 			t.Fatalf("table row not marked bit-identical: %v", row)
 		}
+	}
+}
+
+// The warm-start job's payload is a pure function of its config: two
+// runs give the same bytes, so its shard envelopes merge and compare like
+// every other sweep's. The measured wall clocks stay out of it.
+func TestWarmStartPayloadDeterministic(t *testing.T) {
+	s := WarmStartExperiment(7, cache.FidelityAnalytic)
+	job := s.Plan()[0]
+	first, err := s.Run(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := s.Run(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first, second) {
+		t.Fatalf("two runs of the warmstart job differ:\n%s\n%s", first, second)
 	}
 }

@@ -205,16 +205,10 @@ func (s *SeedSweeper) Plan() []Job {
 	for i := 0; i < s.cfg.Seeds; i++ {
 		seed := s.cfg.BaseSeed + uint64(i)
 		for j, job := range s.plan {
-			params := map[string]string{"seed": fmt.Sprint(seed)}
-			for k, v := range job.Params {
-				params[k] = v
-			}
 			plan = append(plan, Job{
-				Sweep:  s.Name(),
-				Key:    fmt.Sprintf("seed/%d/%s", seed, job.Key),
-				Index:  i*inner + j,
-				Seed:   seed,
-				Params: params,
+				Sweep: s.Name(),
+				Key:   fmt.Sprintf("seed/%d/%s", seed, job.Key),
+				Index: i*inner + j,
 			})
 		}
 	}

@@ -22,8 +22,8 @@ func (f *fakeSeedable) Name() string { return "fake-seedable" }
 
 func (f *fakeSeedable) Plan() []Job {
 	return []Job{
-		{Sweep: f.Name(), Key: "arm/a", Index: 0, Seed: f.seed, Params: map[string]string{"arm": "a"}},
-		{Sweep: f.Name(), Key: "arm/b", Index: 1, Seed: f.seed},
+		{Sweep: f.Name(), Key: "arm/a", Index: 0},
+		{Sweep: f.Name(), Key: "arm/b", Index: 1},
 	}
 }
 
@@ -76,15 +76,6 @@ func TestSeedSweeperPlanShape(t *testing.T) {
 		if j.Key != wantKeys[i] || j.Index != i {
 			t.Fatalf("job %d = %q/%d, want %q/%d", i, j.Key, j.Index, wantKeys[i], i)
 		}
-		if j.Seed != 5+uint64(i/2) {
-			t.Fatalf("job %d seed %d", i, j.Seed)
-		}
-		if j.Params["seed"] != fmt.Sprint(j.Seed) {
-			t.Fatalf("job %d params %v", i, j.Params)
-		}
-	}
-	if plan[0].Params["arm"] != "a" {
-		t.Fatalf("inner params not propagated: %v", plan[0].Params)
 	}
 }
 

@@ -47,11 +47,6 @@ type Job struct {
 	// Index is the job's position in the canonical plan order; shard k of
 	// n owns the jobs with Index % n == k.
 	Index int `json:"index"`
-	// Seed is the simulation seed the job runs under.
-	Seed uint64 `json:"seed"`
-	// Params echoes the arm parameters for reports and debugging; the
-	// executing sweep keys off Key/Index, not Params.
-	Params map[string]string `json:"params,omitempty"`
 }
 
 // Sweep is a shardable experiment: a deterministic plan of independent

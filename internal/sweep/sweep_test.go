@@ -33,7 +33,7 @@ func (f *fakeSweep) Name() string { return f.name }
 func (f *fakeSweep) Plan() []Job {
 	plan := make([]Job, f.jobs)
 	for i := range plan {
-		plan[i] = Job{Sweep: f.name, Key: fmt.Sprintf("job/%d", i), Index: i, Seed: 1}
+		plan[i] = Job{Sweep: f.name, Key: fmt.Sprintf("job/%d", i), Index: i}
 	}
 	return plan
 }

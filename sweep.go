@@ -1,8 +1,8 @@
 package kyoto
 
 // The shardable sweep facade: every multi-configuration experiment in
-// the harness (the trace and migration fleet sweeps, the Figure 4
-// matrix, the ablations) is planned as a list of deterministic jobs that external
+// the harness (the trace, migration and detection fleet sweeps, every
+// paper figure) is planned as a list of deterministic jobs that external
 // drivers — cron jobs, CI matrices, a handful of machines pointed at the
 // same repository — can execute shard by shard and merge bit-identically
 // to an unsharded run. See internal/sweep/README.md for the job model
@@ -35,7 +35,10 @@ type (
 	// sweep — the unit that crosses process and machine boundaries.
 	ShardEnvelope = sweep.Envelope
 	// FleetSweeper is the shardable form of SweepTrace and
-	// SweepMigrations (NewTraceSweeper, NewMigrationSweeper).
+	// SweepMigrations (NewTraceSweeper, NewMigrationSweeper): the same
+	// sweep type as every paper figure, one job per solo baseline and
+	// per arm. Its Result method returns the merged FleetSweepResult, nil
+	// until the sweep ran or merged.
 	FleetSweeper = experiments.FleetSweeper
 	// SeedableSweep is a sweep that can be replicated under different RNG
 	// seeds and report scalar metrics; FleetSweeper implements it.
