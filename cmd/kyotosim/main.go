@@ -643,9 +643,9 @@ func worldConfig(sc scenario, fid kyoto.Fidelity) (kyoto.WorldConfig, error) {
 	cfg := kyoto.WorldConfig{Seed: sc.Seed, EnableKyoto: sc.Kyoto, Fidelity: fid}
 	switch sc.Machine {
 	case "", "table1":
-		cfg.Machine = kyoto.TableOneMachine(sc.Seed)
+		cfg.Machine = kyoto.TableOneMachine()
 	case "r420":
-		cfg.Machine = kyoto.R420Machine(sc.Seed)
+		cfg.Machine = kyoto.R420Machine()
 	default:
 		return cfg, fmt.Errorf("unknown machine %q", sc.Machine)
 	}

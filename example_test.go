@@ -250,7 +250,7 @@ func ExampleSnapshot() {
 	}
 	fmt.Printf("%s %s at tick %d\n", env.Schema, env.Kind, w.Now())
 	// Output:
-	// kyoto-snapshot-v1 world at tick 20
+	// kyoto-snapshot-v2 world at tick 20
 }
 
 // ExampleResume restores a snapshot into a freshly configured world and

@@ -87,7 +87,7 @@ func main() {
 // places the fleet, runs it, and prints the sensitive VMs' normalized
 // performance.
 func report(label string, placer kyoto.PlacerKind, permits bool, solo map[string]float64) error {
-	mcfg := kyoto.TableOneMachine(11)
+	mcfg := kyoto.TableOneMachine()
 	mcfg.CoresPerSocket = 2 // the example's two 2-core hosts
 	c, err := kyoto.NewCluster(kyoto.ClusterConfig{
 		Hosts:  2,

@@ -6,28 +6,20 @@ import (
 )
 
 func TestPolicyAndLevelStrings(t *testing.T) {
-	for p, want := range map[Policy]string{
-		LRU: "LRU", Random: "Random", BIP: "BIP", DIP: "DIP", PartitionedLRU: "PartitionedLRU",
-	} {
-		if got := p.String(); got != want {
-			t.Errorf("Policy(%d).String() = %q, want %q", int(p), got, want)
-		}
-	}
-	if s := Policy(99).String(); !strings.Contains(s, "99") {
-		t.Errorf("unknown Policy String() = %q", s)
-	}
 	for l, want := range map[Level]string{HitL1: "L1", HitL2: "L2", HitLLC: "LLC"} {
 		if got := l.String(); got != want {
 			t.Errorf("Level(%d).String() = %q, want %q", int(l), got, want)
 		}
+	}
+	if s := Level(99).String(); !strings.Contains(s, "99") {
+		t.Errorf("unknown Level String() = %q", s)
 	}
 }
 
 func TestCacheAccessorsAndRelease(t *testing.T) {
 	cfg := testAnalyticConfig()
 	c := MustNew(cfg)
-	// New normalizes the zero Policy to the explicit LRU default.
-	if got := c.Config(); got.Name != cfg.Name || got.SizeBytes != cfg.SizeBytes || got.Policy != LRU {
+	if got := c.Config(); got != cfg {
 		t.Errorf("Config() = %+v", got)
 	}
 	if got, want := c.Sets(), 128; got != want {

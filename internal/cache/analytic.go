@@ -94,14 +94,11 @@ type AnalyticLLC struct {
 }
 
 // NewAnalyticLLC builds the analytic model of the LLC described by cfg.
-// Only LRU (the default policy) has an analytic counterpart; the policy
-// ablations need the exact tier.
+// The model has no way partitions; the partitioning ablation needs the
+// exact tier.
 func NewAnalyticLLC(cfg Config) (*AnalyticLLC, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	if cfg.Policy != 0 && cfg.Policy != LRU {
-		return nil, fmt.Errorf("cache %q: analytic fidelity models LRU replacement only, have %v", cfg.Name, cfg.Policy)
 	}
 	return &AnalyticLLC{
 		cfg:       cfg,

@@ -1,8 +1,8 @@
 // Package cache implements the set-associative cache models at the heart of
-// the simulated testbed: single caches with pluggable replacement policies,
-// per-owner (per-vCPU) attribution of fills and evictions, optional way
-// partitioning, and a multi-level hierarchy (L1 -> L2 -> LLC -> memory)
-// using the latencies the paper measured with lmbench (§2.2.4).
+// the simulated testbed: single LRU caches, per-owner (per-vCPU)
+// attribution of fills and evictions, optional UCP-style way partitioning,
+// and a multi-level hierarchy (L1 -> L2 -> LLC -> memory) using the
+// latencies the paper measured with lmbench (§2.2.4).
 //
 // Attribution is what makes the Kyoto evaluation possible: every line
 // remembers which owner filled it, so the simulator can report both a VM's
@@ -24,8 +24,6 @@ package cache
 import (
 	"fmt"
 	"math/bits"
-
-	"kyoto/internal/xrand"
 )
 
 // Owner identifies the entity (vCPU) that filled a cache line.
@@ -38,40 +36,6 @@ const OwnerNone Owner = ^Owner(0)
 // for. 1024 comfortably exceeds the paper's "about a hundred VMs per host".
 const MaxOwners = 1024
 
-// Policy selects the replacement policy of a cache.
-type Policy int
-
-// Replacement policies. LRU is the default and what the paper's hardware
-// approximates; BIP/DIP reproduce the adaptive-insertion related work
-// ([17,19] in the paper) for the ablation benches; Random is a cheap
-// baseline; PartitionedLRU restricts each owner to a configured way mask,
-// modelling UCP-style cache partitioning ([27]).
-const (
-	LRU Policy = iota + 1
-	Random
-	BIP
-	DIP
-	PartitionedLRU
-)
-
-// String returns the policy name.
-func (p Policy) String() string {
-	switch p {
-	case LRU:
-		return "LRU"
-	case Random:
-		return "Random"
-	case BIP:
-		return "BIP"
-	case DIP:
-		return "DIP"
-	case PartitionedLRU:
-		return "PartitionedLRU"
-	default:
-		return fmt.Sprintf("Policy(%d)", int(p))
-	}
-}
-
 // Config describes one cache level.
 type Config struct {
 	// Name labels the cache in reports, e.g. "L1D" or "LLC".
@@ -82,17 +46,10 @@ type Config struct {
 	Ways int
 	// LineBytes is the line size (the paper's machines use 64).
 	LineBytes int
-	// Policy is the replacement policy; zero value means LRU.
-	Policy Policy
 	// HitLatencyCycles is the access cost when this level hits, measured
 	// from the core (i.e. inclusive of lookup in faster levels), matching
 	// how lmbench reports it.
 	HitLatencyCycles uint32
-	// BIPEpsilon is the probability that BIP/DIP inserts at MRU rather
-	// than LRU position. Zero means the conventional 1/32.
-	BIPEpsilon float64
-	// Seed seeds the policy's private RNG (Random and BIP need one).
-	Seed uint64
 }
 
 // Validate checks the geometry and returns a descriptive error when the
@@ -119,16 +76,14 @@ func (c Config) Validate() error {
 	if c.Ways > 64 {
 		return fmt.Errorf("cache %q: %d ways exceeds the 64-way partition mask limit", c.Name, c.Ways)
 	}
-	if c.BIPEpsilon < 0 || c.BIPEpsilon > 1 {
-		return fmt.Errorf("cache %q: BIP epsilon %v outside [0,1]", c.Name, c.BIPEpsilon)
-	}
 	return nil
 }
 
 // The cache's line metadata is kept in structure-of-arrays form: the hit
 // path scans only the dense tags array (8 bytes per way instead of a
-// 24-byte line struct), the victim scan touches only stamps, and validity
-// is one bitmask per set so "any invalid way?" is a single mask compare.
+// 24-byte line struct), recency is a per-set linked list of byte way
+// indices, and validity is one bitmask per set so "any invalid way?" is a
+// single mask compare.
 // This layout is what makes a simulated memory access cheap enough for
 // the multi-thousand-world sweeps; see the package benchmarks.
 
@@ -155,7 +110,9 @@ type OwnerStats struct {
 // Hits returns the owner's hit count at this level.
 func (s OwnerStats) Hits() uint64 { return s.Accesses - s.Misses }
 
-// Cache is a single set-associative cache level.
+// Cache is a single set-associative LRU cache level. Owners may be
+// restricted to a way mask (SetPartition), modelling UCP-style cache
+// partitioning ([27] in the paper); lookups still search every way.
 //
 // Cache is not safe for concurrent use: the simulated machine interleaves
 // cores deterministically on a single goroutine (see internal/hv), which is
@@ -163,13 +120,11 @@ func (s OwnerStats) Hits() uint64 { return s.Accesses - s.Misses }
 type Cache struct {
 	cfg    Config
 	tags   []uint64 // sets*ways, set-major; meaningful only where valid
-	stamps []uint64 // recency: higher = more recently used (nil under plain LRU)
 	owners []Owner  // filling owner per line
 	valid  []uint64 // per-set bitmask: bit i set = way i holds a line
-	// Plain LRU keeps recency as a doubly-linked list of ways per set
-	// (byte indices), so a hit's MRU promotion and a miss's LRU victim
-	// are both O(1) — no stamp scan, no list search. lruNext points
-	// towards LRU, lruPrev towards MRU.
+	// Recency is a doubly-linked list of ways per set (byte indices), so
+	// a hit's MRU promotion and a miss's LRU victim are both O(1).
+	// lruNext points towards LRU, lruPrev towards MRU.
 	lruNext   []uint8 // indexed base+way
 	lruPrev   []uint8 // indexed base+way
 	lruHead   []uint8 // per set: MRU way
@@ -177,8 +132,7 @@ type Cache struct {
 	ways      uint32
 	setMask   uint64
 	lineShift uint
-	clock     uint64 // global recency stamp source
-	rng       *xrand.Rand
+	allWays   uint64 // bitmask of every way
 
 	// Per-owner statistics and occupancy, dense slices indexed by Owner.
 	// Owners are small dense ints (vCPU ids, bounded by MaxOwners), so a
@@ -186,23 +140,12 @@ type Cache struct {
 	// Both slices grow together on demand; see growOwners.
 	stats     []OwnerStats
 	occupancy []int
+	totals    OwnerStats // aggregate over all owners (kept separately: cheap)
 
-	// Way partitioning (PartitionedLRU): per-owner allowed-way bitmasks.
-	// Owners without an entry may use defaultMask.
-	partition   map[Owner]uint64
-	defaultMask uint64
-
-	// Policy fast-path flags, fixed at construction.
-	plainLRU   bool // LRU: recency kept in order, not stamps; O(1) victim
-	touchMRU   bool // every policy but Random promotes to MRU on hit
-	simpleFill bool // PartitionedLRU/Random: insert at clock, no dueling
-	fastVictim bool // BIP/DIP: all ways allowed, stamp-scan victim
-
-	// DIP set-dueling state.
-	psel     int
-	pselMax  int
-	totals   OwnerStats // aggregate over all owners (kept separately: cheap)
-	epsilonQ uint64     // BIP: insert at MRU when rng draw < epsilonQ (16.16 fixed point of 2^32)
+	// partition[o] is owner o's allowed-way mask; owners past its end or
+	// with a zero entry may fill any way. Nil until the first
+	// SetPartition, so an unpartitioned miss pays one length test.
+	partition []uint64
 }
 
 // New builds a cache from cfg.
@@ -210,56 +153,31 @@ func New(cfg Config) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Policy == 0 {
-		cfg.Policy = LRU
-	}
-	eps := cfg.BIPEpsilon
-	if eps == 0 {
-		eps = 1.0 / 32
-	}
 	lines := cfg.SizeBytes / cfg.LineBytes
 	sets := lines / cfg.Ways
 	c := &Cache{
-		cfg:         cfg,
-		tags:        make([]uint64, lines),
-		owners:      make([]Owner, lines),
-		valid:       make([]uint64, sets),
-		ways:        uint32(cfg.Ways),
-		setMask:     uint64(sets - 1),
-		lineShift:   uint(bits.TrailingZeros(uint(cfg.LineBytes))),
-		rng:         xrand.New(cfg.Seed ^ 0xcafef00d),
-		stats:       make([]OwnerStats, presizeOwners),
-		occupancy:   make([]int, presizeOwners),
-		partition:   make(map[Owner]uint64),
-		defaultMask: wayMaskAll(cfg.Ways),
-		plainLRU:    cfg.Policy == LRU,
-		touchMRU:    cfg.Policy != Random,
-		simpleFill:  cfg.Policy == PartitionedLRU || cfg.Policy == Random,
-		fastVictim:  cfg.Policy == BIP || cfg.Policy == DIP,
-		pselMax:     1024,
-		psel:        512,
-		epsilonQ:    uint64(eps * float64(1<<32)),
+		cfg:       cfg,
+		tags:      make([]uint64, lines),
+		owners:    make([]Owner, lines),
+		valid:     make([]uint64, sets),
+		lruNext:   make([]uint8, lines),
+		lruPrev:   make([]uint8, lines),
+		lruHead:   make([]uint8, sets),
+		lruTail:   make([]uint8, sets),
+		ways:      uint32(cfg.Ways),
+		setMask:   uint64(sets - 1),
+		lineShift: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
+		allWays:   wayMaskAll(cfg.Ways),
+		stats:     make([]OwnerStats, presizeOwners),
+		occupancy: make([]int, presizeOwners),
 	}
-	if c.plainLRU {
-		// Plain LRU keeps recency as a per-set linked list instead of
-		// stamps. LRU stamps are strictly increasing and unique, so the
-		// list's recency order and the stamp order are the same total
-		// order — victim choice stays bit-identical to a stamp scan.
-		c.lruNext = make([]uint8, lines)
-		c.lruPrev = make([]uint8, lines)
-		c.lruHead = make([]uint8, sets)
-		c.lruTail = make([]uint8, sets)
-		for s := 0; s < sets; s++ {
-			base := s * cfg.Ways
-			for w := 0; w < cfg.Ways; w++ {
-				c.lruNext[base+w] = uint8(w + 1)
-				c.lruPrev[base+w] = uint8(w - 1)
-			}
-			c.lruHead[s] = 0
-			c.lruTail[s] = uint8(cfg.Ways - 1)
+	for s := 0; s < sets; s++ {
+		base := s * cfg.Ways
+		for w := 0; w < cfg.Ways; w++ {
+			c.lruNext[base+w] = uint8(w + 1)
+			c.lruPrev[base+w] = uint8(w - 1)
 		}
-	} else {
-		c.stamps = make([]uint64, lines)
+		c.lruTail[s] = uint8(cfg.Ways - 1)
 	}
 	return c, nil
 }
@@ -285,33 +203,32 @@ func (c *Cache) Config() Config { return c.cfg }
 func (c *Cache) Sets() int { return int(c.setMask + 1) }
 
 // SetPartition restricts owner's fills to the ways set in mask
-// (bit i = way i). Only honoured under PartitionedLRU. A zero mask removes
-// the restriction. Lookups always search all ways, as in UCP hardware.
-func (c *Cache) SetPartition(owner Owner, mask uint64) error {
-	mask &= wayMaskAll(c.cfg.Ways)
-	if c.cfg.Policy != PartitionedLRU {
-		return fmt.Errorf("cache %q: partitioning requires PartitionedLRU policy, have %v", c.cfg.Name, c.cfg.Policy)
-	}
-	if mask == 0 {
-		delete(c.partition, owner)
-		return nil
+// (bit i = way i). A zero mask removes the restriction. Lookups always
+// search all ways, as in UCP hardware.
+func (c *Cache) SetPartition(owner Owner, mask uint64) {
+	mask &= c.allWays
+	if int(owner) >= len(c.partition) {
+		if mask == 0 {
+			return
+		}
+		grown := make([]uint64, int(owner)+1)
+		copy(grown, c.partition)
+		c.partition = grown
 	}
 	c.partition[owner] = mask
-	return nil
 }
 
 // Access performs one load/store lookup for owner at byte address addr.
-// It returns true on hit. On miss the line is filled (write-allocate) and a
-// victim is evicted per the replacement policy.
+// It returns true on hit. On miss the line is filled (write-allocate) and
+// the LRU way the owner may fill is evicted.
 //
 // The hit path is deliberately lean: one dense stats index, one sequential
-// scan over the set's tags, and a single conditional stamp store. All
-// policy dispatch and eviction bookkeeping live on the miss path.
+// scan over the set's tags, and an MRU promotion. Victim choice and
+// eviction bookkeeping live on the miss path.
 func (c *Cache) Access(addr uint64, owner Owner) bool {
 	tag := addr >> c.lineShift
 	set := uint32(tag & c.setMask)
 	base := set * c.ways
-	c.clock++
 	if int(owner) >= len(c.stats) {
 		c.growOwners(owner)
 	}
@@ -326,11 +243,7 @@ func (c *Cache) Access(addr uint64, owner Owner) bool {
 		// invalidated ways must not hit), so the common non-matching way
 		// costs one load and one compare.
 		if tags[i] == tag && vmask>>uint(i)&1 != 0 {
-			if c.plainLRU {
-				c.touchLRU(base, set, uint8(i))
-			} else if c.touchMRU {
-				c.stamps[base+uint32(i)] = c.clock
-			}
+			c.touchLRU(base, set, uint8(i))
 			return true
 		}
 	}
@@ -404,135 +317,26 @@ func (c *Cache) fill(base, set uint32, tag uint64, owner Owner, st *OwnerStats) 
 	c.occupancy[owner]++
 	st.Fills++
 	c.totals.Fills++
-
-	if c.plainLRU {
-		c.touchLRU(base, set, uint8(victim))
-		return
-	}
-	if c.simpleFill {
-		c.stamps[idx] = c.clock
-		return
-	}
-	switch c.effectivePolicy(set) {
-	case BIP:
-		c.dipUpdate(set)
-		c.stamps[idx] = c.bipStamp()
-	default:
-		c.dipUpdate(set)
-		c.stamps[idx] = c.clock
-	}
+	c.touchLRU(base, set, uint8(victim))
 }
 
-// bipStamp returns the insertion stamp BIP uses: MRU with probability
-// epsilon, otherwise LRU (stamp 0 ages out first).
-func (c *Cache) bipStamp() uint64 {
-	if uint64(uint32(c.rng.Uint64())) < c.epsilonQ {
-		return c.clock
-	}
-	return 0
-}
-
-// pickVictim chooses the way to evict in the given set.
+// pickVictim chooses the way owner's fill evicts: the lowest invalid way
+// the owner may fill, else the least recently used of those ways. The
+// walk may start from the tail because every allowed way is then valid,
+// and valid ways sit in the recency list in the order of their last touch.
 func (c *Cache) pickVictim(base, set uint32, owner Owner) uint32 {
-	vmask := c.valid[set]
-	if c.plainLRU {
-		// The lowest clear valid bit is exactly the first invalid way the
-		// masked scan used to find; with all ways valid the LRU victim is
-		// the recency list's tail: one byte load, no scan.
-		if free := ^vmask & c.defaultMask; free != 0 {
-			return uint32(bits.TrailingZeros64(free))
-		}
-		return uint32(c.lruTail[set])
+	mask := c.allWays
+	if int(owner) < len(c.partition) && c.partition[owner] != 0 {
+		mask = c.partition[owner]
 	}
-	if c.fastVictim {
-		// BIP/DIP: every way is allowed; a straight stamp scan picks the
-		// victim (lowest stamp wins, lowest index breaks the stamp-0 ties
-		// BIP insertion creates, keeping victim choice deterministic).
-		if free := ^vmask & c.defaultMask; free != 0 {
-			return uint32(bits.TrailingZeros64(free))
-		}
-		stamps := c.stamps[base : base+c.ways : base+c.ways]
-		best, bestStamp := uint32(0), stamps[0]
-		for i := uint32(1); i < c.ways; i++ {
-			if stamps[i] < bestStamp {
-				best, bestStamp = i, stamps[i]
-			}
-		}
-		return best
-	}
-
-	mask := c.defaultMask
-	if c.cfg.Policy == PartitionedLRU {
-		if m, ok := c.partition[owner]; ok {
-			mask = m
-		}
-	}
-	// Prefer an invalid way inside the allowed mask.
-	if free := ^vmask & mask; free != 0 {
+	if free := ^c.valid[set] & mask; free != 0 {
 		return uint32(bits.TrailingZeros64(free))
 	}
-	if c.effectivePolicy(set) == Random {
-		// Choose uniformly among allowed ways.
-		n := bits.OnesCount64(mask)
-		k := c.rng.Intn(n)
-		for i := uint32(0); i < c.ways; i++ {
-			if mask&(1<<i) != 0 {
-				if k == 0 {
-					return i
-				}
-				k--
-			}
-		}
+	w := c.lruTail[set]
+	for mask>>w&1 == 0 {
+		w = c.lruPrev[base+uint32(w)]
 	}
-	// LRU within the allowed mask: lowest stamp wins, lowest index breaks
-	// ties (deterministic).
-	best := ^uint32(0)
-	var bestStamp uint64
-	for i := uint32(0); i < c.ways; i++ {
-		if mask&(1<<i) == 0 {
-			continue
-		}
-		if best == ^uint32(0) || c.stamps[base+i] < bestStamp {
-			best, bestStamp = i, c.stamps[base+i]
-		}
-	}
-	return best
-}
-
-// effectivePolicy resolves DIP set-dueling: leader sets are pinned to LRU
-// or BIP and follower sets go with the current PSEL winner.
-func (c *Cache) effectivePolicy(set uint32) Policy {
-	p := c.cfg.Policy
-	if p != DIP {
-		return p
-	}
-	switch set & 63 {
-	case 0:
-		return LRU
-	case 1:
-		return BIP
-	}
-	if c.psel >= c.pselMax/2 {
-		return BIP
-	}
-	return LRU
-}
-
-// dipUpdate nudges the PSEL counter when a leader set misses.
-func (c *Cache) dipUpdate(set uint32) {
-	if c.cfg.Policy != DIP {
-		return
-	}
-	switch set & 63 {
-	case 0: // LRU leader missed: favour BIP
-		if c.psel < c.pselMax {
-			c.psel++
-		}
-	case 1: // BIP leader missed: favour LRU
-		if c.psel > 0 {
-			c.psel--
-		}
-	}
+	return uint32(w)
 }
 
 // growOwners extends the dense stats and occupancy slices to cover owner.
@@ -586,16 +390,13 @@ func (c *Cache) ResetStats() {
 }
 
 // Flush invalidates every line and clears occupancy. Statistics are kept.
-// Recency state (stamps or the LRU order list) needs no reset: victims are
-// taken from invalid ways until the set refills, and by then the recency
-// order has been rebuilt entirely from the new fills.
+// The recency lists need no reset: victims are taken from invalid ways
+// until the set refills, and by then the recency order has been rebuilt
+// entirely from the new fills.
 func (c *Cache) Flush() {
 	for i := range c.tags {
 		c.tags[i] = 0
 		c.owners[i] = 0
-	}
-	for i := range c.stamps {
-		c.stamps[i] = 0
 	}
 	for i := range c.valid {
 		c.valid[i] = 0
@@ -622,9 +423,6 @@ func (c *Cache) FlushOwner(owner Owner) {
 			if c.owners[idx] == owner {
 				c.valid[set] &^= 1 << i
 				c.tags[idx], c.owners[idx] = 0, 0
-				if c.stamps != nil {
-					c.stamps[idx] = 0
-				}
 				removed++
 			}
 		}
@@ -647,7 +445,7 @@ func (c *Cache) ReleaseOwner(owner Owner) {
 	if int(owner) < len(c.stats) {
 		c.stats[owner] = OwnerStats{}
 	}
-	delete(c.partition, owner)
+	c.SetPartition(owner, 0)
 }
 
 // OwnersTracked returns the capacity of the dense per-owner statistics

@@ -1,16 +1,18 @@
 package cache
 
 import (
+	"encoding/json"
 	"testing"
 	"testing/quick"
+
+	"kyoto/internal/xrand"
 )
 
 // tiny returns a small LRU cache: 4 sets x 2 ways x 64B lines = 512 B.
-func tiny(t *testing.T, p Policy) *Cache {
+func tiny(t *testing.T) *Cache {
 	t.Helper()
 	c, err := New(Config{
-		Name: "T", SizeBytes: 512, Ways: 2, LineBytes: 64,
-		Policy: p, HitLatencyCycles: 4, Seed: 1,
+		Name: "T", SizeBytes: 512, Ways: 2, LineBytes: 64, HitLatencyCycles: 4,
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -32,7 +34,6 @@ func TestConfigValidate(t *testing.T) {
 		{"lines not divisible by ways", Config{Name: "c", SizeBytes: 64 * 6, Ways: 4, LineBytes: 64}, false},
 		{"sets not pow2", Config{Name: "c", SizeBytes: 64 * 12, Ways: 2, LineBytes: 64}, false},
 		{"too many ways", Config{Name: "c", SizeBytes: 64 * 128, Ways: 128, LineBytes: 64}, false},
-		{"bad epsilon", Config{Name: "c", SizeBytes: 1024, Ways: 2, LineBytes: 64, BIPEpsilon: 1.5}, false},
 		{"paper LLC", Config{Name: "LLC", SizeBytes: 10 * 1024 * 1024 / 16, Ways: 20, LineBytes: 64}, true},
 	}
 	for _, tc := range tests {
@@ -49,7 +50,7 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestMissThenHit(t *testing.T) {
-	c := tiny(t, LRU)
+	c := tiny(t)
 	if c.Access(0x1000, 1) {
 		t.Fatal("first access must miss")
 	}
@@ -66,7 +67,7 @@ func TestMissThenHit(t *testing.T) {
 }
 
 func TestLRUEvictionOrder(t *testing.T) {
-	c := tiny(t, LRU) // 4 sets, 2 ways; same set every 4 lines (256B stride)
+	c := tiny(t) // 4 sets, 2 ways; same set every 4 lines (256B stride)
 	a0 := uint64(0x0000)
 	a1 := a0 + 256 // same set, different tag
 	a2 := a0 + 512
@@ -86,7 +87,7 @@ func TestLRUEvictionOrder(t *testing.T) {
 }
 
 func TestEvictionAttribution(t *testing.T) {
-	c := tiny(t, LRU)
+	c := tiny(t)
 	// Owner 1 fills both ways of set 0, then owner 2 evicts one.
 	c.Access(0, 1)
 	c.Access(256, 1)
@@ -112,7 +113,7 @@ func TestEvictionAttribution(t *testing.T) {
 }
 
 func TestOccupancyTracking(t *testing.T) {
-	c := tiny(t, LRU)
+	c := tiny(t)
 	for i := uint64(0); i < 4; i++ {
 		c.Access(i*64, 1) // four distinct sets
 	}
@@ -134,7 +135,7 @@ func TestOccupancyTracking(t *testing.T) {
 }
 
 func TestFlushKeepsStats(t *testing.T) {
-	c := tiny(t, LRU)
+	c := tiny(t)
 	c.Access(0, 1)
 	c.Flush()
 	if c.Probe(0) {
@@ -149,81 +150,12 @@ func TestFlushKeepsStats(t *testing.T) {
 	}
 }
 
-func TestRandomPolicyStillCaches(t *testing.T) {
-	c := tiny(t, Random)
-	c.Access(0x40, 7)
-	if !c.Access(0x40, 7) {
-		t.Fatal("random policy must still hit on resident lines")
-	}
-}
-
-func TestBIPResistsThrashing(t *testing.T) {
-	// A working set slightly larger than one set's ways, streamed
-	// repeatedly, thrashes LRU (hit rate ~0) but BIP keeps a subset
-	// resident. Use a single-set cache to isolate the effect.
-	mk := func(p Policy) *Cache {
-		return MustNew(Config{
-			Name: "one-set", SizeBytes: 4 * 64, Ways: 4, LineBytes: 64,
-			Policy: p, Seed: 42,
-		})
-	}
-	stream := func(c *Cache) float64 {
-		// 6 lines > 4 ways, all mapping to the single set; 300 rounds.
-		var hits, acc uint64
-		for r := 0; r < 300; r++ {
-			for i := uint64(0); i < 6; i++ {
-				if c.Access(i*64, 1) {
-					hits++
-				}
-				acc++
-			}
-		}
-		return float64(hits) / float64(acc)
-	}
-	lru, bip := stream(mk(LRU)), stream(mk(BIP))
-	if lru > 0.01 {
-		t.Fatalf("LRU hit rate on thrash stream = %v, want ~0", lru)
-	}
-	if bip < 0.2 {
-		t.Fatalf("BIP hit rate = %v, want >= 0.2 (thrash resistance)", bip)
-	}
-}
-
-func TestDIPFollowsBetterPolicy(t *testing.T) {
-	c := MustNew(Config{
-		// 128 sets so both leader groups (set%64==0,1) exist.
-		Name: "dip", SizeBytes: 128 * 4 * 64, Ways: 4, LineBytes: 64,
-		Policy: DIP, Seed: 7,
-	})
-	// Thrash-heavy stream over 8 lines per set on a 4-way cache.
-	var hits, acc uint64
-	for r := 0; r < 200; r++ {
-		for s := uint64(0); s < 128; s++ {
-			for i := uint64(0); i < 8; i++ {
-				if c.Access((s+i*128)*64, 1) {
-					hits++
-				}
-				acc++
-			}
-		}
-	}
-	rate := float64(hits) / float64(acc)
-	if rate < 0.05 {
-		t.Fatalf("DIP hit rate = %v under thrash, want BIP-like (> 0.05)", rate)
-	}
-}
-
 func TestPartitioning(t *testing.T) {
 	c := MustNew(Config{
 		Name: "part", SizeBytes: 4 * 4 * 64, Ways: 4, LineBytes: 64,
-		Policy: PartitionedLRU, Seed: 3,
 	})
-	if err := c.SetPartition(1, 0b0011); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.SetPartition(2, 0b1100); err != nil {
-		t.Fatal(err)
-	}
+	c.SetPartition(1, 0b0011)
+	c.SetPartition(2, 0b1100)
 	// Owner 2 fills its two ways of set 0; owner 1 then streams many
 	// conflicting lines. Owner 2's lines must survive: that is the whole
 	// point of UCP-style partitioning.
@@ -237,13 +169,6 @@ func TestPartitioning(t *testing.T) {
 	}
 	if got := c.Stats(1).EvictionsInflicted; got != 0 {
 		t.Fatalf("owner 1 inflicted %d evictions despite disjoint partitions", got)
-	}
-}
-
-func TestPartitionRequiresPolicy(t *testing.T) {
-	c := tiny(t, LRU)
-	if err := c.SetPartition(1, 0b01); err == nil {
-		t.Fatal("SetPartition must fail on non-partitioned policy")
 	}
 }
 
@@ -292,7 +217,7 @@ func TestHierarchyValidate(t *testing.T) {
 func TestQuickAccountingInvariants(t *testing.T) {
 	f := func(addrs []uint16, owners []uint8) bool {
 		c := MustNew(Config{
-			Name: "q", SizeBytes: 8 * 2 * 64, Ways: 2, LineBytes: 64, Seed: 9,
+			Name: "q", SizeBytes: 8 * 2 * 64, Ways: 2, LineBytes: 64,
 		})
 		for i, a := range addrs {
 			o := Owner(1)
@@ -333,7 +258,7 @@ func TestQuickAccountingInvariants(t *testing.T) {
 func TestQuickProbeConsistency(t *testing.T) {
 	f := func(seq []uint16) bool {
 		c := MustNew(Config{
-			Name: "q2", SizeBytes: 4 * 2 * 64, Ways: 2, LineBytes: 64, Seed: 11,
+			Name: "q2", SizeBytes: 4 * 2 * 64, Ways: 2, LineBytes: 64,
 		})
 		for _, a := range seq {
 			addr := uint64(a) * 32
@@ -354,8 +279,10 @@ func TestQuickProbeConsistency(t *testing.T) {
 }
 
 // refLRU is a brute-force reference LRU model: full tags, uint64 stamps,
-// linear victim scan with lowest-index tie-break — the semantics the
-// production cache's linked recency list must reproduce exactly.
+// per-owner way masks and a linear victim scan over the owner's allowed
+// ways with lowest-index tie-break — the semantics the production cache's
+// linked recency list must reproduce exactly. It keeps its own per-owner
+// statistics and occupancy so every counter can be checked too.
 type refLRU struct {
 	ways   int
 	sets   uint64
@@ -364,10 +291,14 @@ type refLRU struct {
 	owners [][]Owner
 	valid  [][]bool
 	clock  uint64
+	masks  map[Owner]uint64
+	stats  map[Owner]*OwnerStats
+	occ    map[Owner]int
 }
 
 func newRefLRU(sets, ways int) *refLRU {
-	r := &refLRU{ways: ways, sets: uint64(sets)}
+	r := &refLRU{ways: ways, sets: uint64(sets),
+		masks: map[Owner]uint64{}, stats: map[Owner]*OwnerStats{}, occ: map[Owner]int{}}
 	for s := 0; s < sets; s++ {
 		r.tags = append(r.tags, make([]uint64, ways))
 		r.stamps = append(r.stamps, make([]uint64, ways))
@@ -377,19 +308,34 @@ func newRefLRU(sets, ways int) *refLRU {
 	return r
 }
 
+func (r *refLRU) stat(o Owner) *OwnerStats {
+	if r.stats[o] == nil {
+		r.stats[o] = &OwnerStats{}
+	}
+	return r.stats[o]
+}
+
 func (r *refLRU) access(addr uint64, owner Owner) bool {
 	tag := addr >> 6
 	set := tag % r.sets
 	r.clock++
+	st := r.stat(owner)
+	st.Accesses++
 	for w := 0; w < r.ways; w++ {
 		if r.valid[set][w] && r.tags[set][w] == tag {
 			r.stamps[set][w] = r.clock
 			return true
 		}
 	}
+	st.Misses++
+	st.Fills++
+	mask := wayMaskAll(r.ways)
+	if m, ok := r.masks[owner]; ok {
+		mask = m
+	}
 	victim := -1
 	for w := 0; w < r.ways; w++ {
-		if !r.valid[set][w] {
+		if mask>>w&1 != 0 && !r.valid[set][w] {
 			victim = w
 			break
 		}
@@ -397,16 +343,33 @@ func (r *refLRU) access(addr uint64, owner Owner) bool {
 	if victim < 0 {
 		var bestStamp uint64
 		for w := 0; w < r.ways; w++ {
-			if victim < 0 || r.stamps[set][w] < bestStamp {
+			if mask>>w&1 != 0 && (victim < 0 || r.stamps[set][w] < bestStamp) {
 				victim, bestStamp = w, r.stamps[set][w]
 			}
+		}
+		v := r.owners[set][victim]
+		r.stat(v).EvictionsSuffered++
+		r.occ[v]--
+		if v == owner {
+			st.SelfEvictions++
+		} else {
+			st.EvictionsInflicted++
 		}
 	}
 	r.tags[set][victim] = tag
 	r.stamps[set][victim] = r.clock
 	r.owners[set][victim] = owner
 	r.valid[set][victim] = true
+	r.occ[owner]++
 	return false
+}
+
+func (r *refLRU) setPartition(owner Owner, mask uint64) {
+	if mask &= wayMaskAll(r.ways); mask == 0 {
+		delete(r.masks, owner)
+	} else {
+		r.masks[owner] = mask
+	}
 }
 
 func (r *refLRU) flushOwner(owner Owner) {
@@ -415,9 +378,26 @@ func (r *refLRU) flushOwner(owner Owner) {
 			if r.valid[s][w] && r.owners[s][w] == owner {
 				r.valid[s][w] = false
 				r.stamps[s][w] = 0
+				r.occ[owner]--
 			}
 		}
 	}
+}
+
+func (r *refLRU) flush() {
+	for s := range r.valid {
+		for w := 0; w < r.ways; w++ {
+			r.valid[s][w] = false
+			r.stamps[s][w] = 0
+		}
+	}
+	r.occ = map[Owner]int{}
+}
+
+func (r *refLRU) releaseOwner(owner Owner) {
+	r.flushOwner(owner)
+	delete(r.stats, owner)
+	delete(r.masks, owner)
 }
 
 // Property: the linked-list LRU replacement is access-for-access identical
@@ -429,7 +409,7 @@ func TestQuickLRUMatchesReference(t *testing.T) {
 	f := func(seq []uint16, flushAt, flushOwnerAt uint8) bool {
 		const sets, ways = 4, 4
 		c := MustNew(Config{
-			Name: "lru-eq", SizeBytes: sets * ways * 64, Ways: ways, LineBytes: 64, Seed: 13,
+			Name: "lru-eq", SizeBytes: sets * ways * 64, Ways: ways, LineBytes: 64,
 		})
 		ref := newRefLRU(sets, ways)
 		for i, a := range seq {
@@ -440,11 +420,7 @@ func TestQuickLRUMatchesReference(t *testing.T) {
 			}
 			if len(seq) > 0 && i == int(flushAt)%len(seq) {
 				c.Flush()
-				for s := 0; s < sets; s++ {
-					for w := 0; w < ways; w++ {
-						ref.valid[s][w] = false
-					}
-				}
+				ref.flush()
 			}
 			if len(seq) > 0 && i == int(flushOwnerAt)%len(seq) {
 				c.FlushOwner(2)
@@ -473,8 +449,74 @@ func TestQuickLRUMatchesReference(t *testing.T) {
 	}
 }
 
+// TestMaskedVictimsMatchReference drives the cache and the stamp-scan
+// reference through seeded random streams of accesses, way-partition
+// changes (zero masks included), owner releases, flushes and
+// checkpoint round-trips into a fresh cache, and compares every hit,
+// every owner's statistics and every owner's occupancy after each step.
+func TestMaskedVictimsMatchReference(t *testing.T) {
+	const sets, ways, owners = 4, 8, 4
+	cfg := Config{Name: "masked", SizeBytes: sets * ways * 64, Ways: ways, LineBytes: 64}
+	for seed := uint64(1); seed <= 20; seed++ {
+		rng := xrand.New(seed)
+		c := MustNew(cfg)
+		ref := newRefLRU(sets, ways)
+		for step := 0; step < 3000; step++ {
+			owner := Owner(rng.Intn(owners)) + 1
+			switch op := rng.Intn(100); {
+			case op < 80:
+				addr := uint64(rng.Intn(sets*ways*3)) * 64
+				if got, want := c.Access(addr, owner), ref.access(addr, owner); got != want {
+					t.Fatalf("seed %d step %d: Access(%#x, %d) hit = %v, reference %v", seed, step, addr, owner, got, want)
+				}
+			case op < 90:
+				mask := rng.Uint64() & wayMaskAll(ways+1) // bit 8 lies outside the ways
+				if rng.Intn(4) == 0 {
+					mask = 0
+				}
+				c.SetPartition(owner, mask)
+				ref.setPartition(owner, mask)
+			case op < 93:
+				c.ReleaseOwner(owner)
+				ref.releaseOwner(owner)
+			case op < 96:
+				c.FlushOwner(owner)
+				ref.flushOwner(owner)
+			case op < 97:
+				c.Flush()
+				ref.flush()
+			default:
+				raw, err := json.Marshal(c.CaptureState())
+				if err != nil {
+					t.Fatal(err)
+				}
+				var st State
+				if err := json.Unmarshal(raw, &st); err != nil {
+					t.Fatal(err)
+				}
+				c = MustNew(cfg)
+				if err := c.RestoreState(st); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for o := Owner(1); o <= owners; o++ {
+				want := OwnerStats{}
+				if ref.stats[o] != nil {
+					want = *ref.stats[o]
+				}
+				if got := c.Stats(o); got != want {
+					t.Fatalf("seed %d step %d: owner %d stats %+v, reference %+v", seed, step, o, got, want)
+				}
+				if got, want := c.Occupancy(o), ref.occ[o]; got != want {
+					t.Fatalf("seed %d step %d: owner %d occupancy %d, reference %d", seed, step, o, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestOwnerStatsGrowth(t *testing.T) {
-	c := tiny(t, LRU)
+	c := tiny(t)
 	// Owners far beyond the pre-sized slice must work and stay isolated.
 	high := Owner(900)
 	c.Access(0, high)
@@ -496,7 +538,7 @@ func TestOwnerStatsGrowth(t *testing.T) {
 }
 
 func TestFlushOwnerInterleaved(t *testing.T) {
-	c := tiny(t, LRU) // 4 sets x 2 ways
+	c := tiny(t) // 4 sets x 2 ways
 	// Owners 1 and 2 each own one way of every set.
 	for set := uint64(0); set < 4; set++ {
 		c.Access(set*64, 1)
@@ -536,7 +578,7 @@ func TestFlushOwnerInterleaved(t *testing.T) {
 }
 
 func TestResetStatsKeepsOccupancyAndContent(t *testing.T) {
-	c := tiny(t, LRU)
+	c := tiny(t)
 	c.Access(0, 1)
 	c.Access(256, 2)
 	c.ResetStats()
@@ -557,7 +599,7 @@ func TestResetStatsKeepsOccupancyAndContent(t *testing.T) {
 }
 
 func TestOccupancyFractionBounds(t *testing.T) {
-	c := tiny(t, LRU)
+	c := tiny(t)
 	if got := c.OccupancyFraction(3); got != 0 {
 		t.Fatalf("unseen owner fraction = %v, want 0", got)
 	}
@@ -573,8 +615,9 @@ func TestDeterminism(t *testing.T) {
 	run := func() OwnerStats {
 		c := MustNew(Config{
 			Name: "d", SizeBytes: 16 * 4 * 64, Ways: 4, LineBytes: 64,
-			Policy: BIP, Seed: 1234,
 		})
+		c.SetPartition(1, 0b0011)
+		c.SetPartition(2, 0b1110)
 		for i := 0; i < 5000; i++ {
 			c.Access(uint64(i*97)%32768, Owner(i%3)+1)
 		}
@@ -582,13 +625,13 @@ func TestDeterminism(t *testing.T) {
 	}
 	a, b := run(), run()
 	if a != b {
-		t.Fatalf("same seed produced different totals:\n%+v\n%+v", a, b)
+		t.Fatalf("identical runs produced different totals:\n%+v\n%+v", a, b)
 	}
 }
 
 func BenchmarkAccessLRU(b *testing.B) {
 	c := MustNew(Config{
-		Name: "bench", SizeBytes: 640 * 1024, Ways: 20, LineBytes: 64, Seed: 5,
+		Name: "bench", SizeBytes: 640 * 1024, Ways: 20, LineBytes: 64,
 	})
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -599,12 +642,14 @@ func BenchmarkAccessLRU(b *testing.B) {
 
 // BenchmarkCacheAccess covers the shapes the simulation hot path actually
 // issues: hammering a resident line (the L1-hit fast path), streaming
-// through twice the capacity (miss + eviction path), and interleaving four
-// owners (the per-owner stats path a multi-VM host exercises).
+// through twice the capacity (miss + eviction path), interleaving four
+// owners (the per-owner stats path a multi-VM host exercises), and two
+// owners with disjoint way masks streaming misses (the partitioned victim
+// walk).
 func BenchmarkCacheAccess(b *testing.B) {
 	mk := func() *Cache {
 		return MustNew(Config{
-			Name: "bench", SizeBytes: 640 * 1024, Ways: 20, LineBytes: 64, Seed: 5,
+			Name: "bench", SizeBytes: 640 * 1024, Ways: 20, LineBytes: 64,
 		})
 	}
 	b.Run("hit", func(b *testing.B) {
@@ -632,10 +677,20 @@ func BenchmarkCacheAccess(b *testing.B) {
 			c.Access(uint64(i)*64%(2*640*1024), Owner(i&3)+1)
 		}
 	})
+	b.Run("partitioned", func(b *testing.B) {
+		c := mk()
+		c.SetPartition(1, 0x003FF) // ways 0-9
+		c.SetPartition(2, 0xFFC00) // ways 10-19
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c.Access(uint64(i)*64%(2*640*1024), Owner(i&1)+1)
+		}
+	})
 	b.Run("path", func(b *testing.B) {
-		l1 := MustNew(Config{Name: "L1", SizeBytes: 2 * 1024, Ways: 8, LineBytes: 64, HitLatencyCycles: 4, Seed: 5})
-		l2 := MustNew(Config{Name: "L2", SizeBytes: 16 * 1024, Ways: 8, LineBytes: 64, HitLatencyCycles: 12, Seed: 6})
-		llc := MustNew(Config{Name: "LLC", SizeBytes: 640 * 1024, Ways: 20, LineBytes: 64, HitLatencyCycles: 45, Seed: 7})
+		l1 := MustNew(Config{Name: "L1", SizeBytes: 2 * 1024, Ways: 8, LineBytes: 64, HitLatencyCycles: 4})
+		l2 := MustNew(Config{Name: "L2", SizeBytes: 16 * 1024, Ways: 8, LineBytes: 64, HitLatencyCycles: 12})
+		llc := MustNew(Config{Name: "LLC", SizeBytes: 640 * 1024, Ways: 20, LineBytes: 64, HitLatencyCycles: 45})
 		p := &Path{L1D: l1, L2: l2, LLC: llc, MemLatencyCycles: 180, RemotePenaltyCycles: 120}
 		b.ReportAllocs()
 		b.ResetTimer()

@@ -2,17 +2,17 @@ package cache
 
 // Cache checkpoint support, for both fidelity tiers. A cache's behaviour
 // is a pure function of its configuration plus the mutable state captured
-// here — line metadata, recency, the policy RNG, per-owner statistics and
-// the DIP duel counter — so restoring a State into a cache freshly built
-// from the identical Config reproduces every future access bit-for-bit.
+// here — line metadata, the recency lists, per-owner statistics and the
+// way partitions — so restoring a State into a cache freshly built from
+// the identical Config reproduces every future access bit-for-bit.
 // Capture and restore are cold-path (checkpoint-time) operations; they
 // trade compactness for readability and validate geometry on restore so a
 // state from a differently shaped cache fails cleanly.
 
 import "fmt"
 
-// OwnerMask is one owner's way-partition entry in serialized form (JSON
-// maps need string keys, so the map is flattened to a sorted slice).
+// OwnerMask is one owner's way-partition entry in serialized form, listed
+// in owner order.
 type OwnerMask struct {
 	Owner Owner  `json:"owner"`
 	Mask  uint64 `json:"mask"`
@@ -20,24 +20,19 @@ type OwnerMask struct {
 
 // State is the complete mutable state of an exact-tier Cache.
 type State struct {
-	Tags   []uint64 `json:"tags"`
-	Stamps []uint64 `json:"stamps,omitempty"` // absent under plain LRU
-	Owners []Owner  `json:"owners"`
-	Valid  []uint64 `json:"valid"`
-	// Plain-LRU recency lists; absent under stamp-based policies.
-	LRUNext []uint8 `json:"lru_next,omitempty"`
-	LRUPrev []uint8 `json:"lru_prev,omitempty"`
-	LRUHead []uint8 `json:"lru_head,omitempty"`
-	LRUTail []uint8 `json:"lru_tail,omitempty"`
-	Clock   uint64  `json:"clock"`
-	RNG     uint64  `json:"rng"`
+	Tags    []uint64 `json:"tags"`
+	Owners  []Owner  `json:"owners"`
+	Valid   []uint64 `json:"valid"`
+	LRUNext []uint8  `json:"lru_next"`
+	LRUPrev []uint8  `json:"lru_prev"`
+	LRUHead []uint8  `json:"lru_head"`
+	LRUTail []uint8  `json:"lru_tail"`
 	// Per-owner rows, truncated to the slice lengths the cache had grown
 	// to (restore re-grows to the same lengths, keeping growth behaviour
 	// aligned between the original and the restored cache).
 	Stats     []OwnerStats `json:"stats"`
 	Occupancy []int        `json:"occupancy"`
 	Partition []OwnerMask  `json:"partition,omitempty"`
-	PSel      int          `json:"psel"`
 	Totals    OwnerStats   `json:"totals"`
 }
 
@@ -47,26 +42,19 @@ func (c *Cache) CaptureState() State {
 		Tags:      append([]uint64(nil), c.tags...),
 		Owners:    append([]Owner(nil), c.owners...),
 		Valid:     append([]uint64(nil), c.valid...),
-		Clock:     c.clock,
-		RNG:       c.rng.State(),
+		LRUNext:   append([]uint8(nil), c.lruNext...),
+		LRUPrev:   append([]uint8(nil), c.lruPrev...),
+		LRUHead:   append([]uint8(nil), c.lruHead...),
+		LRUTail:   append([]uint8(nil), c.lruTail...),
 		Stats:     append([]OwnerStats(nil), c.stats...),
 		Occupancy: append([]int(nil), c.occupancy...),
-		PSel:      c.psel,
 		Totals:    c.totals,
 	}
-	if c.stamps != nil {
-		st.Stamps = append([]uint64(nil), c.stamps...)
-	}
-	if c.plainLRU {
-		st.LRUNext = append([]uint8(nil), c.lruNext...)
-		st.LRUPrev = append([]uint8(nil), c.lruPrev...)
-		st.LRUHead = append([]uint8(nil), c.lruHead...)
-		st.LRUTail = append([]uint8(nil), c.lruTail...)
-	}
 	for owner, mask := range c.partition {
-		st.Partition = append(st.Partition, OwnerMask{Owner: owner, Mask: mask})
+		if mask != 0 {
+			st.Partition = append(st.Partition, OwnerMask{Owner: Owner(owner), Mask: mask})
+		}
 	}
-	sortOwnerMasks(st.Partition)
 	return st
 }
 
@@ -78,13 +66,8 @@ func (c *Cache) RestoreState(st State) error {
 		return fmt.Errorf("cache %q: state geometry %d/%d lines, %d sets does not match %d lines, %d sets",
 			c.cfg.Name, len(st.Tags), len(st.Owners), len(st.Valid), lines, sets)
 	}
-	if c.plainLRU {
-		if len(st.LRUNext) != lines || len(st.LRUPrev) != lines || len(st.LRUHead) != sets || len(st.LRUTail) != sets {
-			return fmt.Errorf("cache %q: LRU list state does not match geometry (or the state is from a non-LRU cache)", c.cfg.Name)
-		}
-	} else if len(st.Stamps) != lines {
-		return fmt.Errorf("cache %q: stamp state has %d lines, want %d (or the state is from a plain-LRU cache)",
-			c.cfg.Name, len(st.Stamps), lines)
+	if len(st.LRUNext) != lines || len(st.LRUPrev) != lines || len(st.LRUHead) != sets || len(st.LRUTail) != sets {
+		return fmt.Errorf("cache %q: LRU list state does not match geometry", c.cfg.Name)
 	}
 	if len(st.Stats) != len(st.Occupancy) {
 		return fmt.Errorf("cache %q: state has %d stats rows but %d occupancy rows", c.cfg.Name, len(st.Stats), len(st.Occupancy))
@@ -92,35 +75,18 @@ func (c *Cache) RestoreState(st State) error {
 	copy(c.tags, st.Tags)
 	copy(c.owners, st.Owners)
 	copy(c.valid, st.Valid)
-	if c.plainLRU {
-		copy(c.lruNext, st.LRUNext)
-		copy(c.lruPrev, st.LRUPrev)
-		copy(c.lruHead, st.LRUHead)
-		copy(c.lruTail, st.LRUTail)
-	} else {
-		copy(c.stamps, st.Stamps)
-	}
-	c.clock = st.Clock
-	c.rng.SetState(st.RNG)
+	copy(c.lruNext, st.LRUNext)
+	copy(c.lruPrev, st.LRUPrev)
+	copy(c.lruHead, st.LRUHead)
+	copy(c.lruTail, st.LRUTail)
 	c.stats = append([]OwnerStats(nil), st.Stats...)
 	c.occupancy = append([]int(nil), st.Occupancy...)
-	c.partition = make(map[Owner]uint64, len(st.Partition))
+	c.partition = nil
 	for _, om := range st.Partition {
-		c.partition[om.Owner] = om.Mask
+		c.SetPartition(om.Owner, om.Mask)
 	}
-	c.psel = st.PSel
 	c.totals = st.Totals
 	return nil
-}
-
-// sortOwnerMasks orders partition entries by owner so capture output is
-// canonical (map iteration order must never leak into a snapshot).
-func sortOwnerMasks(ms []OwnerMask) {
-	for i := 1; i < len(ms); i++ {
-		for j := i; j > 0 && ms[j].Owner < ms[j-1].Owner; j-- {
-			ms[j], ms[j-1] = ms[j-1], ms[j]
-		}
-	}
 }
 
 // AnalyticState is the complete mutable state of an AnalyticLLC. The

@@ -59,7 +59,7 @@ func churnFleet(t *testing.T, workers int, overrides map[int]cluster.HostOverrid
 // bigLLCOverride doubles host 2's LLC and permit budget, the
 // heterogeneous fleet the topology-aware golden steers polluters to.
 func bigLLCOverride() map[int]cluster.HostOverride {
-	m := machine.TableOne(42)
+	m := machine.TableOne()
 	m.LLC.SizeBytes *= 2
 	return map[int]cluster.HostOverride{2: {Machine: m, LLCBudget: 2000}}
 }

@@ -419,12 +419,8 @@ func newHost(id int, t HostTemplate) (*Host, error) {
 	seed := cmp.Or(t.Seed, 1) ^ uint64(id+1)*0x9e3779b97f4a7c15
 	mcfg := t.Machine
 	if mcfg.Sockets == 0 {
-		mcfg = machine.TableOne(seed)
+		mcfg = machine.TableOne()
 	}
-	// The per-host seed must reach the cache RNGs even when the template
-	// carries an explicit machine config, or every host replays identical
-	// replacement streams.
-	mcfg.Seed = seed
 	n, err := NewNode(NodeConfig{
 		Machine: mcfg, Seed: seed, Fidelity: t.Fidelity, NewSched: t.NewSched,
 		EnableKyoto: t.EnableKyoto, ShadowMonitor: t.ShadowMonitor, Indicator: t.Indicator,

@@ -99,7 +99,7 @@ func TestReactivePlanSkipsWhenNoFeasibleDestination(t *testing.T) {
 }
 
 func TestTopologyAwarePrefersBigLLCHost(t *testing.T) {
-	big := machine.TableOne(5)
+	big := machine.TableOne()
 	big.LLC.SizeBytes *= 2
 	f, view := rebalanceScenario(t, map[int]HostOverride{
 		1: {Machine: big},

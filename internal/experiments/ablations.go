@@ -3,10 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"kyoto/internal/cache"
 	"kyoto/internal/cluster"
 	"kyoto/internal/core"
-	"kyoto/internal/machine"
 	"kyoto/internal/sweep"
 	"kyoto/internal/vm"
 	"kyoto/internal/workload"
@@ -75,10 +73,8 @@ func AblationPartitioning(seed uint64) (kyotoPerf, partPerf float64, err error) 
 	kyotoPerf = kr.IPC("sen") / soloIPC
 
 	// Way-partitioned arm: plain XCS, but the LLC is split 10/10 ways.
-	mcfg := machine.TableOne(seed)
-	mcfg.LLC.Policy = cache.PartitionedLRU
 	s := Scenario{
-		NodeConfig: cluster.NodeConfig{Machine: mcfg, Seed: seed},
+		NodeConfig: cluster.NodeConfig{Seed: seed},
 		VMs: []vm.Spec{
 			{Name: "sen", App: workload.VSen1, Pins: []int{0}},
 			{Name: "dis", App: workload.VDis1, Pins: []int{1}},
@@ -90,12 +86,8 @@ func AblationPartitioning(seed uint64) (kyotoPerf, partPerf float64, err error) 
 		return 0, 0, err
 	}
 	llc := w.Machine().Socket(0).LLC
-	if err := llc.SetPartition(w.FindVM("sen").VCPUs[0].Owner(), 0x003FF); err != nil { // ways 0-9
-		return 0, 0, err
-	}
-	if err := llc.SetPartition(w.FindVM("dis").VCPUs[0].Owner(), 0xFFC00); err != nil { // ways 10-19
-		return 0, 0, err
-	}
+	llc.SetPartition(w.FindVM("sen").VCPUs[0].Owner(), 0x003FF) // ways 0-9
+	llc.SetPartition(w.FindVM("dis").VCPUs[0].Owner(), 0xFFC00) // ways 10-19
 	partPerf = s.measure(w).IPC("sen") / soloIPC
 	return kyotoPerf, partPerf, nil
 }

@@ -104,7 +104,7 @@ func TestRunDeterminism(t *testing.T) {
 }
 
 func TestMigrationHookBounces(t *testing.T) {
-	mcfg := machine.R420(1)
+	mcfg := machine.R420()
 	w, err := hv.New(hv.Config{Machine: mcfg, Seed: 1}, sched.NewCredit(8))
 	if err != nil {
 		t.Fatal(err)

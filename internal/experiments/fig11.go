@@ -53,7 +53,7 @@ func newFig11(seed uint64) *figSweep[Fig11Result, Fig11Result] {
 		}))
 	}
 	s.arms = append(s.arms, figArm[Fig11Result]{"contended", func() (Fig11Result, error) {
-		mcfg := machine.R420(seed)
+		mcfg := machine.R420()
 		ded := monitor.NewDedication(nil, core.Equation1)
 		// Phased applications need windows covering a full phase period
 		// (the paper samples ~1 billion cycles, tens of scaled ticks).

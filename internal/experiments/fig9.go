@@ -88,7 +88,7 @@ func newFig9(seed uint64) *figSweep[float64, Fig9Result] {
 	s := &figSweep[float64, Fig9Result]{name: "fig9", config: seedConfig{Seed: seed}}
 	for _, app := range Fig9Apps {
 		sc := Scenario{
-			NodeConfig: cluster.NodeConfig{Machine: machine.R420(seed), Seed: seed},
+			NodeConfig: cluster.NodeConfig{Machine: machine.R420(), Seed: seed},
 			VMs:        []vm.Spec{pinned("solo", app, 0)},
 			Measure:    60,
 		}

@@ -846,7 +846,7 @@ func bigLLCOverrides(cfg FleetSweepConfig) (map[int]cluster.HostOverride, error)
 	}
 	big := cfg.Hosts - 1
 	if _, ok := overrides[big]; !ok {
-		m := machine.TableOne(cfg.Seed)
+		m := machine.TableOne()
 		m.LLC.SizeBytes *= cfg.BigLLCFactor
 		cores := m.Sockets * m.CoresPerSocket
 		overrides[big] = cluster.HostOverride{

@@ -34,7 +34,7 @@ const (
 // and the measurement window.
 type Scenario struct {
 	// NodeConfig is the host, built by cluster.NewNode like every other
-	// Kyoto host. A zero Machine selects machine.TableOne(Seed), a zero
+	// Kyoto host. A zero Machine selects machine.TableOne(), a zero
 	// Seed selects 1, and a nil NewSched the credit scheduler (XCS), the
 	// paper's baseline; EnableKyoto makes it the KS4 variant of that
 	// scheduler, with the counter monitor attached.
@@ -83,7 +83,7 @@ func Run(s Scenario) (Result, error) {
 func (s Scenario) build() (*hv.World, error) {
 	nc := s.NodeConfig
 	if nc.Machine.Sockets == 0 {
-		nc.Machine = machine.TableOne(nc.Seed)
+		nc.Machine = machine.TableOne()
 	}
 	nc.Seed = cmp.Or(nc.Seed, 1)
 	n, err := cluster.NewNode(nc)

@@ -8,7 +8,7 @@ import (
 // Table1 renders the experimental machine description (the paper's
 // Table 1), annotated with the simulator's scaling.
 func Table1() Table {
-	cfg := machine.TableOne(1)
+	cfg := machine.TableOne()
 	t := Table{
 		Title: "Table 1: Experimental machine",
 		Note: "scaled replica: capacities 1:16, clock 1:28 of the paper's Dell / Xeon E5-1603 v3\n" +

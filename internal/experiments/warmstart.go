@@ -105,7 +105,7 @@ func (r *WarmStartResult) BitIdentical() bool {
 
 // warmStartWorld builds the sweep's empty host: plain credit scheduling.
 func warmStartWorld(cfg WarmStartConfig) (*cluster.Node, error) {
-	return cluster.NewNode(cluster.NodeConfig{Machine: machine.TableOne(cfg.Seed), Seed: cfg.Seed, Fidelity: cfg.Fidelity})
+	return cluster.NewNode(cluster.NodeConfig{Machine: machine.TableOne(), Seed: cfg.Seed, Fidelity: cfg.Fidelity})
 }
 
 // warmStartFingerprint folds the world's outcome.

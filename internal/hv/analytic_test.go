@@ -25,7 +25,7 @@ func analyticWorlds(t testing.TB) map[string]*hv.World {
 	t.Helper()
 	mk := func(s sched.Scheduler, hooks []hv.TickHook, specs ...vm.Spec) *hv.World {
 		w, err := hv.New(hv.Config{
-			Machine:  machine.TableOne(goldenSeed),
+			Machine:  machine.TableOne(),
 			Seed:     goldenSeed,
 			Fidelity: cache.FidelityAnalytic,
 		}, s)
@@ -130,7 +130,7 @@ func TestAnalyticContentionOrdering(t *testing.T) {
 // and owner tags on the analytic tier exactly as on the exact tier.
 func TestAnalyticRemoveVMReleasesState(t *testing.T) {
 	w, err := hv.New(hv.Config{
-		Machine:  machine.TableOne(goldenSeed),
+		Machine:  machine.TableOne(),
 		Seed:     goldenSeed,
 		Fidelity: cache.FidelityAnalytic,
 	}, sched.NewCredit(4))
@@ -169,7 +169,7 @@ func BenchmarkWorldTickAnalytic(b *testing.B) {
 		}},
 		{"credit-4vm", func(t testing.TB) *hv.World {
 			w, err := hv.New(hv.Config{
-				Machine:  machine.TableOne(goldenSeed),
+				Machine:  machine.TableOne(),
 				Seed:     goldenSeed,
 				Fidelity: cache.FidelityAnalytic,
 			}, sched.NewCredit(4))

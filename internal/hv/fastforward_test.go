@@ -23,7 +23,7 @@ import (
 // scheduler with enforcement (no monitor — feed is the caller's choice).
 func ffWorld(t *testing.T, fid cache.Fidelity, kyoto bool) *World {
 	t.Helper()
-	mcfg := machine.TableOne(7)
+	mcfg := machine.TableOne()
 	cores := mcfg.Sockets * mcfg.CoresPerSocket
 	var s sched.Scheduler = sched.NewCredit(cores)
 	if kyoto {

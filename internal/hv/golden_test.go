@@ -45,7 +45,7 @@ const goldenSeed = 7
 func goldenWorlds(t testing.TB) map[string]*hv.World {
 	t.Helper()
 	mk := func(s sched.Scheduler, hooks []hv.TickHook, specs ...vm.Spec) *hv.World {
-		w, err := hv.New(hv.Config{Machine: machine.TableOne(goldenSeed), Seed: goldenSeed}, s)
+		w, err := hv.New(hv.Config{Machine: machine.TableOne(), Seed: goldenSeed}, s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +166,7 @@ func BenchmarkWorldTick(b *testing.B) {
 			return goldenWorlds(t)["gcc-lbm-contention"]
 		}},
 		{"credit-4vm", func(t testing.TB) *hv.World {
-			w, err := hv.New(hv.Config{Machine: machine.TableOne(goldenSeed), Seed: goldenSeed}, sched.NewCredit(4))
+			w, err := hv.New(hv.Config{Machine: machine.TableOne(), Seed: goldenSeed}, sched.NewCredit(4))
 			if err != nil {
 				t.Fatal(err)
 			}

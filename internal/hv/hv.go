@@ -24,8 +24,8 @@
 //     into a per-vCPU buffer owned by cpu.Context, so the Generator
 //     interface is crossed once per 64 steps, not once per step;
 //   - cache lookups index dense per-owner stats slices (no maps on the
-//     access path) and plain-LRU caches keep recency in a per-set linked
-//     list, making both MRU promotion and victim choice O(1);
+//     access path) and caches keep LRU recency in a per-set linked list,
+//     making both MRU promotion and an unpartitioned victim choice O(1);
 //   - the per-tick scratch (core budgets, budget caps, monitor buffers)
 //     is pre-allocated in New and reused, so steady-state ticks report
 //     0 allocs/op (BenchmarkWorldTick enforces this).

@@ -19,7 +19,7 @@ func mkWorld(t *testing.T, mcfg machine.Config) *World {
 }
 
 func TestAddVMValidation(t *testing.T) {
-	w := mkWorld(t, machine.TableOne(1))
+	w := mkWorld(t, machine.TableOne())
 	if _, err := w.AddVM(vm.Spec{}); err == nil {
 		t.Fatal("invalid spec must fail")
 	}
@@ -44,7 +44,7 @@ func TestAddVMValidation(t *testing.T) {
 }
 
 func TestExecutionMakesProgress(t *testing.T) {
-	w := mkWorld(t, machine.TableOne(1))
+	w := mkWorld(t, machine.TableOne())
 	d := w.MustAddVM(vm.Spec{Name: "v", App: "povray", Pins: []int{0}})
 	w.RunTicks(5)
 	c := d.Counters()
@@ -65,7 +65,7 @@ func TestExecutionMakesProgress(t *testing.T) {
 }
 
 func TestIdleCoresAccounted(t *testing.T) {
-	w := mkWorld(t, machine.TableOne(1))
+	w := mkWorld(t, machine.TableOne())
 	w.MustAddVM(vm.Spec{Name: "v", App: "povray", Pins: []int{0}})
 	w.RunTicks(3)
 	if w.IdleCycles[0] != 0 {
@@ -79,7 +79,7 @@ func TestIdleCoresAccounted(t *testing.T) {
 }
 
 func TestTimeSharingOneCore(t *testing.T) {
-	w := mkWorld(t, machine.TableOne(1))
+	w := mkWorld(t, machine.TableOne())
 	a := w.MustAddVM(vm.Spec{Name: "a", App: "povray", Pins: []int{0}})
 	b := w.MustAddVM(vm.Spec{Name: "b", App: "povray", Pins: []int{0}})
 	w.RunTicks(60)
@@ -97,7 +97,7 @@ func TestTimeSharingOneCore(t *testing.T) {
 func TestSliceGranularScheduling(t *testing.T) {
 	// With two VMs on one core, assignments change only at slice
 	// boundaries: each VM's occupancy is a multiple of ~3 ticks.
-	w := mkWorld(t, machine.TableOne(1))
+	w := mkWorld(t, machine.TableOne())
 	a := w.MustAddVM(vm.Spec{Name: "a", App: "povray", Pins: []int{0}})
 	w.MustAddVM(vm.Spec{Name: "b", App: "povray", Pins: []int{0}})
 	prev := uint64(0)
@@ -123,12 +123,12 @@ func TestSliceGranularScheduling(t *testing.T) {
 }
 
 func TestParallelContentionEmerges(t *testing.T) {
-	solo := mkWorld(t, machine.TableOne(1))
+	solo := mkWorld(t, machine.TableOne())
 	v := solo.MustAddVM(vm.Spec{Name: "v", App: "micro-c2-rep", Pins: []int{0}})
 	solo.RunTicks(30)
 	soloIPC := v.Counters().IPC()
 
-	pair := mkWorld(t, machine.TableOne(1))
+	pair := mkWorld(t, machine.TableOne())
 	rep := pair.MustAddVM(vm.Spec{Name: "rep", App: "micro-c2-rep", Pins: []int{0}})
 	pair.MustAddVM(vm.Spec{Name: "dis", App: "micro-c2-dis", Pins: []int{1}})
 	pair.RunTicks(30)
@@ -141,11 +141,11 @@ func TestParallelContentionEmerges(t *testing.T) {
 
 func TestNUMARemotePenalty(t *testing.T) {
 	// Same app, memory local vs remote: remote must be slower.
-	local := mkWorld(t, machine.R420(1))
+	local := mkWorld(t, machine.R420())
 	lv := local.MustAddVM(vm.Spec{Name: "v", App: "lbm", Pins: []int{0}, HomeNode: 0})
 	local.RunTicks(20)
 
-	remote := mkWorld(t, machine.R420(1))
+	remote := mkWorld(t, machine.R420())
 	rv := remote.MustAddVM(vm.Spec{Name: "v", App: "lbm", Pins: []int{0}, HomeNode: 1})
 	remote.RunTicks(20)
 
@@ -162,7 +162,7 @@ func TestNUMARemotePenalty(t *testing.T) {
 
 func TestDeterministicRuns(t *testing.T) {
 	run := func() uint64 {
-		w := mkWorld(t, machine.TableOne(7))
+		w := mkWorld(t, machine.TableOne())
 		a := w.MustAddVM(vm.Spec{Name: "a", App: "gcc", Pins: []int{0}})
 		w.MustAddVM(vm.Spec{Name: "b", App: "lbm", Pins: []int{1}})
 		w.RunTicks(25)
@@ -175,7 +175,7 @@ func TestDeterministicRuns(t *testing.T) {
 }
 
 func TestRunUntil(t *testing.T) {
-	w := mkWorld(t, machine.TableOne(1))
+	w := mkWorld(t, machine.TableOne())
 	d := w.MustAddVM(vm.Spec{Name: "v", App: "povray", Pins: []int{0}})
 	ticks := w.RunUntil(func(*World) bool {
 		return d.Counters().Instructions >= 1_000_000
@@ -190,7 +190,7 @@ func TestRunUntil(t *testing.T) {
 }
 
 func TestHooksRunEachTick(t *testing.T) {
-	w := mkWorld(t, machine.TableOne(1))
+	w := mkWorld(t, machine.TableOne())
 	w.MustAddVM(vm.Spec{Name: "v", App: "povray"})
 	calls := 0
 	w.AddHook(TickHookFunc(func(*World) { calls++ }))
@@ -201,7 +201,7 @@ func TestHooksRunEachTick(t *testing.T) {
 }
 
 func TestSnapshotVMs(t *testing.T) {
-	w := mkWorld(t, machine.TableOne(1))
+	w := mkWorld(t, machine.TableOne())
 	w.MustAddVM(vm.Spec{Name: "v", App: "povray", Pins: []int{0}})
 	w.RunTicks(2)
 	snap := w.SnapshotVMs()
@@ -211,7 +211,7 @@ func TestSnapshotVMs(t *testing.T) {
 }
 
 func TestFindVM(t *testing.T) {
-	w := mkWorld(t, machine.TableOne(1))
+	w := mkWorld(t, machine.TableOne())
 	w.MustAddVM(vm.Spec{Name: "v", App: "povray"})
 	if w.FindVM("v") == nil || w.FindVM("nope") != nil {
 		t.Fatal("FindVM wrong")
@@ -219,7 +219,7 @@ func TestFindVM(t *testing.T) {
 }
 
 func TestVCPUIDsAndAddrBases(t *testing.T) {
-	w := mkWorld(t, machine.TableOne(1))
+	w := mkWorld(t, machine.TableOne())
 	a := w.MustAddVM(vm.Spec{Name: "a", App: "povray", VCPUs: 2})
 	b := w.MustAddVM(vm.Spec{Name: "b", App: "povray"})
 	if a.VCPUs[0].ID == a.VCPUs[1].ID || a.VCPUs[1].ID == b.VCPUs[0].ID {
@@ -236,7 +236,7 @@ func TestVCPUIDsAndAddrBases(t *testing.T) {
 func TestOverheadReporterCharged(t *testing.T) {
 	// A scheduler reporting overhead shrinks core 0's effective budget.
 	base := sched.NewCredit(4)
-	w, err := New(Config{Machine: machine.TableOne(1), Seed: 1}, overheadSched{base, 100_000})
+	w, err := New(Config{Machine: machine.TableOne(), Seed: 1}, overheadSched{base, 100_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func (o overheadSched) TickOverheadCycles() uint64 { return o.cycles }
 
 func TestCyclesPerTickOverride(t *testing.T) {
 	w, err := New(Config{
-		Machine:       machine.TableOne(1),
+		Machine:       machine.TableOne(),
 		CyclesPerTick: 300_000,
 		Seed:          1,
 	}, sched.NewCredit(4))

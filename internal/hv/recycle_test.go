@@ -13,7 +13,7 @@ import (
 )
 
 func TestOwnerTagsAreRecycledAndStatsStayBounded(t *testing.T) {
-	w := mkWorld(t, machine.TableOne(1))
+	w := mkWorld(t, machine.TableOne())
 	llc := w.Machine().Sockets()[0].LLC
 	baseline := llc.OwnersTracked()
 
@@ -41,7 +41,7 @@ func TestOwnerTagsAreRecycledAndStatsStayBounded(t *testing.T) {
 }
 
 func TestRecycledTagStartsWithCleanStats(t *testing.T) {
-	w := mkWorld(t, machine.TableOne(1))
+	w := mkWorld(t, machine.TableOne())
 	first := w.MustAddVM(vm.Spec{Name: "old", App: "lbm"})
 	w.RunTicks(6)
 	owner := first.VCPUs[0].Owner()
@@ -73,7 +73,7 @@ func TestRecycledTagStartsWithCleanStats(t *testing.T) {
 }
 
 func TestSuspendVMBlackoutAndWake(t *testing.T) {
-	w := mkWorld(t, machine.TableOne(1))
+	w := mkWorld(t, machine.TableOne())
 	d := w.MustAddVM(vm.Spec{Name: "v", App: "gcc"})
 	w.RunTicks(3)
 	before := d.Counters()
@@ -113,7 +113,7 @@ func TestSuspendVMBlackoutAndWake(t *testing.T) {
 }
 
 func TestRemoveVMWhileSuspendedDropsWake(t *testing.T) {
-	w := mkWorld(t, machine.TableOne(1))
+	w := mkWorld(t, machine.TableOne())
 	d := w.MustAddVM(vm.Spec{Name: "v", App: "gcc"})
 	w.SuspendVM(d, 50)
 	if err := w.RemoveVM("v"); err != nil {

@@ -44,7 +44,9 @@ const (
 	TicksPerSlice = 3
 )
 
-// Config describes a machine to build.
+// Config describes a machine to build. Its caches are LRU and draw no
+// random numbers, so one Config always builds the same machine; the
+// simulation's randomness is seeded by the world that runs on it.
 type Config struct {
 	// Name labels the machine in reports.
 	Name string
@@ -55,15 +57,13 @@ type Config struct {
 	// not model capacity misses in main memory).
 	MainMemoryMB int
 	// L1, L2 are per-core cache templates; LLC is the per-socket shared
-	// cache template. Seeds are derived per instance.
+	// cache template; each instance is named after its socket or core.
 	L1  cache.Config
 	L2  cache.Config
 	LLC cache.Config
 	// MemLatencyCycles and RemotePenaltyCycles parameterize main memory.
 	MemLatencyCycles    uint32
 	RemotePenaltyCycles uint32
-	// Seed diversifies per-instance cache RNGs.
-	Seed uint64
 }
 
 // Validate reports configuration errors.
@@ -124,7 +124,6 @@ func New(cfg Config) (*Machine, error) {
 	for s := 0; s < cfg.Sockets; s++ {
 		llcCfg := cfg.LLC
 		llcCfg.Name = fmt.Sprintf("LLC%d", s)
-		llcCfg.Seed = cfg.Seed ^ uint64(s)<<32
 		llc, err := cache.New(llcCfg)
 		if err != nil {
 			return nil, err
@@ -133,10 +132,8 @@ func New(cfg Config) (*Machine, error) {
 		for c := 0; c < cfg.CoresPerSocket; c++ {
 			l1Cfg := cfg.L1
 			l1Cfg.Name = fmt.Sprintf("L1D.%d", coreID)
-			l1Cfg.Seed = cfg.Seed ^ uint64(coreID)<<16 ^ 0x11
 			l2Cfg := cfg.L2
 			l2Cfg.Name = fmt.Sprintf("L2.%d", coreID)
-			l2Cfg.Seed = cfg.Seed ^ uint64(coreID)<<16 ^ 0x22
 			l1, err := cache.New(l1Cfg)
 			if err != nil {
 				return nil, err
@@ -196,8 +193,8 @@ func (m *Machine) Cores() []*Core { return m.cores }
 // TableOne returns the scaled replica of the paper's Table 1 machine:
 // Xeon E5-1603 v3, one socket, four cores; L1D 32 KB 8-way, L2 256 KB
 // 8-way, LLC 10 MB 20-way; main memory 8096 MB. All capacities divided by
-// CapacityScale.
-func TableOne(seed uint64) Config {
+// CapacityScale. Like every Config it takes no seed.
+func TableOne() Config {
 	return Config{
 		Name:           "Dell / Xeon E5-1603 v3 (1:16 capacity, 1:28 clock)",
 		Sockets:        1,
@@ -217,15 +214,15 @@ func TableOne(seed uint64) Config {
 		},
 		MemLatencyCycles:    180,
 		RemotePenaltyCycles: 120,
-		Seed:                seed,
 	}
 }
 
 // R420 returns the scaled replica of the paper's PowerEdge R420 (§4.5):
 // two sockets, four cores each, with per-socket memory nodes. Remote
 // accesses pay RemotePenaltyCycles, which is what Figure 9 measures.
-func R420(seed uint64) Config {
-	cfg := TableOne(seed)
+// Like every Config it takes no seed.
+func R420() Config {
+	cfg := TableOne()
 	cfg.Name = "PowerEdge R420, 2 sockets (1:16 capacity, 1:28 clock)"
 	cfg.Sockets = 2
 	cfg.MainMemoryMB *= 2

@@ -8,7 +8,7 @@ import (
 )
 
 func TestTableOneGeometry(t *testing.T) {
-	cfg := TableOne(1)
+	cfg := TableOne()
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestTableOneGeometry(t *testing.T) {
 }
 
 func TestR420Topology(t *testing.T) {
-	cfg := R420(1)
+	cfg := R420()
 	if cfg.Sockets != 2 {
 		t.Fatalf("R420 sockets = %d", cfg.Sockets)
 	}
@@ -46,7 +46,7 @@ func TestR420Topology(t *testing.T) {
 }
 
 func TestLLCSharedWithinSocketOnly(t *testing.T) {
-	m := MustNew(R420(1))
+	m := MustNew(R420())
 	s0 := m.Socket(0)
 	if s0.Cores[0].Path.LLC != s0.Cores[3].Path.LLC {
 		t.Fatal("cores of one socket must share the LLC")
@@ -60,7 +60,7 @@ func TestLLCSharedWithinSocketOnly(t *testing.T) {
 }
 
 func TestPrivateCachesArePrivate(t *testing.T) {
-	m := MustNew(TableOne(1))
+	m := MustNew(TableOne())
 	if m.Core(0).Path.L1D == m.Core(1).Path.L1D {
 		t.Fatal("L1 must be per core")
 	}
@@ -70,7 +70,7 @@ func TestPrivateCachesArePrivate(t *testing.T) {
 }
 
 func TestContentionThroughSharedLLC(t *testing.T) {
-	m := MustNew(TableOne(1))
+	m := MustNew(TableOne())
 	llc := m.Socket(0).LLC
 	// Owner 1 via core 0 fills a line; owner 2 via core 3 sees it in LLC.
 	m.Core(0).Path.Access(0x1234, cache.Owner(1), false)
@@ -84,17 +84,17 @@ func TestContentionThroughSharedLLC(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	cfg := TableOne(1)
+	cfg := TableOne()
 	cfg.Sockets = 0
 	if _, err := New(cfg); err == nil {
 		t.Fatal("zero sockets must fail")
 	}
-	cfg = TableOne(1)
+	cfg = TableOne()
 	cfg.MemLatencyCycles = 0
 	if _, err := New(cfg); err == nil {
 		t.Fatal("zero memory latency must fail")
 	}
-	cfg = TableOne(1)
+	cfg = TableOne()
 	cfg.LLC.Ways = 7 // 10240 lines not divisible -> invalid
 	if _, err := New(cfg); err == nil {
 		t.Fatal("bad LLC geometry must fail")
@@ -102,7 +102,7 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestTableString(t *testing.T) {
-	s := TableOne(1).TableString()
+	s := TableOne().TableString()
 	for _, want := range []string{"LLC", "640 KB", "20-way", "L1 D", "Cores/socket"} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("table missing %q:\n%s", want, s)

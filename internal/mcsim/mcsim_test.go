@@ -8,7 +8,7 @@ import (
 )
 
 func TestReplayCountsMisses(t *testing.T) {
-	rep, err := NewReplayer(machine.TableOne(1))
+	rep, err := NewReplayer(machine.TableOne())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func TestReplayCountsMisses(t *testing.T) {
 }
 
 func TestReplayStatePersistsAcrossWindows(t *testing.T) {
-	rep, err := NewReplayer(machine.TableOne(1))
+	rep, err := NewReplayer(machine.TableOne())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestReplayStatePersistsAcrossWindows(t *testing.T) {
 }
 
 func TestReplayScalesOverflowedWindows(t *testing.T) {
-	rep, err := NewReplayer(machine.TableOne(1))
+	rep, err := NewReplayer(machine.TableOne())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestReplayScalesOverflowedWindows(t *testing.T) {
 
 func TestReplayAppliesMLP(t *testing.T) {
 	mk := func() *Replayer {
-		r, err := NewReplayer(machine.TableOne(1))
+		r, err := NewReplayer(machine.TableOne())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,7 +85,7 @@ func TestMissRate(t *testing.T) {
 }
 
 func TestEmptyReplay(t *testing.T) {
-	rep, err := NewReplayer(machine.TableOne(1))
+	rep, err := NewReplayer(machine.TableOne())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestEmptyReplay(t *testing.T) {
 }
 
 func TestInvalidMachineRejected(t *testing.T) {
-	cfg := machine.TableOne(1)
+	cfg := machine.TableOne()
 	cfg.L1.Ways = 3
 	if _, err := NewReplayer(cfg); err == nil {
 		t.Fatal("invalid cache geometry must fail")

@@ -27,7 +27,7 @@ type feederFunc func([]core.Measurement)
 func (f feederFunc) Feed(ms []core.Measurement) { f(ms) }
 
 func TestOracleMeasuresExactMisses(t *testing.T) {
-	w := mkWorld(t, machine.TableOne(1), sched.NewCredit(4))
+	w := mkWorld(t, machine.TableOne(), sched.NewCredit(4))
 	d := w.MustAddVM(vm.Spec{Name: "v", App: "lbm", Pins: []int{0}})
 	var fed []core.Measurement
 	o := NewOracle(feederFunc(func(ms []core.Measurement) { fed = append(fed, ms...) }), core.Equation1)
@@ -50,7 +50,7 @@ func TestOracleMeasuresExactMisses(t *testing.T) {
 }
 
 func TestOracleNilFeeder(t *testing.T) {
-	w := mkWorld(t, machine.TableOne(1), sched.NewCredit(4))
+	w := mkWorld(t, machine.TableOne(), sched.NewCredit(4))
 	w.MustAddVM(vm.Spec{Name: "v", App: "povray", Pins: []int{0}})
 	o := NewOracle(nil, core.Equation1)
 	w.AddHook(o)
@@ -59,7 +59,7 @@ func TestOracleNilFeeder(t *testing.T) {
 
 func TestOracleWithKyotoEnforces(t *testing.T) {
 	k := core.New(sched.NewCredit(4))
-	w := mkWorld(t, machine.TableOne(1), k)
+	w := mkWorld(t, machine.TableOne(), k)
 	sen := w.MustAddVM(vm.Spec{Name: "sen", App: "gcc", Pins: []int{0}, LLCCap: 250})
 	dis := w.MustAddVM(vm.Spec{Name: "dis", App: "lbm", Pins: []int{1}, LLCCap: 250})
 	w.AddHook(NewOracle(k, core.Equation1))
@@ -77,7 +77,7 @@ func TestOracleWithKyotoEnforces(t *testing.T) {
 }
 
 func TestShadowSimTracksOracle(t *testing.T) {
-	mcfg := machine.TableOne(1)
+	mcfg := machine.TableOne()
 	w := mkWorld(t, mcfg, sched.NewCredit(4))
 	d := w.MustAddVM(vm.Spec{Name: "v", App: "lbm", Pins: []int{0}})
 	sh := NewShadowSim(nil, mcfg, 0)
@@ -95,7 +95,7 @@ func TestShadowSimTracksOracle(t *testing.T) {
 }
 
 func TestShadowSimSmallRingStillEstimates(t *testing.T) {
-	mcfg := machine.TableOne(1)
+	mcfg := machine.TableOne()
 	w := mkWorld(t, mcfg, sched.NewCredit(4))
 	d := w.MustAddVM(vm.Spec{Name: "v", App: "lbm", Pins: []int{0}})
 	sh := NewShadowSim(nil, mcfg, 512) // far smaller than per-tick access counts
@@ -107,7 +107,7 @@ func TestShadowSimSmallRingStillEstimates(t *testing.T) {
 }
 
 func TestDedicationCleanMeasurement(t *testing.T) {
-	mcfg := machine.R420(1)
+	mcfg := machine.R420()
 	// Solo reference.
 	solo := mkWorld(t, mcfg, sched.NewCredit(8))
 	sd := solo.MustAddVM(vm.Spec{Name: "v", App: "lbm", Pins: []int{0}})
@@ -135,7 +135,7 @@ func TestDedicationCleanMeasurement(t *testing.T) {
 }
 
 func TestDedicationRestoresPins(t *testing.T) {
-	mcfg := machine.R420(1)
+	mcfg := machine.R420()
 	w := mkWorld(t, mcfg, sched.NewCredit(8))
 	a := w.MustAddVM(vm.Spec{Name: "a", App: "lbm", Pins: []int{0}})
 	b := w.MustAddVM(vm.Spec{Name: "b", App: "mcf", Pins: []int{1}})
@@ -173,7 +173,7 @@ func indexOf(s, sub string) int {
 }
 
 func TestDedicationSkipHeuristics(t *testing.T) {
-	mcfg := machine.R420(1)
+	mcfg := machine.R420()
 	w := mkWorld(t, mcfg, sched.NewCredit(8))
 	w.MustAddVM(vm.Spec{Name: "quiet", App: "hmmer", Pins: []int{0}})
 	w.MustAddVM(vm.Spec{Name: "noisy", App: "lbm", Pins: []int{1}})
@@ -187,7 +187,7 @@ func TestDedicationSkipHeuristics(t *testing.T) {
 }
 
 func TestDedicationAllQuietSkipsEveryone(t *testing.T) {
-	mcfg := machine.R420(1)
+	mcfg := machine.R420()
 	w := mkWorld(t, mcfg, sched.NewCredit(8))
 	w.MustAddVM(vm.Spec{Name: "q1", App: "hmmer", Pins: []int{0}})
 	w.MustAddVM(vm.Spec{Name: "q2", App: "povray", Pins: []int{1}})
@@ -201,7 +201,7 @@ func TestDedicationAllQuietSkipsEveryone(t *testing.T) {
 }
 
 func TestDedicationPanicsOnSingleSocket(t *testing.T) {
-	w := mkWorld(t, machine.TableOne(1), sched.NewCredit(4))
+	w := mkWorld(t, machine.TableOne(), sched.NewCredit(4))
 	w.MustAddVM(vm.Spec{Name: "v", App: "lbm", Pins: []int{0}})
 	w.AddHook(NewDedication(nil, core.Equation1))
 	defer func() {

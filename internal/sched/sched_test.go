@@ -10,7 +10,7 @@ import (
 // mkMachine builds the Table-1 machine for scheduling tests.
 func mkMachine(t *testing.T) *machine.Machine {
 	t.Helper()
-	return machine.MustNew(machine.TableOne(1))
+	return machine.MustNew(machine.TableOne())
 }
 
 // mkVCPU builds a lone vCPU in its own single-vCPU VM.

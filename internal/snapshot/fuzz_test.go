@@ -34,8 +34,8 @@ func addSeeds(f *testing.F) {
 	f.Add(valid[:len(valid)/2])
 	f.Add(flipByte(valid))
 	f.Add(bytes.Replace(valid, []byte(snapshot.Schema), []byte("kyoto-snapshot-v999"), 1))
-	f.Add([]byte(`{"schema":"kyoto-snapshot-v1","kind":"world","config":"cfg","fingerprint":"0","payload":null}`))
-	f.Add([]byte(`{"schema":"kyoto-snapshot-v1","kind":"fleet","config":"cfg","fingerprint":"0","payload":{}}`))
+	f.Add([]byte(`{"schema":"kyoto-snapshot-v2","kind":"world","config":"cfg","fingerprint":"0","payload":null}`))
+	f.Add([]byte(`{"schema":"kyoto-snapshot-v2","kind":"fleet","config":"cfg","fingerprint":"0","payload":{}}`))
 	if odd, err := snapshot.Encode("<k&ind>\u2028", "c>fg\u2029", map[string]string{"a<": "&\u2028"}); err == nil {
 		f.Add(odd)
 	}

@@ -35,7 +35,7 @@ import (
 )
 
 // Schema identifies the snapshot envelope format.
-const Schema = "kyoto-snapshot-v1"
+const Schema = "kyoto-snapshot-v2"
 
 // Envelope kinds.
 const (

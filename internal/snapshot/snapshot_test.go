@@ -12,6 +12,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"strings"
 	"testing"
 
 	"kyoto/internal/arrivals"
@@ -57,7 +58,7 @@ var scenarios = []struct {
 func buildHost(t testing.TB, scIdx int, fid cache.Fidelity) *cluster.Node {
 	t.Helper()
 	n, err := cluster.NewNode(cluster.NodeConfig{
-		Machine: machine.TableOne(testSeed), Seed: testSeed, Fidelity: fid, EnableKyoto: scenarios[scIdx].kyoto,
+		Machine: machine.TableOne(), Seed: testSeed, Fidelity: fid, EnableKyoto: scenarios[scIdx].kyoto,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -214,6 +215,21 @@ func TestDecodeValidation(t *testing.T) {
 				t.Fatalf("Decode accepted a %s envelope", tc.name)
 			}
 		})
+	}
+}
+
+// TestDecodeRefusesV1Envelope: a v1 checkpoint, whose caches carried
+// replacement state this format no longer has, is refused by its schema
+// name, not misreported as a configuration mismatch.
+func TestDecodeRefusesV1Envelope(t *testing.T) {
+	data, err := snapshot.Encode(snapshot.KindWorld, "cfg", map[string]int{"x": 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := bytes.Replace(data, []byte(snapshot.Schema), []byte("kyoto-snapshot-v1"), 1)
+	_, err = snapshot.Decode(v1, snapshot.KindWorld, "other-cfg")
+	if err == nil || !strings.Contains(err.Error(), `unsupported schema "kyoto-snapshot-v1"`) {
+		t.Fatalf("Decode(v1 envelope) error = %v, want the unsupported-schema error", err)
 	}
 }
 

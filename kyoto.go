@@ -51,7 +51,8 @@ import (
 // the internal packages behind them are implementation detail.
 type (
 	// MachineConfig describes a simulated machine (sockets, cores,
-	// cache hierarchy, latencies).
+	// cache hierarchy, latencies). It holds no seed: its LRU caches are
+	// deterministic, and WorldConfig.Seed drives the run's randomness.
 	MachineConfig = machine.Config
 	// VMSpec declares a VM: its workload, pinning, credit weight, CPU
 	// cap, and its Kyoto pollution permit (LLCCap).
@@ -189,12 +190,14 @@ type World struct {
 }
 
 // TableOneMachine returns the scaled replica of the paper's Table 1
-// machine (Xeon E5-1603 v3: 4 cores, 10 MB 20-way LLC).
-func TableOneMachine(seed uint64) MachineConfig { return machine.TableOne(seed) }
+// machine (Xeon E5-1603 v3: 4 cores, 10 MB 20-way LLC). It takes no
+// seed: WorldConfig.Seed seeds the run.
+func TableOneMachine() MachineConfig { return machine.TableOne() }
 
 // R420Machine returns the scaled two-socket NUMA PowerEdge R420 used by
-// the paper's §4.5 study.
-func R420Machine(seed uint64) MachineConfig { return machine.R420(seed) }
+// the paper's §4.5 study. It takes no seed: WorldConfig.Seed seeds the
+// run.
+func R420Machine() MachineConfig { return machine.R420() }
 
 // LookupProfile returns a built-in application profile by name ("gcc",
 // "lbm", "blockie", ...). See ProfileNames.
@@ -206,10 +209,8 @@ func ProfileNames() []string { return workload.Names() }
 // normalizeWorldConfig applies the constructor defaults, so two configs
 // that build identical worlds compare (and digest) identically.
 func normalizeWorldConfig(cfg WorldConfig) WorldConfig {
-	// Order matters: the default machine derives its cache seeds from the
-	// seed exactly as given (including 0), as NewWorld always has.
 	if cfg.Machine.Sockets == 0 {
-		cfg.Machine = machine.TableOne(cfg.Seed)
+		cfg.Machine = machine.TableOne()
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
